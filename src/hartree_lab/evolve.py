@@ -248,16 +248,21 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
 
 
 def conservation_report(traj: Trajectory) -> dict:
-    """Max relative drift of M and E over the pre-export window."""
+    """Max relative drift of M and E over the pre-export window.
+
+    The drifts are NaN when that window holds fewer than two samples:
+    a single sample cannot drift, so it measures nothing.
+    """
     d = traj.diagnostics
     if len(d.t) < 2:
         raise ValueError("need at least two samples")
     pre = d.exported_mass <= 1e-12 * max(d.M[0], 1e-300)
     M = d.M[pre]
     E = d.E[pre]
-    mdrift = float(np.max(np.abs(M - M[0])) / abs(M[0])) if len(M) else np.nan
-    escale = max(abs(E[0]), 1e-300) if len(E) else 1.0
-    edrift = float(np.max(np.abs(E - E[0])) / escale) if len(E) else np.nan
+    mdrift = edrift = np.nan
+    if len(M) >= 2:
+        mdrift = float(np.max(np.abs(M - M[0])) / abs(M[0]))
+        edrift = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-300))
     budget = d.M + d.exported_mass
     return {
         "mass_drift": mdrift,

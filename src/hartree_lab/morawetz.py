@@ -20,13 +20,12 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .accel import njit, using_numba
 from .exponents import ModelParams, ab_exponents
 from .grid import (RadialField, RadialGrid, grad_norm_sq_spectral,
                    l2_norm_sq, spectral_derivative)
 from .groundstate import GroundStateResult
 from .potentials import PotentialSpec
-from .riesz import RieszKernel, _G_log, _H_abs, potential_energy
+from .riesz import RieszKernel, potential_energy
 
 EIGHT_PI_SQ = 8.0 * np.pi**2
 
@@ -159,39 +158,7 @@ def build_weight(R: float, grid: RadialGrid, band: float | None = None) -> Moraw
 # with J as in the module docstring; the |r-s|^(gamma-1)-type singular part
 # is integrated exactly over each source cell.
 
-@njit(cache=True)
-def _pair_matrix_numba(gamma, nodes, dr, phi, phip):
-    n = nodes.shape[0]
-    h = 0.5 * dr
-    M = np.zeros((n, n))
-    for i in range(n):
-        r = nodes[i]
-        for j in range(n):
-            s = nodes[j]
-            wplus = (r + s) ** 2
-            beta = phi[i] + phi[j]
-            if i == j:
-                psi = phip[i]
-            else:
-                psi = (phi[i] - phi[j]) / (r - s)
-            alpha = (r * r - s * s) * (phi[i] - phi[j])
-            pre = 1.0 / (2.0 * r * s)
-            if gamma == 1.0:
-                # alpha / w_minus = (r+s) * psi exactly
-                jreg = pre * ((r + s) * psi - alpha / wplus + beta * np.log(wplus))
-                cphi = -pre * 2.0 * beta
-                cint = _G_log(0, (s + h) - r) - _G_log(0, (s - h) - r)
-            else:
-                jreg = pre * (alpha * (2.0 / (gamma - 3.0)) * wplus ** (0.5 * (gamma - 3.0))
-                              + beta * (2.0 / (gamma - 1.0)) * wplus ** (0.5 * (gamma - 1.0)))
-                cphi = -pre * ((2.0 / (gamma - 3.0)) * (r + s) * psi
-                               + (2.0 / (gamma - 1.0)) * beta)
-                cint = _H_abs(0, gamma, (s + h) - r) - _H_abs(0, gamma, (s - h) - r)
-            M[i, j] = jreg * dr + cphi * cint
-    return M
-
-
-def _pair_matrix_numpy(gamma, nodes, dr, phi, phip):
+def _build_pair_matrix(gamma, nodes, dr, phi, phip):
     n = nodes.shape[0]
     h = 0.5 * dr
     r = nodes[:, None]
@@ -234,13 +201,8 @@ def _pair_matrix_numpy(gamma, nodes, dr, phi, phip):
 
 def _pair_matrix(weight: MorawetzWeight, gamma: float) -> np.ndarray:
     if gamma not in weight._pair:
-        if using_numba():
-            M = _pair_matrix_numba(gamma, weight.grid.nodes, weight.grid.dr,
-                                   weight.phi, weight.phip)
-        else:
-            M = _pair_matrix_numpy(gamma, weight.grid.nodes, weight.grid.dr,
-                                   weight.phi, weight.phip)
-        weight._pair[gamma] = M
+        weight._pair[gamma] = _build_pair_matrix(
+            gamma, weight.grid.nodes, weight.grid.dr, weight.phi, weight.phip)
     return weight._pair[gamma]
 
 

@@ -1,46 +1,41 @@
 """Riesz-potential convolution (I_gamma * g)(r) for radial g, 0 < gamma < 3.
 
-The angular average of the 3D kernel |x-y|^{gamma-3} over the unit sphere
-reduces the convolution to a half-line integral
+I_gamma * g = int |x-y|^(gamma-3) g(y) dy.  For radial g the angular
+average of the kernel reduces it to a half-line integral
 
     h(r) = int_0^inf k(r,s) s^2 g(s) ds,
     k(r,s) = 2*pi/((gamma-1) r s) * [(r+s)^(gamma-1) - |r-s|^(gamma-1)]
 
-(log form at gamma = 1).  The quadrature is product integration: on every
-grid cell the kernel (including its |r-s|^(gamma-1) kink/singularity) is
-integrated in closed form against the local quadratic reconstruction of g,
-with 4-point Gauss-Legendre on cells far from the diagonal where the
-integrand is smooth.  A final projection makes the operator exactly
-self-adjoint in the 4*pi*r^2*dr inner product.  Accuracy on smooth fields
-is O(dr^4)-class (~1e-8 relative at n = 2048), which the ground-state
-identity checks rely on.
+(log form at gamma = 1); ``kernel_value`` keeps that form as an analytic
+reference.  The operator itself is spectral, one code path for every
+gamma (Vico, Greengard & Ferrando, "Fast convolution with free-space
+Green's functions", JCP 323 (2016), reduced to one radial dimension):
 
-For gamma = 2 (Newton/Coulomb) the same operator factors through
-cumulative sums and is applied in O(n); the dense and fast paths agree to
-round-off.
+  - v = r*g is zero-padded from n to N = 2n+1 nodes on the same dr, so the
+    padded interval is R_pad = 2*r_max;
+  - an orthonormal DST-I expands v in the modes sin(k_m r), k_m = m*pi/R_pad,
+    and sin(k_m r)/r is the angular average of a plane wave;
+  - each mode is scaled by the Fourier symbol of the kernel truncated at
+    L = R_pad,  K_m = 4*pi k_m^(-gamma) int_0^{m*pi} t^(gamma-2) sin t dt;
+  - the inverse DST, cut back to the first n values and divided by r, is h.
 
-Hot assembly loops run under numba when available; a vectorized numpy
-fallback is selected by HARTREE_LAB_NUMBA=0 (see hartree_lab.accel).
+Every pair distance on the grid is at most 2*r_max = L and every periodic
+image of the padded data lies at distance >= L, so the truncation changes
+nothing: the result is exact for the sine interpolant of g.  The operator
+is self-adjoint in the 4*pi*r^2*dr inner product by construction and
+costs two DSTs of size N per apply.
 """
 
-import os
-
 import numpy as np
+import scipy.fft as sfft
+from numpy.polynomial.legendre import leggauss
 
-from .accel import njit, using_numba
 from .grid import FOUR_PI, RadialField, RadialGrid, _check_same_grid
 
 TWO_PI = 2.0 * np.pi
 
-NEAR_BAND = 8  # |i-j| <= NEAR_BAND uses closed-form moments; beyond, GL-4
-
-# 4-point Gauss-Legendre on [-1, 1]
-_GL_X = np.array([-0.8611363115940526, -0.3399810435848563,
-                  0.3399810435848563, 0.8611363115940526])
-_GL_W = np.array([0.3478548451374538, 0.6521451548625461,
-                  0.6521451548625461, 0.3478548451374538])
-
-KERNEL_CACHE_VERSION = 1
+SERIES_TERMS = 40  # first-panel power series: round-off for gamma in (0, 3)
+PANEL_NODES = 30   # Gauss-Legendre nodes per later half-period panel
 
 
 def kernel_value(gamma, r, s):
@@ -62,617 +57,63 @@ def kernel_value_origin(gamma, s):
     return out if out.shape else float(out)
 
 
-# ---------------------------------------------------------------------------
-# cell moments m_q = int_a^b (s-s0)^q kappa(r,s) ds, q = 0,1,2, with
-# kappa = k(r,s) s^2 = c [ s (r+s)^(g-1) - s |r-s|^(g-1) ], c = 2*pi/((g-1) r).
-#
-# The smooth (r+s)-part is integrated by 4-point Gauss-Legendre (expanding
-# its moments in closed form around s = 0 is catastrophically ill
-# conditioned at large radii).  The |r-s|-part, whose kink/singularity sits
-# inside or near the cell, is integrated exactly: its expansion runs in
-# powers of w = s - r, which stays cell-sized, so it is well conditioned.
+def _sine_integrals(gamma, N):
+    """S_m = int_0^{m*pi} t^(gamma-2) sin t dt for m = 1..N.
 
-@njit(cache=True)
-def _binom3(m, k):
-    # binomial coefficients for m <= 3
-    if k == 0 or k == m:
-        return 1.0
-    if m == 2:
-        return 2.0
-    if m == 3:
-        return 3.0
-    return 1.0
-
-
-@njit(cache=True)
-def _H_abs(k, gamma, w):
-    # antiderivative of w^k |w|^(gamma-1); continuous through w = 0
-    if w == 0.0:
-        return 0.0
-    e = k + gamma
-    sg = 1.0
-    if w < 0.0 and k % 2 == 0:
-        sg = -1.0
-    return sg * abs(w) ** e / e
-
-
-@njit(cache=True)
-def _L_abs(m, gamma, r, a, b):
-    # int_a^b s^m |s-r|^(gamma-1) ds via s = r + w
-    tot = 0.0
-    for k in range(m + 1):
-        cmk = _binom3(m, k) * r ** (m - k)
-        tot += cmk * (_H_abs(k, gamma, b - r) - _H_abs(k, gamma, a - r))
-    return tot
-
-
-@njit(cache=True)
-def _G_log(k, w):
-    if w == 0.0:
-        return 0.0
-    e = k + 1.0
-    return w ** e * np.log(abs(w)) / e - w ** e / (e * e)
-
-
-@njit(cache=True)
-def _L_log(m, r, a, b):
-    # int_a^b s^m ln|s-r| ds
-    tot = 0.0
-    for k in range(m + 1):
-        cmk = _binom3(m, k) * r ** (m - k)
-        tot += cmk * (_G_log(k, b - r) - _G_log(k, a - r))
-    return tot
-
-
-@njit(cache=True)
-def _cell_moments(gamma, r, s0, a, b, glx, glw):
-    """(m0, m1, m2) of kappa(r, .) against (s-s0)^q over [a, b]."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    j0 = 0.0
-    j1 = 0.0
-    j2 = 0.0
-    if gamma == 1.0:
-        c = TWO_PI / r
-        for q in range(4):
-            sg = mid + half * glx[q]
-            f = c * sg * np.log(r + sg) * glw[q] * half
-            t = sg - s0
-            j0 += f
-            j1 += f * t
-            j2 += f * t * t
-        L1 = _L_log(1, r, a, b)
-        L2 = _L_log(2, r, a, b)
-        L3 = _L_log(3, r, a, b)
-    else:
-        c = TWO_PI / ((gamma - 1.0) * r)
-        for q in range(4):
-            sg = mid + half * glx[q]
-            f = c * sg * (r + sg) ** (gamma - 1.0) * glw[q] * half
-            t = sg - s0
-            j0 += f
-            j1 += f * t
-            j2 += f * t * t
-        L1 = _L_abs(1, gamma, r, a, b)
-        L2 = _L_abs(2, gamma, r, a, b)
-        L3 = _L_abs(3, gamma, r, a, b)
-    m0 = j0 - c * L1
-    m1 = j1 - c * (L2 - s0 * L1)
-    m2 = j2 - c * (L3 - 2.0 * s0 * L2 + s0 * s0 * L1)
-    return m0, m1, m2
-
-
-@njit(cache=True)
-def _kernel_scalar(gamma, r, s):
-    if gamma == 1.0:
-        return (TWO_PI / (r * s)) * np.log((r + s) / abs(r - s))
-    c = TWO_PI / ((gamma - 1.0) * r * s)
-    return c * ((r + s) ** (gamma - 1.0) - abs(r - s) ** (gamma - 1.0))
-
-
-@njit(cache=True)
-def _patch_moments(gamma, r, h, dr, glx, glw, near):
-    """(P0, P2) = int_0^h kappa(r,s) {1, s^2} ds for the [0, dr/2] patch."""
-    if r > near * dr:
-        # kink far from [0, h]: the whole integrand is smooth there
-        p0 = 0.0
-        p2 = 0.0
-        mid = 0.5 * h
-        half = 0.5 * h
-        for q in range(4):
-            sg = mid + half * glx[q]
-            f = _kernel_scalar(gamma, r, sg) * sg * sg * glw[q] * half
-            p0 += f
-            p2 += f * sg * sg
-        return p0, p2
-    m0, _, m2 = _cell_moments(gamma, r, 0.0, 0.0, h, glx, glw)
-    return m0, m2
-
-
-@njit(cache=True)
-def _scatter_row(row, j, n, wm1, w0, wp1):
-    # quadratic-Lagrange stencil of cell j onto columns (j-1, j, j+1);
-    # ghost at s=0 redistributed by the even quartic extrapolation, ghost
-    # at r_max dropped (Dirichlet).
-    if j == 0:
-        row[0] += w0 + 1.5 * wm1
-        row[1] += wp1 - 0.6 * wm1
-        row[2] += 0.1 * wm1
-    elif j == n - 1:
-        row[n - 2] += wm1
-        row[n - 1] += w0
-    else:
-        row[j - 1] += wm1
-        row[j] += w0
-        row[j + 1] += wp1
-
-
-@njit(cache=True)
-def _build_row_numba(gamma, nodes, dr, i, glx, glw, near):
-    n = nodes.shape[0]
-    h = 0.5 * dr
-    ri = nodes[i]
-    row = np.zeros(n)
-    for j in range(n):
-        sj = nodes[j]
-        a = sj - h
-        b = sj + h
-        if abs(i - j) <= near:
-            m0, m1, m2 = _cell_moments(gamma, ri, sj, a, b, glx, glw)
-        else:
-            m0 = 0.0
-            m1 = 0.0
-            m2 = 0.0
-            for q in range(4):
-                sg = sj + h * glx[q]
-                kg = _kernel_scalar(gamma, ri, sg) * sg * sg
-                wq = glw[q] * h
-                t = sg - sj
-                m0 += wq * kg
-                m1 += wq * kg * t
-                m2 += wq * kg * t * t
-        wm1 = (m2 - dr * m1) / (2.0 * dr * dr)
-        w0 = m0 - m2 / (dr * dr)
-        wp1 = (m2 + dr * m1) / (2.0 * dr * dr)
-        _scatter_row(row, j, n, wm1, w0, wp1)
-    # origin patch [0, h]: g ~ alpha + beta s^2 through nodes 1, 2
-    P0, P2 = _patch_moments(gamma, ri, h, dr, glx, glw, near)
-    row[0] += (4.0 / 3.0) * P0 - P2 / (3.0 * dr * dr)
-    row[1] += -P0 / 3.0 + P2 / (3.0 * dr * dr)
-    return row
-
-
-@njit(cache=True)
-def _assemble_numba(gamma, nodes, dr, glx, glw, near):
-    n = nodes.shape[0]
-    K = np.zeros((n, n))
-    for i in range(n):
-        K[i, :] = _build_row_numba(gamma, nodes, dr, i, glx, glw, near)
-    return K
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy fallback (same formulas, row at a time)
-
-def _H_abs_vec(k, gamma, w):
-    e = k + gamma
-    sg = np.where((w < 0) & (k % 2 == 0), -1.0, 1.0)
-    out = sg * np.abs(w) ** e / e
-    return np.where(w == 0.0, 0.0, out)
-
-
-def _L_abs_vec(m, gamma, r, a, b):
-    tot = np.zeros_like(a)
-    from math import comb
-    for k in range(m + 1):
-        cmk = comb(m, k) * r ** (m - k)
-        tot += cmk * (_H_abs_vec(k, gamma, b - r) - _H_abs_vec(k, gamma, a - r))
-    return tot
-
-
-def _G_log_vec(k, w):
-    e = k + 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = w**e * np.log(np.abs(w)) / e - w**e / e**2
-    return np.where(w == 0.0, 0.0, out)
-
-
-def _L_log_vec(m, r, a, b):
-    tot = np.zeros_like(a)
-    from math import comb
-    for k in range(m + 1):
-        cmk = comb(m, k) * r ** (m - k)
-        tot += cmk * (_G_log_vec(k, b - r) - _G_log_vec(k, a - r))
-    return tot
-
-
-def _cell_moments_vec(gamma, r, s0, a, b):
-    """Vector version of _cell_moments: GL-4 smooth part, exact kink part."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    j0 = np.zeros_like(mid)
-    j1 = np.zeros_like(mid)
-    j2 = np.zeros_like(mid)
-    if gamma == 1.0:
-        c = TWO_PI / r
-        for q in range(4):
-            sg = mid + half * _GL_X[q]
-            f = c * sg * np.log(r + sg) * _GL_W[q] * half
-            t = sg - s0
-            j0 += f
-            j1 += f * t
-            j2 += f * t * t
-        L1 = _L_log_vec(1, r, a, b)
-        L2 = _L_log_vec(2, r, a, b)
-        L3 = _L_log_vec(3, r, a, b)
-    else:
-        c = TWO_PI / ((gamma - 1.0) * r)
-        for q in range(4):
-            sg = mid + half * _GL_X[q]
-            f = c * sg * (r + sg) ** (gamma - 1.0) * _GL_W[q] * half
-            t = sg - s0
-            j0 += f
-            j1 += f * t
-            j2 += f * t * t
-        L1 = _L_abs_vec(1, gamma, r, a, b)
-        L2 = _L_abs_vec(2, gamma, r, a, b)
-        L3 = _L_abs_vec(3, gamma, r, a, b)
-    m0 = j0 - c * L1
-    m1 = j1 - c * (L2 - s0 * L1)
-    m2 = j2 - c * (L3 - 2 * s0 * L2 + s0**2 * L1)
-    return m0, m1, m2
-
-
-def _patch_moments_numpy(gamma, r, h, dr):
-    if r > NEAR_BAND * dr:
-        mid, half = 0.5 * h, 0.5 * h
-        p0 = p2 = 0.0
-        for q in range(4):
-            sg = mid + half * _GL_X[q]
-            f = kernel_value(gamma, r, sg) * sg**2 * _GL_W[q] * half
-            p0 += f
-            p2 += f * sg**2
-        return p0, p2
-    z = np.zeros(1)
-    m0, _, m2 = _cell_moments_vec(gamma, r, z, z, z + h)
-    return float(m0[0]), float(m2[0])
-
-
-def _build_row_numpy(gamma, nodes, dr, i):
-    n = nodes.shape[0]
-    h = 0.5 * dr
-    ri = nodes[i]
-    sj = nodes
-    a = sj - h
-    b = sj + h
-    # GL-4 moments everywhere, then overwrite the near band with the
-    # product-integration moments
-    m0 = np.zeros(n)
-    m1 = np.zeros(n)
-    m2 = np.zeros(n)
-    for q in range(4):
-        sg = sj + h * _GL_X[q]
-        kg = kernel_value(gamma, ri, sg) * sg**2
-        wq = _GL_W[q] * h
-        t = sg - sj
-        m0 += wq * kg
-        m1 += wq * kg * t
-        m2 += wq * kg * t * t
-    lo, hi = max(0, i - NEAR_BAND), min(n, i + NEAR_BAND + 1)
-    nm0, nm1, nm2 = _cell_moments_vec(gamma, ri, sj[lo:hi], a[lo:hi], b[lo:hi])
-    m0[lo:hi], m1[lo:hi], m2[lo:hi] = nm0, nm1, nm2
-
-    wm1 = (m2 - dr * m1) / (2 * dr**2)
-    w0 = m0 - m2 / dr**2
-    wp1 = (m2 + dr * m1) / (2 * dr**2)
-    row = np.zeros(n)
-    row[: n - 1] += wm1[1:]
-    row += w0
-    row[1:] += wp1[: n - 1]
-    # cell 0's left stencil leg goes through the s=0 ghost redistribution
-    row[0] += 1.5 * wm1[0]
-    row[1] += -0.6 * wm1[0]
-    row[2] += 0.1 * wm1[0]
-    # origin patch
-    P0, P2 = _patch_moments_numpy(gamma, ri, h, dr)
-    row[0] += (4.0 / 3.0) * P0 - P2 / (3 * dr**2)
-    row[1] += -P0 / 3.0 + P2 / (3 * dr**2)
-    return row
-
-
-def _assemble_numpy(gamma, nodes, dr):
-    n = nodes.shape[0]
-    K = np.empty((n, n))
-    for i in range(n):
-        K[i, :] = _build_row_numpy(gamma, nodes, dr, i)
-    return K
-
-
-def _assemble(gamma, nodes, dr):
-    if using_numba():
-        return _assemble_numba(gamma, nodes, dr, _GL_X, _GL_W, NEAR_BAND)
-    return _assemble_numpy(gamma, nodes, dr)
-
-
-def _build_row(gamma, nodes, dr, i):
-    if using_numba():
-        return _build_row_numba(gamma, nodes, dr, i, _GL_X, _GL_W, NEAR_BAND)
-    return _build_row_numpy(gamma, nodes, dr, i)
-
-
-def _origin_row(gamma, nodes, dr):
-    """Row vector for h(0) = int 4*pi*s^(gamma-1) g(s) ds, product integrated."""
-    n = nodes.shape[0]
-    h = 0.5 * dr
-    sj = nodes
-    # moments of 4*pi*s^(gamma-1) * (s-sj)^q over each cell, exact power integrals
-    a, b = sj - h, sj + h
-    I0 = FOUR_PI * (b**gamma - a**gamma) / gamma
-    I1 = FOUR_PI * (b ** (gamma + 1) - a ** (gamma + 1)) / (gamma + 1)
-    I2 = FOUR_PI * (b ** (gamma + 2) - a ** (gamma + 2)) / (gamma + 2)
-    m0 = I0
-    m1 = I1 - sj * I0
-    m2 = I2 - 2 * sj * I1 + sj**2 * I0
-    wm1 = (m2 - dr * m1) / (2 * dr**2)
-    w0 = m0 - m2 / dr**2
-    wp1 = (m2 + dr * m1) / (2 * dr**2)
-    row = np.zeros(n)
-    row[: n - 1] += wm1[1:]
-    row += w0
-    row[1:] += wp1[: n - 1]
-    row[0] += 1.5 * wm1[0]
-    row[1] += -0.6 * wm1[0]
-    row[2] += 0.1 * wm1[0]
-    # origin patch: g ~ alpha + beta s^2
-    P0 = FOUR_PI * h**gamma / gamma
-    P2 = FOUR_PI * h ** (gamma + 2) / (gamma + 2)
-    row[0] += (4.0 / 3.0) * P0 - P2 / (3 * dr**2)
-    row[1] += -P0 / 3.0 + P2 / (3 * dr**2)
-    return row
-
-
-SYM_BAND = 16
-
-
-def _symmetrize(K, w, band=SYM_BAND):
-    """Exact self-adjointness in the w-inner product.
-
-    The weighted matrix S = diag(w) K is replaced by a symmetric matrix:
-    within |i-j| <= band (where the kink-induced asymmetry concentrates)
-    the entries are combined with harmonic weights,
-    S_ij = w_i w_j (K_ij + K_ji)/(w_i + w_j), which splits the defect
-    evenly between rows of comparable weight but leaves a light row
-    (small radius) essentially raw against a heavy one.  Outside the band
-    the smaller-radius row wins outright.  Both choices damp every
-    adjustment by the participating weights; the naive projection
-    0.5*(K + W^-1 K^T W) instead amplifies asymmetries by 1/w_i near the
-    origin (w ~ r^2), a grid-scale wobble that the splitting integrator
-    turns into a large error constant.
+    A prefix sum of half-period panels.  The first, whose integrand
+    behaves like t^(gamma-1) at 0, comes from the termwise-integrated
+    series sum_k (-1)^k pi^(gamma+2k) / ((2k+1)! (gamma+2k)); the others
+    are smooth and use Gauss-Legendre, one node at a time so that every
+    temporary has length N.
     """
-    S = w[:, None] * K
-    harm = (w[:, None] * w[None, :]) / (w[:, None] + w[None, :]) * (K + K.T)
-    tri = np.triu(S) + np.triu(S, 1).T
-    n = S.shape[0]
-    idx = np.arange(n)
-    in_band = np.abs(idx[:, None] - idx[None, :]) <= band
-    out = np.where(in_band, harm, tri)
-    return out / w[:, None]
+    first = 0.0
+    a = np.pi**gamma  # pi^(gamma+2k) / (2k+1)!
+    for k in range(SERIES_TERMS):
+        first += (-1) ** k * a / (gamma + 2 * k)
+        a *= np.pi**2 / ((2 * k + 2) * (2 * k + 3))
+    x, w = leggauss(PANEL_NODES)
+    start = np.pi * np.arange(1, N)
+    panels = np.zeros(N - 1)
+    for xq, wq in zip(x, w):
+        theta = 0.5 * np.pi * (1.0 + xq)
+        panels += (0.5 * np.pi * wq * np.sin(theta)) * (start + theta) ** (gamma - 2.0)
+    # sin(j*pi + theta) = (-1)^j sin(theta); the panels start at j = 1
+    panels[::2] *= -1.0
+    return np.cumsum(np.concatenate(([first], panels)))
 
-
-# ---------------------------------------------------------------------------
-# gamma = 2 fast path: the same operator through cumulative sums
-
-class _NewtonFast:
-    """O(n) application of the gamma=2 product-integration operator.
-
-    For gamma = 2 every cell moment is a polynomial integral: cells below
-    the target radius contribute (1/r_i) * [4*pi s^2 moments], cells above
-    contribute [4*pi s moments], and only the diagonal cell straddles.
-    After the banded-half symmetrization the operator is a (2*SYM_BAND+1)-
-    diagonal band plus rank-structured far parts (an above-type column
-    vector for the upper triangle and its w-mirrored image below), so the
-    action is two prefix sums and a short band multiply; a few dozen rows
-    at each end are kept explicitly.
-    """
-
-    def __init__(self, grid):
-        n = grid.n
-        nodes = grid.nodes
-        dr = grid.dr
-        h = 0.5 * dr
-        B0 = SYM_BAND
-        self.n = n
-        self.B0 = B0
-        self.w = grid.weights
-        if n < 4 * B0:
-            raise ValueError("grid too small for the fast path; use force_dense")
-
-        def poly_mom(kernpow, s0, t0, t1):
-            # moments of 4*pi*s^kernpow against (s-s0)^q over tau = s-s0 in
-            # [t0, t1]; expanded in cell-local powers, so well conditioned
-            T = [(t1 ** (q + 1) - t0 ** (q + 1)) / (q + 1) for q in range(5)]
-            if kernpow == 2:
-                return (FOUR_PI * (s0**2 * T[0] + 2 * s0 * T[1] + T[2]),
-                        FOUR_PI * (s0**2 * T[1] + 2 * s0 * T[2] + T[3]),
-                        FOUR_PI * (s0**2 * T[2] + 2 * s0 * T[3] + T[4]))
-            return (FOUR_PI * (s0 * T[0] + T[1]),
-                    FOUR_PI * (s0 * T[1] + T[2]),
-                    FOUR_PI * (s0 * T[2] + T[3]))
-
-        sj = nodes
-        bm = poly_mom(2, sj, -h, h)      # below-type cells (4*pi*s^2, / r_i later)
-        am = poly_mom(1, sj, -h, h)      # above-type cells (4*pi*s)
-
-        def lagrange(m):
-            m0, m1, m2 = m
-            return ((m2 - dr * m1) / (2 * dr**2),
-                    m0 - m2 / dr**2,
-                    (m2 + dr * m1) / (2 * dr**2))
-
-        bwm1, bw0, bwp1 = lagrange(bm)
-        awm1, aw0, awp1 = lagrange(am)
-
-        # above-type column vector: contribution to column c from cells
-        # c-1, c, c+1 all above the target radius; the right ghost (cell
-        # n-1's wp1) is dropped, the s=0 ghost never arises here.
-        Bvec = np.zeros(n)
-        Bvec += aw0
-        Bvec[: n - 1] += awm1[1:]
-        Bvec[1:] += awp1[: n - 1]
-        self.Bvec = Bvec
-
-        # below-type column vector; columns 0..2 carry the s=0 ghost
-        # redistribution of cell 0 and the origin patch
-        Avec = np.full(n, np.nan)
-        Avec[1 : n - 1] = bwp1[: n - 2] + bw0[1 : n - 1] + bwm1[2:]
-        Avec[0] = bw0[0] + bwm1[1] + 1.5 * bwm1[0]
-        Avec[1] += -0.6 * bwm1[0]
-        Avec[2] += 0.1 * bwm1[0]
-        P0 = FOUR_PI * h**3 / 3.0
-        P2 = FOUR_PI * h**5 / 5.0
-        Avec[0] += (4.0 / 3.0) * P0 - P2 / (3 * dr**2)
-        Avec[1] += -P0 / 3.0 + P2 / (3 * dr**2)
-
-        # diagonal (straddling) cell, split at s = r_i = cell center
-        dm_lo = lagrange(poly_mom(2, sj, -h, 0.0))   # [s_i - h, s_i]
-        dm_hi = lagrange(poly_mom(1, sj, 0.0, h))    # [s_i, s_i + h]
-        inv_r = 1.0 / nodes
-
-        # raw band diagonals Braw[k][i] = K_raw[i, i+k], interior validity
-        braw = {}
-        for k in range(-B0, B0 + 1):
-            arr = np.full(n, np.nan)
-            if k <= -2:
-                lo = max(-k, 2)
-                arr[lo:] = inv_r[lo:] * Avec[np.arange(lo, n) + k]
-            elif k == -1:
-                i = np.arange(2, n)
-                arr[i] = inv_r[i] * (bwp1[i - 2] + bw0[i - 1] + dm_lo[0][i]) \
-                    + dm_hi[0][i]
-            elif k == 0:
-                i = np.arange(1, n)
-                arr[i] = inv_r[i] * (bwp1[i - 1] + dm_lo[1][i]) + dm_hi[1][i]
-                arr[1 : n - 1] += awm1[2:]
-            elif k == 1:
-                i = np.arange(0, n - 1)
-                arr[i] = inv_r[i] * dm_lo[2][i] + dm_hi[2][i] + aw0[i + 1]
-                arr[: n - 2] += awm1[2:]
-            else:
-                arr[: n - k] = Bvec[k:]
-            braw[k] = arr
-        # mixed band: harmonic rule (w_j/(w_i+w_j)) (K_ij + K_ji), j = i + k
-        w = self.w
-        self.bmix = {}
-        for k in range(-B0, B0 + 1):
-            arr = np.full(n, np.nan)
-            i = np.arange(max(0, -k), n - max(0, k))
-            arr[i] = (w[i + k] / (w[i] + w[i + k])) * (braw[k][i] + braw[-k][i + k])
-            self.bmix[k] = arr
-        self._braw = braw
-
-        # explicit edge rows
-        self.ilo = B0 + 2
-        self.ihi = n - B0 - 3
-        edge = list(range(self.ilo)) + list(range(self.ihi + 1, n))
-        self.edge = set(edge)
-        raw_rows = {i: _build_row(2.0, nodes, dr, i) for i in edge}
-        self.sym_rows = {}
-        for i in edge:
-            row = np.empty(n)
-            for j in range(n):
-                off = j - i
-                if abs(off) <= B0:
-                    kij = raw_rows[i][j]
-                    if j in self.edge:
-                        kji = raw_rows[j][i]
-                    else:
-                        kji = braw[i - j][j]
-                    row[j] = (w[j] / (w[i] + w[j])) * (kij + kji)
-                elif off > B0:
-                    row[j] = raw_rows[i][j]
-                else:
-                    kji = raw_rows[j][i] if j in self.edge else Bvec[i]
-                    row[j] = (w[j] / w[i]) * kji
-            self.sym_rows[i] = row
-
-    def apply(self, g):
-        n = self.n
-        B0 = self.B0
-        w = self.w
-        h = np.zeros(n)
-        wg = w * g
-        csW = np.concatenate(([0.0], np.cumsum(wg)))
-        Bg = self.Bvec * g
-        csB = np.concatenate((np.cumsum(Bg[::-1])[::-1], [0.0]))
-
-        idx = np.arange(self.ilo, self.ihi + 1)
-        acc = (self.Bvec[idx] / w[idx]) * csW[idx - B0] + csB[idx + B0 + 1]
-        for k in range(-B0, B0 + 1):
-            acc += self.bmix[k][idx] * g[idx + k]
-        h[idx] = acc
-        for i in self.edge:
-            h[i] = self.sym_rows[i] @ g
-        return h
-
-
-# ---------------------------------------------------------------------------
-# public kernel object
 
 class RieszKernel:
-    """Precomputed convolution operator for one (gamma, grid) pair."""
+    """Convolution operator for one (gamma, grid) pair."""
 
-    def __init__(self, gamma, grid: RadialGrid, force_dense=False, cache_dir=None):
+    def __init__(self, gamma, grid: RadialGrid):
         if not (0.0 < gamma < 3.0):
             raise ValueError("gamma in (0,3) required")
         self.gamma = float(gamma)
         self.grid = grid
-        self.origin_row = _origin_row(self.gamma, grid.nodes, grid.dr)
-        self._fast = None
-        self._K = None
-        if self.gamma == 2.0 and not force_dense:
-            self._fast = _NewtonFast(grid)
-        else:
-            self._K = self._dense_matrix(cache_dir)
-
-    def _dense_matrix(self, cache_dir):
-        key = f"riesz_g{self.gamma!r}_n{self.grid.n}_L{float(self.grid.r_max)!r}_v{KERNEL_CACHE_VERSION}"
-        path = None
-        if cache_dir is not None:
-            path = os.path.join(cache_dir, key + ".npz")
-            if os.path.exists(path):
-                with np.load(path) as z:
-                    return z["K"]
-        K = _assemble(self.gamma, self.grid.nodes, self.grid.dr)
-        K = _symmetrize(K, self.grid.weights)
-        if path is not None:
-            os.makedirs(cache_dir, exist_ok=True)
-            np.savez_compressed(path, K=K)
-        return K
-
-    @property
-    def method(self):
-        return "newton-fast" if self._fast is not None else "dense"
-
-    def dense_matrix(self):
-        """Dense symmetrized matrix (built on demand for the fast path)."""
-        if self._K is None:
-            self._K = self._dense_matrix(None)
-        return self._K
+        N = 2 * grid.n + 1
+        k = (np.pi / (2.0 * grid.r_max)) * np.arange(1, N + 1)
+        self._N = N
+        self._symbol = FOUR_PI * k ** (-self.gamma) * _sine_integrals(self.gamma, N)
+        # h(0) = sqrt(2/(N+1)) sum_m c_m K_m k_m with c = DST(pad(r*g)),
+        # folded back through the symmetric DST into a row acting on g
+        ow = np.sqrt(2.0 / (N + 1)) * self._symbol * k
+        self._origin_row = grid.nodes * sfft.dst(ow, type=1, norm="ortho")[: grid.n]
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         g = np.asarray(g, dtype=float)
         if g.shape != (self.grid.n,):
             raise ValueError("grid mismatch")
-        if self._fast is not None:
-            return self._fast.apply(g)
-        return self._K @ g
+        c = sfft.dst(self.grid.nodes * g, type=1, n=self._N, norm="ortho")
+        c *= self._symbol
+        v = sfft.dst(c, type=1, norm="ortho", overwrite_x=True)
+        return v[: self.grid.n] / self.grid.nodes
 
     def apply_origin(self, g: np.ndarray) -> float:
-        return float(self.origin_row @ np.asarray(g, dtype=float))
+        return float(self._origin_row @ np.asarray(g, dtype=float))
 
 
-def build_kernel(gamma, grid: RadialGrid, force_dense=False, cache_dir=None) -> RieszKernel:
-    return RieszKernel(gamma, grid, force_dense=force_dense, cache_dir=cache_dir)
+def build_kernel(gamma, grid: RadialGrid) -> RieszKernel:
+    return RieszKernel(gamma, grid)
 
 
 def convolve(kern: RieszKernel, g) -> RadialField:

@@ -282,23 +282,12 @@ def parse_scenario(text) -> Scenario:
 # ---------------------------------------------------------------------------
 # runner
 #
-# Kernels and ground states are immutable after construction, so sweep
-# runs sharing a (gamma, grid) or (params, grid) pair reuse them.
+# Ground states are immutable after construction, so sweep runs sharing a
+# (params, grid) pair reuse them.  Kernels take milliseconds and O(n)
+# memory to build, so every run builds its own.
 
 _cache_lock = threading.Lock()
-_kernel_cache = {}
 _gs_cache = {}
-
-
-def _shared_kernel(gamma, grid):
-    key = (float(gamma), grid.n, float(grid.r_max))
-    with _cache_lock:
-        kern = _kernel_cache.get(key)
-    if kern is None:
-        kern = build_kernel(gamma, grid)
-        with _cache_lock:
-            kern = _kernel_cache.setdefault(key, kern)
-    return kern
 
 
 def _shared_ground_state(model, grid, kern):
@@ -373,7 +362,7 @@ class ExitReport:
 def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
     os.makedirs(out_dir, exist_ok=True)
     grid = RadialGrid(s.grid_r_max, s.grid_n)
-    kern = _shared_kernel(s.model.gamma, grid)
+    kern = build_kernel(s.model.gamma, grid)
 
     needs_gs = (s.initial_kind == "ground_state"
                 or "thresholds" in s.requests or "morawetz" in s.requests
@@ -420,8 +409,11 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
         }
     if "conservation" in s.requests:
         rep = conservation_report(traj)
-        ok = rep["mass_drift"] <= 1e-10 and rep["energy_drift"] <= 1e-4
+        available = rep["samples_pre_export"] >= 2
+        ok = available and rep["mass_drift"] <= 1e-10 and rep["energy_drift"] <= 1e-4
         verdicts["conservation"] = {
+            "available": available,
+            "samples_pre_export": rep["samples_pre_export"],
             "mass_drift": rep["mass_drift"],
             "energy_drift": rep["energy_drift"],
             "mass_budget_drift": rep["mass_budget_drift"],

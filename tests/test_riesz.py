@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import erf, gamma as gamma_fn
 
 from hartree_lab.grid import FOUR_PI, RadialField, RadialGrid, l2_norm_sq
 from hartree_lab.riesz import (build_kernel, convolve, convolve_origin,
@@ -71,15 +73,42 @@ def test_newton_ball_closed_form(grid_mid):
     assert convolve_origin(kern, ball) == pytest.approx(2 * np.pi * r_eff**2, rel=5e-4)
 
 
-def test_gamma2_fast_matches_dense(grid_small):
-    kf = build_kernel(2.0, grid_small)
-    kd = build_kernel(2.0, grid_small, force_dense=True)
-    assert kf.method == "newton-fast" and kd.method == "dense"
-    rng = np.random.default_rng(5)
-    for _ in range(6):
-        g = random_smooth_field(grid_small, rng)
-        hf, hd = kf.apply(g), kd.apply(g)
-        assert np.max(np.abs(hf - hd)) <= 1e-10 * np.max(np.abs(hd))
+ORACLE_GAMMAS = (0.6, 1.0, 1.5, 2.5, 2.8)
+
+
+def test_newton_gaussian_closed_form(grid_desk, kern2_desk):
+    # I_2 * e^(-r^2) = pi^(3/2) erf(r)/r on every row, the outermost included
+    r = grid_desk.nodes
+    h = kern2_desk.apply(np.exp(-r**2))
+    want = np.pi**1.5 * erf(r) / r
+    assert np.max(np.abs(h - want) / want) < 1e-12
+
+
+def _quad_reference(gamma, r, s_max=12.0):
+    """int_0^inf k(r,s) s^2 e^(-s^2) ds, split at the kernel's kink s = r."""
+    def f(s):
+        return kernel_value(gamma, r, s) * s * s * np.exp(-s * s)
+    cuts = [0.0, r, s_max] if r < s_max else [0.0, s_max]
+    return sum(quad(f, a, b, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+               for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+def test_quadrature_reference_gaussian(grid_desk):
+    g = np.exp(-grid_desk.nodes**2)
+    for gamma in ORACLE_GAMMAS:
+        h = build_kernel(gamma, grid_desk).apply(g)
+        for i in (0, 100, grid_desk.n - 1):
+            ref = _quad_reference(gamma, grid_desk.nodes[i])
+            assert abs(h[i] - ref) <= 1e-10 * abs(ref), (gamma, i)
+
+
+def test_origin_value_gaussian(grid_desk):
+    # (I_gamma * e^(-r^2))(0) = 4 pi int s^(gamma-1) e^(-s^2) ds = 2 pi Gamma(gamma/2)
+    g = np.exp(-grid_desk.nodes**2)
+    for gamma in ORACLE_GAMMAS:
+        want = 2 * np.pi * gamma_fn(gamma / 2)
+        got = convolve_origin(build_kernel(gamma, grid_desk), g)
+        assert got == pytest.approx(want, rel=1e-12), gamma
 
 
 def test_bilinear_symmetry(grid_small):
@@ -164,16 +193,6 @@ def test_hartree_holder_audit(grid_mid, kern2_mid):
                * lp_norm(RadialField(grid_mid, gv.astype(complex)), q_exp))
         ratios.append(num / den)
     assert max(ratios) < 20
-
-
-def test_kernel_cache_roundtrip(tmp_path, grid_small):
-    k1 = build_kernel(1.3, grid_small, cache_dir=str(tmp_path))
-    files = list(tmp_path.glob("*.npz"))
-    assert len(files) == 1
-    k2 = build_kernel(1.3, grid_small, cache_dir=str(tmp_path))
-    rng = np.random.default_rng(3)
-    g = random_smooth_field(grid_small, rng)
-    assert np.array_equal(k1.apply(g), k2.apply(g))
 
 
 def test_grid_mismatch_rejected(grid_small, grid_mid):

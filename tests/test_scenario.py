@@ -114,6 +114,24 @@ def test_run_scenario_deterministic(tmp_path):
     assert j1 == j2
 
 
+def test_conservation_verdict_not_vacuous(tmp_path):
+    # a sponge starting at r = 0.5 absorbs mass before the second sample, so
+    # only t = 0 is pre-export: no drift is measured and nothing may pass
+    s = parse_scenario(SCATTER.replace("t_end = 6.0", "t_end = 0.2")
+                       .replace("sponge_start = 15.0", "sponge_start = 0.5")
+                       .replace("requests = conservation, thresholds, monitor",
+                                "requests = conservation"))
+    rep = run_scenario(s, out_dir=str(tmp_path), tag="v")
+    cons = rep.verdicts["conservation"]
+    assert cons["samples_pre_export"] == 1
+    assert cons["available"] is False and cons["pass"] is False
+    assert np.isnan(cons["mass_drift"]) and np.isnan(cons["energy_drift"])
+    assert rep.exit_code == 1 and rep.failures == ["conservation"]
+    summary = json.loads((tmp_path / "v_summary.json").read_text())
+    assert summary["verdicts"]["conservation"]["available"] is False
+    assert summary["pass"] is False
+
+
 def test_soliton_negative_control_expectation(tmp_path):
     # the soliton never evacuates: monitor crossing fails; with
     # monitor_expect = fail the run exits 0
