@@ -21,12 +21,14 @@ import numpy as np
 import scipy.fft as sfft
 
 from .exponents import ModelParams, scattering_pairs
-from .grid import (RadialField, RadialGrid, grad_norm_sq_spectral, l2_norm_sq,
-                   lp_norm, mass_in_ball)
-from .morawetz import (DiagnosticsSeries, MorawetzWeight, morawetz_z,
-                       morawetz_zpp, quadratic_weight, radial_cutoff)
-from .potentials import PotentialSpec, energy as energy_triple
+from .grid import FieldState, RadialField, RadialGrid
+from .morawetz import (DiagnosticsSeries, MorawetzWeight, morawetz_z_from_state,
+                       morawetz_zpp_from_state, quadratic_weight, radial_cutoff)
+from .potentials import PotentialSpec, energy_from_state
 from .riesz import RieszKernel, potential_energy
+
+SCHEMES = ("strang", "strang-linear-first", "lie")
+BOUNDARY_WARNING = "boundary amplitude exceeds 1e-6 of max|u| with sponge off"
 
 
 class EvolutionBlowup(RuntimeError):
@@ -60,7 +62,7 @@ class EvolveConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_end < 0:
             raise ValueError("dt > 0 and t_end >= 0 required")
-        if self.scheme not in ("strang", "strang-linear-first", "lie"):
+        if self.scheme not in SCHEMES:
             raise ValueError("scheme must be strang, strang-linear-first, or lie")
         if self.sample_every < 1:
             raise ValueError("sample_every >= 1")
@@ -157,50 +159,41 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
         rbar, sigma_c = None, None
 
     weights = list(cfg.weights) if cfg.weights else [quadratic_weight(grid)]
+    if not all(0 < R <= grid.r_max for R in cfg.ball_radii):
+        raise ValueError("ball radii must lie in (0, r_max]")
+    ball = {R: grid.nodes <= R for R in cfg.ball_radii}
     eta = {R: radial_cutoff(grid, R) for R in cfg.ball_radii}
     chi = {R: radial_cutoff(grid, R) for R in cfg.chi_radii}
 
     n_steps = int(round(cfg.t_end / cfg.dt))
-    rec = {k: [] for k in ("t", "M", "E", "E0", "P", "grad_sq", "lambda_sq",
-                           "exported", "track", "lr")}
-    chains = {w.label(): ([], [], []) for w in weights}
-    mball = {R: [] for R in cfg.ball_radii}
-    emass = {R: [] for R in cfg.ball_radii}
-    pchi = {R: [] for R in cfg.chi_radii}
+    rows = []
     fields = [] if cfg.store_fields else None
 
     u = u0.values.copy()
     exported = 0.0
 
     def sample(tcur):
+        # every diagnostic of the sample reads the one state of this field
         f = RadialField(grid, u)
-        E, E0, lam = energy_triple(f, V, kern, params.p)
-        P = potential_energy(kern, f, params.p)
-        M = l2_norm_sq(f)
-        rec["t"].append(tcur)
-        rec["M"].append(M)
-        rec["E"].append(E)
-        rec["E0"].append(E0)
-        rec["P"].append(P)
-        gsq = grad_norm_sq_spectral(f)
-        rec["grad_sq"].append(gsq)
-        rec["lambda_sq"].append(lam)
-        rec["exported"].append(exported)
-        rec["track"].append(P * M**sigma_c if sigma_c is not None else np.nan)
-        rec["lr"].append(lp_norm(f, rbar) if rbar is not None else np.nan)
-        for wgt in weights:
-            z, zp = morawetz_z(f, wgt)
-            zpp = morawetz_zpp(f, wgt, V, kern, params) if cfg.track_zpp else np.nan
-            c = chains[wgt.label()]
-            c[0].append(z)
-            c[1].append(zp)
-            c[2].append(zpp)
-        for R in cfg.ball_radii:
-            mball[R].append(mass_in_ball(f, R))
-            emass[R].append(float(np.sum(grid.weights * eta[R] * np.abs(u) ** 2)))
-        for R in cfg.chi_radii:
-            pchi[R].append(potential_energy(kern, RadialField(grid, chi[R] * u),
-                                            params.p))
+        st = FieldState(f, kern, params.p)
+        w = grid.weights
+        E, E0, lam = energy_from_state(st, V)
+        M = float(np.sum(w * st.usq))
+        rows.append({
+            "t": tcur, "M": M, "E": E, "E0": E0, "P": st.P, "grad_sq": st.grad_sq,
+            "lambda_sq": lam, "exported_mass": exported,
+            "threshold_track": st.P * M**sigma_c if sigma_c is not None else np.nan,
+            "lr_norm_rbar": (float(np.sum(w * st.absu**rbar) ** (1.0 / rbar))
+                             if rbar is not None else np.nan),
+            "extra_chains": {wgt.label(): (*morawetz_z_from_state(st, wgt),
+                                           morawetz_zpp_from_state(st, wgt, V)
+                                           if cfg.track_zpp else np.nan)
+                             for wgt in weights},
+            "mass_in_ball": {R: float(np.sum(w[sel] * st.usq[sel])) for R, sel in ball.items()},
+            "eta_mass": {R: float(np.sum(w * e * st.usq)) for R, e in eta.items()},
+            "p_chi": {R: potential_energy(kern, RadialField(grid, c * u), params.p)
+                      for R, c in chi.items()},
+        })
         if fields is not None:
             fields.append(f.copy())
 
@@ -226,23 +219,15 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
         tail = float(np.max(np.abs(u[int(0.95 * grid.n):])))
         if tail > 1e-6 * max(float(np.max(np.abs(u))), 1e-300):
             bwarn = True
-            warnings.warn("boundary amplitude exceeds 1e-6 of max|u| with sponge off")
+            warnings.warn(BOUNDARY_WARNING)
 
-    label0 = weights[0].label()
-    series = DiagnosticsSeries(
-        t=np.array(rec["t"]), M=np.array(rec["M"]), E=np.array(rec["E"]),
-        E0=np.array(rec["E0"]), P=np.array(rec["P"]),
-        grad_sq=np.array(rec["grad_sq"]), lambda_sq=np.array(rec["lambda_sq"]),
-        z=np.array(chains[label0][0]), zp=np.array(chains[label0][1]),
-        zpp=np.array(chains[label0][2]),
-        mass_in_ball={R: np.array(v) for R, v in mball.items()},
-        eta_mass={R: np.array(v) for R, v in emass.items()},
-        p_chi={R: np.array(v) for R, v in pchi.items()},
-        exported_mass=np.array(rec["exported"]),
-        threshold_track=np.array(rec["track"]),
-        lr_norm_rbar=np.array(rec["lr"]),
-        extra_chains={lbl: tuple(np.array(x) for x in c) for lbl, c in chains.items()},
-    )
+    maps = ("extra_chains", "mass_in_ball", "eta_mass", "p_chi")
+    data = {k: np.array([r[k] for r in rows]) for k in rows[0] if k not in maps}
+    data.update({k: {key: np.array([r[k][key] for r in rows]) for key in rows[0][k]}
+                 for k in maps})
+    data["extra_chains"] = {lbl: tuple(a.T) for lbl, a in data["extra_chains"].items()}
+    data["z"], data["zp"], data["zpp"] = data["extra_chains"][weights[0].label()]
+    series = DiagnosticsSeries(**data)
     return Trajectory(times=series.t, diagnostics=series, fields=fields,
                       final=fin, boundary_warning=bwarn)
 

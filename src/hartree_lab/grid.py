@@ -14,6 +14,7 @@ need better than O(dr^2).
 
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -88,10 +89,6 @@ class RadialField:
 def _check_same_grid(g1, g2):
     if g1 is not g2 and (g1.n != g2.n or g1.r_max != g2.r_max):
         raise ValueError("grid mismatch")
-
-
-def _vals(f):
-    return f.values if isinstance(f, RadialField) else np.asarray(f)
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +168,7 @@ def grad_norm_sq_spectral(f: RadialField) -> float:
     smooth decaying profiles, so identity checks are not limited by the
     O(dr^2) of the finite-difference version.
     """
-    c = dst_coeffs(f)
-    return float(FOUR_PI * f.grid.dr * np.sum(f.grid.wavenumbers**2 * np.abs(c) ** 2))
+    return FieldState(f).grad_sq
 
 
 def laplacian(f: RadialField) -> RadialField:
@@ -183,21 +179,82 @@ def laplacian(f: RadialField) -> RadialField:
     return RadialField(g, v / g.nodes)
 
 
+def sine_derivative(coeffs, k, nodes, values):
+    """u' = (v' - u)/r on the nodes for v = r*u with orthonormal DST-I
+    coefficients ``coeffs`` on the modes sin(k_m r), m = 1..N (N >= n:
+    zero-padded, as for the Riesz operator's h').
+
+    v' = sum_m c_m k_m cos(k_m r) is a DCT-I over the closed grid
+    i = 0..N+1 with zero slots m = 0, N+1: the DST-I carries sqrt(2/(N+1))
+    and the DCT-I (norm=None) of half-weighted coefficients reproduces
+    sum_m a_m cos(pi m i/(N+1)).
+    """
+    N = coeffs.shape[0]
+    pad = np.zeros(N + 2, dtype=coeffs.dtype)
+    pad[1 : N + 1] = coeffs * k * np.sqrt(2.0 / (N + 1))
+    vp = sfft.dct(pad * 0.5, type=1, norm=None)
+    return (vp[1 : len(nodes) + 1] - values) / nodes
+
+
 def spectral_derivative(f: RadialField) -> np.ndarray:
     """u'(r_i) from the sine series: u' = (v' - u)/r with v' a cosine sum."""
-    g = f.grid
-    c = dst_coeffs(f)
-    # v'(r) = sum_m c_m k_m cos(k_m r); synthesize on interior nodes with DCT-I
-    # over the closed grid i=0..n+1, padding coefficient slots m=0 and m=n+1.
-    n = g.n
-    pad = np.zeros(n + 2, dtype=c.dtype)
-    # orthonormal DST-I synthesis carries sqrt(2/(n+1)); DCT-I (norm=None) of
-    # half-weighted coefficients reproduces sum_m a_m cos(pi m i/(n+1)).
-    a = c * g.wavenumbers * np.sqrt(2.0 / (n + 1))
-    pad[1 : n + 1] = a
-    vp = sfft.dct(pad * 0.5, type=1, norm=None)  # includes endpoint halving of pad[0], pad[n+1]=0
-    vp_int = vp[1 : n + 1]
-    return (vp_int - f.values) / g.nodes
+    return FieldState(f).du
+
+
+class FieldState:
+    """What the diagnostics read off one field u, each computed once.
+
+    |u|, |u|^2, then on first use the DST-I coefficients of r*u, u' (one
+    DCT) and the Parseval gradient norm; with a Riesz kernel and p >= 2
+    also g = |u|^p, the symbol-scaled coefficients of r*g (one DST),
+    h = I_gamma*g (one more), h' (one DCT) and P = int h g.
+    """
+
+    def __init__(self, u: RadialField, kern=None, p: float | None = None):
+        if kern is not None:
+            _check_same_grid(kern.grid, u.grid)
+            if p is None or p < 2:
+                raise ValueError("p >= 2 required")
+        self.u = u
+        self.grid = u.grid
+        self.kern = kern
+        self.p = p
+        self.absu = np.abs(u.values)
+        self.usq = self.absu**2
+
+    @cached_property
+    def coeffs(self):
+        return dst_coeffs(self.u)
+
+    @cached_property
+    def du(self):
+        g = self.grid
+        return sine_derivative(self.coeffs, g.wavenumbers, g.nodes, self.u.values)
+
+    @cached_property
+    def grad_sq(self):
+        g = self.grid
+        return float(FOUR_PI * g.dr * np.sum(g.wavenumbers**2 * np.abs(self.coeffs) ** 2))
+
+    @cached_property
+    def g(self):
+        return self.absu**self.p
+
+    @cached_property
+    def spectrum(self):
+        return self.kern.spectrum(self.g)
+
+    @cached_property
+    def h(self):
+        return self.kern.synthesize(self.spectrum)
+
+    @cached_property
+    def hp(self):
+        return sine_derivative(self.spectrum, self.kern.wavenumbers, self.grid.nodes, self.h)
+
+    @cached_property
+    def P(self):
+        return float(np.sum(self.grid.weights * self.h * self.g))
 
 
 def boundary_fraction(f: RadialField) -> float:

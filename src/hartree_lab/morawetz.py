@@ -7,11 +7,13 @@ bounded: a'' ramps from 2 to 0 through a quintic smoothstep, which keeps
 a'' >= 0 exactly and lands a' on the constant R at the band's outer edge.
 
 z(t) = int a |u|^2, z' = 2 Im int a'(r) u_r conj(u), and z'' is assembled
-from its four terms; the nonlocal term uses the symmetrized pair form
-reduced to a radial double integral, with the |r-s|^(gamma-1) singular
-part of the pair kernel integrated exactly over cells.  The overall sign
+from its four terms, all read off one ``FieldState``.  The nonlocal term
+needs S = int int (grad a(x) - grad a(y)).(x-y) |x-y|^(gamma-5) g(x) g(y),
+g = |u|^p; as (x-y)|x-y|^(gamma-5) = grad_x |x-y|^(gamma-3)/(gamma-3), the
+symmetric integrand halves to S = 2/(gamma-3) int g a'(r) h'(r) dx with
+h = I_gamma*g, an O(n) sum over the spectral h'.  The overall sign
 convention is pinned by requiring z'' = d^2 z/dt^2 along trajectories;
-with it, the globally quadratic weight reduces z'' to
+with it, the globally quadratic weight (S = 2P) reduces z'' to
 
     8 |grad u|^2 - (4B/p) P(u) - 4 int r V'(r) |u|^2.
 """
@@ -21,13 +23,11 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .exponents import ModelParams, ab_exponents
-from .grid import (RadialField, RadialGrid, grad_norm_sq_spectral,
-                   l2_norm_sq, spectral_derivative)
+from .grid import (FieldState, RadialField, RadialGrid, grad_norm_sq_spectral,
+                   l2_norm_sq)
 from .groundstate import GroundStateResult
 from .potentials import PotentialSpec
 from .riesz import RieszKernel, potential_energy
-
-EIGHT_PI_SQ = 8.0 * np.pi**2
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +81,6 @@ class MorawetzWeight:
     app: np.ndarray               # a''
     lap_a: np.ndarray             # Laplacian of a
     bilap_a: np.ndarray           # bilaplacian
-    phi: np.ndarray               # a'/(2r)
-    phip: np.ndarray              # d/dr of phi
-    _pair: dict = dfield(default_factory=dict)
 
     @property
     def quadratic(self):
@@ -99,7 +96,6 @@ def quadratic_weight(grid: RadialGrid) -> MorawetzWeight:
         grid=grid, R=None, band=0.0,
         a=r**2, ap=2 * r, app=np.full(grid.n, 2.0),
         lap_a=np.full(grid.n, 6.0), bilap_a=np.zeros(grid.n),
-        phi=np.ones(grid.n), phip=np.zeros(grid.n),
     )
 
 
@@ -139,11 +135,8 @@ def build_weight(R: float, grid: RadialGrid, band: float | None = None) -> Moraw
     lap_a = app + 2 * ap / r
     bilap_a = apppp + 4 * appp / r  # nonzero only in the band
 
-    phi = ap / (2 * r)
-    phip = app / (2 * r) - ap / (2 * r**2)
-
     w = MorawetzWeight(grid=grid, R=R, band=band, a=a, ap=ap, app=app,
-                       lap_a=lap_a, bilap_a=bilap_a, phi=phi, phip=phip)
+                       lap_a=lap_a, bilap_a=bilap_a)
     assert np.all(w.ap > 0)
     assert np.all(w.app >= -1e-12)
     assert np.all(np.abs(w.ap) <= np.maximum(2 * r, R) * (1 + 1e-12))
@@ -151,105 +144,47 @@ def build_weight(R: float, grid: RadialGrid, band: float | None = None) -> Moraw
 
 
 # ---------------------------------------------------------------------------
-# pair kernel for the symmetrized nonlocal z'' term
-#
-# S = int int (grad a(x) - grad a(y)) . (x-y) |x-y|^(gamma-5) g(x) g(y)
-#   = 8 pi^2 int int r^2 s^2 g(r) g(s) J(r,s) dr ds
-# with J as in the module docstring; the |r-s|^(gamma-1)-type singular part
-# is integrated exactly over each source cell.
-
-def _build_pair_matrix(gamma, nodes, dr, phi, phip):
-    n = nodes.shape[0]
-    h = 0.5 * dr
-    r = nodes[:, None]
-    s = nodes[None, :]
-    fi = phi[:, None]
-    fj = phi[None, :]
-    wplus = (r + s) ** 2
-    beta = fi + fj
-    diff = r - s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi = (fi - fj) / diff
-    ii = np.arange(n)
-    psi[ii, ii] = phip
-    alpha = (r**2 - s**2) * (fi - fj)
-    pre = 1.0 / (2.0 * r * s)
-    wu = (s + h) - r
-    wl = (s - h) - r
-    if gamma == 1.0:
-        jreg = pre * ((r + s) * psi - alpha / wplus + beta * np.log(wplus))
-        cphi = -pre * 2.0 * beta
-
-        def glog(w):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = w * np.log(np.abs(w)) - w
-            return np.where(w == 0.0, 0.0, out)
-
-        cint = glog(wu) - glog(wl)
-    else:
-        jreg = pre * (alpha * (2 / (gamma - 3)) * wplus ** (0.5 * (gamma - 3))
-                      + beta * (2 / (gamma - 1)) * wplus ** (0.5 * (gamma - 1)))
-        cphi = -pre * ((2 / (gamma - 3)) * (r + s) * psi + (2 / (gamma - 1)) * beta)
-
-        def habs(w):
-            out = np.sign(w) * np.abs(w) ** gamma / gamma
-            return np.where(w == 0.0, 0.0, out)
-
-        cint = habs(wu) - habs(wl)
-    return jreg * dr + cphi * cint
-
-
-def _pair_matrix(weight: MorawetzWeight, gamma: float) -> np.ndarray:
-    if gamma not in weight._pair:
-        weight._pair[gamma] = _build_pair_matrix(
-            gamma, weight.grid.nodes, weight.grid.dr, weight.phi, weight.phip)
-    return weight._pair[gamma]
-
-
-def nonlocal_pair_term(weight: MorawetzWeight, gamma: float, g: np.ndarray) -> float:
-    """S = int int (grad a(x)-grad a(y)).(x-y) |x-y|^(gamma-5) g g."""
-    grid = weight.grid
-    M = _pair_matrix(weight, gamma)
-    v = grid.nodes**2 * g
-    return float(EIGHT_PI_SQ * grid.dr * (v @ (M @ v)))
-
-
-# ---------------------------------------------------------------------------
 # z, z', z''
+
+def nonlocal_pair_term(st: FieldState, weight: MorawetzWeight) -> float:
+    """S = int int (grad a(x)-grad a(y)).(x-y) |x-y|^(gamma-5) g g
+         = 2/(gamma-3) int g a'(r) h'(r) dx, from the state's g and h'."""
+    w = st.grid.weights
+    return 2.0 / (st.kern.gamma - 3.0) * float(np.sum(w * st.g * weight.ap * st.hp))
+
 
 def morawetz_z(u: RadialField, weight: MorawetzWeight):
     """(z, z') = (int a|u|^2, 2 Im int a' u_r conj(u))."""
-    w = u.grid.weights
-    z = float(np.sum(w * weight.a * np.abs(u.values) ** 2))
-    du = spectral_derivative(u)
-    zp = float(2.0 * np.sum(w * weight.ap * np.imag(du * np.conj(u.values))))
+    return morawetz_z_from_state(FieldState(u), weight)
+
+
+def morawetz_z_from_state(st: FieldState, weight: MorawetzWeight):
+    w = st.grid.weights
+    z = float(np.sum(w * weight.a * st.usq))
+    zp = float(2.0 * np.sum(w * weight.ap * np.imag(st.du * np.conj(st.u.values))))
     return z, zp
 
 
 def morawetz_zpp(u: RadialField, weight: MorawetzWeight, V: PotentialSpec,
                  kern: RieszKernel, params: ModelParams) -> float:
     """Second time derivative of z from the four-term identity."""
-    p = params.p
-    gamma = params.gamma
-    grid = u.grid
-    w = grid.weights
-    usq = np.abs(u.values) ** 2
-    g = np.abs(u.values) ** p
-    h = kern.apply(g)
-    P = float(np.sum(w * h * g))
-    du = spectral_derivative(u)
+    return morawetz_zpp_from_state(FieldState(u, kern, params.p), weight, V)
 
-    term_a = -4.0 * (0.5 - 1.0 / p) * float(np.sum(w * weight.lap_a * h * g))
-    term_b = -float(np.sum(w * weight.bilap_a * usq))
-    term_c = 4.0 * float(np.sum(w * weight.app * np.abs(du) ** 2))
-    if weight.quadratic:
-        term_d = -(4.0 * (3.0 - gamma) / p) * P
-    else:
-        term_d = -(2.0 * (3.0 - gamma) / p) * nonlocal_pair_term(weight, gamma, g)
+
+def morawetz_zpp_from_state(st: FieldState, weight: MorawetzWeight,
+                            V: PotentialSpec) -> float:
+    p = st.p
+    gamma = st.kern.gamma
+    w = st.grid.weights
+    term_a = -4.0 * (0.5 - 1.0 / p) * float(np.sum(w * weight.lap_a * st.h * st.g))
+    term_b = -float(np.sum(w * weight.bilap_a * st.usq))
+    term_c = 4.0 * float(np.sum(w * weight.app * np.abs(st.du) ** 2))
+    S = 2.0 * st.P if weight.quadratic else nonlocal_pair_term(st, weight)
+    term_d = -(2.0 * (3.0 - gamma) / p) * S
     if V.is_zero():
         term_v = 0.0
     else:
-        term_v = -2.0 * float(np.sum(w * V.dV(grid.nodes) * weight.ap * usq))
+        term_v = -2.0 * float(np.sum(w * V.dV(st.grid.nodes) * weight.ap * st.usq))
     return term_a + term_b + term_c + term_d + term_v
 
 

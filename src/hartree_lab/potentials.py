@@ -12,8 +12,8 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .grid import FOUR_PI, RadialField, RadialGrid, grad_norm_sq_spectral
-from .riesz import RieszKernel, potential_energy
+from .grid import FOUR_PI, FieldState, RadialField, RadialGrid
+from .riesz import RieszKernel
 
 SIGN_TOL = 1e-12
 
@@ -205,13 +205,16 @@ def energy(u: RadialField, V: PotentialSpec, kern: RieszKernel, p: float):
     E = E0 + (1/2) int V |u|^2,  E0 = (1/2)|grad u|^2 - P(u)/(2p),
     lambda_norm_sq = |grad u|^2 + int V |u|^2.
     """
-    gsq = grad_norm_sq_spectral(u)
-    P = potential_energy(kern, u, p)
+    return energy_from_state(FieldState(u, kern, p), V)
+
+
+def energy_from_state(st: FieldState, V: PotentialSpec):
+    """``energy`` from a FieldState built with a kernel and p."""
     if V.is_zero():
         vterm = 0.0
     else:
-        vterm = float(np.sum(u.grid.weights * V(u.grid.nodes) * np.abs(u.values) ** 2))
-    E0 = 0.5 * gsq - P / (2.0 * p)
+        vterm = float(np.sum(st.grid.weights * V(st.grid.nodes) * st.usq))
+    E0 = 0.5 * st.grad_sq - st.P / (2.0 * st.p)
     E = E0 + 0.5 * vterm
-    lam = gsq + vterm
+    lam = st.grad_sq + vterm
     return E, E0, lam

@@ -23,14 +23,15 @@ Every pair distance on the grid is at most 2*r_max = L and every periodic
 image of the padded data lies at distance >= L, so the truncation changes
 nothing: the result is exact for the sine interpolant of g.  The operator
 is self-adjoint in the 4*pi*r^2*dr inner product by construction and
-costs two DSTs of size N per apply.
+costs two DSTs of size N per apply; h' comes from the same scaled
+coefficients by one DCT-I (``grid.sine_derivative``).
 """
 
 import numpy as np
 import scipy.fft as sfft
 from numpy.polynomial.legendre import leggauss
 
-from .grid import FOUR_PI, RadialField, RadialGrid, _check_same_grid
+from .grid import FOUR_PI, FieldState, RadialField, RadialGrid, _check_same_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -93,20 +94,29 @@ class RieszKernel:
         N = 2 * grid.n + 1
         k = (np.pi / (2.0 * grid.r_max)) * np.arange(1, N + 1)
         self._N = N
+        self.wavenumbers = k  # of the padded sine modes
         self._symbol = FOUR_PI * k ** (-self.gamma) * _sine_integrals(self.gamma, N)
         # h(0) = sqrt(2/(N+1)) sum_m c_m K_m k_m with c = DST(pad(r*g)),
         # folded back through the symmetric DST into a row acting on g
         ow = np.sqrt(2.0 / (N + 1)) * self._symbol * k
         self._origin_row = grid.nodes * sfft.dst(ow, type=1, norm="ortho")[: grid.n]
 
-    def apply(self, g: np.ndarray) -> np.ndarray:
+    def spectrum(self, g: np.ndarray) -> np.ndarray:
+        """Symbol-scaled orthonormal DST-I coefficients of the padded r*g."""
         g = np.asarray(g, dtype=float)
         if g.shape != (self.grid.n,):
             raise ValueError("grid mismatch")
         c = sfft.dst(self.grid.nodes * g, type=1, n=self._N, norm="ortho")
         c *= self._symbol
-        v = sfft.dst(c, type=1, norm="ortho", overwrite_x=True)
+        return c
+
+    def synthesize(self, spec: np.ndarray) -> np.ndarray:
+        """h = I_gamma*g on the grid from ``spectrum(g)``."""
+        v = sfft.dst(spec, type=1, norm="ortho")
         return v[: self.grid.n] / self.grid.nodes
+
+    def apply(self, g: np.ndarray) -> np.ndarray:
+        return self.synthesize(self.spectrum(g))
 
     def apply_origin(self, g: np.ndarray) -> float:
         return float(self._origin_row @ np.asarray(g, dtype=float))
@@ -134,9 +144,4 @@ def convolve_origin(kern: RieszKernel, g) -> float:
 
 def potential_energy(kern: RieszKernel, u: RadialField, p: float) -> float:
     """P(u) = int (I_gamma * |u|^p) |u|^p dx."""
-    if p < 2:
-        raise ValueError("p >= 2 required")
-    _check_same_grid(kern.grid, u.grid)
-    g = np.abs(u.values) ** p
-    h = kern.apply(g)
-    return float(np.sum(kern.grid.weights * h * g))
+    return FieldState(u, kern, p).P

@@ -39,12 +39,14 @@ documents produce byte-identical outputs.
 import json
 import os
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .evolve import EvolveConfig, SpongeConfig, conservation_report, evolve
+from .evolve import (BOUNDARY_WARNING, SCHEMES, EvolveConfig, SpongeConfig,
+                     conservation_report, evolve)
 from .exponents import ModelParams, ab_exponents
 from .grid import RadialGrid, load_field_csv, save_field_csv
 from .groundstate import solve_ground_state
@@ -253,6 +255,8 @@ def parse_scenario(text) -> Scenario:
         s.t_end = float(e.get("t_end", s.t_end))
         s.sample_every = int(e.get("sample_every", s.sample_every))
         s.scheme = e.get("scheme", s.scheme)
+        if s.scheme not in SCHEMES:
+            raise ConfigError(f"scheme must be one of {', '.join(SCHEMES)}, got {s.scheme!r}")
         s.sponge = SpongeConfig(
             enabled=bool(e.get("sponge", False)),
             start=float(e.get("sponge_start", 25.0)),
@@ -270,7 +274,11 @@ def parse_scenario(text) -> Scenario:
         s.monitor_R = float(d.get("monitor_R", 10.0))
         s.monitor_eps = float(d.get("monitor_eps", 0.3))
         s.monitor_expect = d.get("monitor_expect", "pass")
+        if s.monitor_expect not in ("pass", "fail"):
+            raise ConfigError(f"monitor_expect must be pass or fail, got {s.monitor_expect!r}")
         s.weight = d.get("weight", "quadratic")
+        if s.weight not in ("quadratic", "truncated"):
+            raise ConfigError(f"weight must be quadratic or truncated, got {s.weight!r}")
         s.weight_R = float(d.get("weight_R", 10.0))
         s.ball_radii = tuple(float(x) for x in d.get("ball_radii", []))
         s.coercivity_R = float(d.get("coercivity_R", 10.0))
@@ -283,11 +291,13 @@ def parse_scenario(text) -> Scenario:
 # runner
 #
 # Ground states are immutable after construction, so sweep runs sharing a
-# (params, grid) pair reuse them.  Kernels take milliseconds and O(n)
-# memory to build, so every run builds its own.
+# (params, grid) pair reuse them; the least recently used beyond
+# GS_CACHE_SIZE are dropped.  Kernels take milliseconds and O(n) memory to
+# build, so every run builds its own.
 
+GS_CACHE_SIZE = 4
 _cache_lock = threading.Lock()
-_gs_cache = {}
+_gs_cache = OrderedDict()
 
 
 def _shared_ground_state(model, grid, kern):
@@ -296,8 +306,11 @@ def _shared_ground_state(model, grid, kern):
         gs = _gs_cache.get(key)
     if gs is None:
         gs = solve_ground_state(model, grid, kern)
-        with _cache_lock:
-            gs = _gs_cache.setdefault(key, gs)
+    with _cache_lock:
+        gs = _gs_cache.setdefault(key, gs)
+        _gs_cache.move_to_end(key)
+        while len(_gs_cache) > GS_CACHE_SIZE:
+            _gs_cache.popitem(last=False)
     return gs
 
 
@@ -308,29 +321,22 @@ def _fmt(x):
 
 
 def write_diagnostics_csv(path, series, scenario_dict):
-    cols = ["t", "M", "E", "E0", "P", "grad_sq", "lambda_sq", "z", "zp", "zpp"]
-    extra_ball = sorted(series.mass_in_ball)
-    for R in extra_ball:
-        cols.append(f"mass_in_ball_{R:g}")
-    cols.append("exported_mass")
-    cols.append("threshold_track")
-    cols.append("lr_norm_rbar")
-    for R in extra_ball:
-        cols.append(f"eta_mass_{R:g}")
-    for R in sorted(series.p_chi):
-        cols.append(f"p_chi_{R:g}")
+    def named(*keys):
+        return [(k, getattr(series, k)) for k in keys]
+
+    def radii(key):
+        per = getattr(series, key)
+        return [(f"{key}_{R:g}", per[R]) for R in sorted(per)]
+
+    cols = (named("t", "M", "E", "E0", "P", "grad_sq", "lambda_sq", "z", "zp", "zpp")
+            + radii("mass_in_ball")
+            + named("exported_mass", "threshold_track", "lr_norm_rbar")
+            + radii("eta_mass") + radii("p_chi"))
     with open(path, "w") as fh:
         fh.write(f"# hartree-lab-diagnostics,{OUTPUT_FORMAT_VERSION}\n")
         fh.write("# scenario: " + json.dumps(scenario_dict, sort_keys=True) + "\n")
-        fh.write(",".join(cols) + "\n")
-        arrays = [series.t, series.M, series.E, series.E0, series.P,
-                  series.grad_sq, series.lambda_sq, series.z, series.zp,
-                  series.zpp]
-        arrays += [series.mass_in_ball[R] for R in extra_ball]
-        arrays += [series.exported_mass, series.threshold_track, series.lr_norm_rbar]
-        arrays += [series.eta_mass[R] for R in extra_ball]
-        arrays += [series.p_chi[R] for R in sorted(series.p_chi)]
-        for row in zip(*arrays):
+        fh.write(",".join(name for name, _ in cols) + "\n")
+        for row in zip(*(a for _, a in cols)):
             fh.write(",".join(_fmt(float(x)) for x in row) + "\n")
 
 
@@ -465,6 +471,7 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
         "scenario": scn,
         "thresholds": thresholds,
         "verdicts": verdicts,
+        "warnings": [BOUNDARY_WARNING] if traj.boundary_warning else [],
         "series_file": os.path.basename(csv_path),
         "failures": failures,
         "pass": not failures,
@@ -504,14 +511,21 @@ def _apply_axis(s: Scenario, axis, value):
 
 
 def sweep(s: Scenario, axis, values, out_dir="./out"):
-    """Run independent scenarios concurrently; per-run failures isolated."""
+    """Run independent scenarios concurrently; per-run failures isolated.
+
+    Each run writes under its tag; values whose tags collide (duplicates,
+    or floats equal to 6 significant digits) are rejected before any run.
+    """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}")
+    values = list(values)
+    tags = [f"{axis}_{v:g}" if isinstance(v, float) else f"{axis}_{v}" for v in values]
+    if len(set(tags)) < len(tags):
+        raise ValueError(f"sweep values {values} share output tags {tags}")
     os.makedirs(out_dir, exist_ok=True)
     max_workers = int(os.environ.get("HARTREE_LAB_THREADS", "0")) or min(4, os.cpu_count() or 1)
 
-    def one(value):
-        tag = f"{axis}_{value:g}" if isinstance(value, float) else f"{axis}_{value}"
+    def one(value, tag):
         try:
             rep = run_scenario(_apply_axis(s, axis, value),
                                out_dir=os.path.join(out_dir, tag), tag=tag)
@@ -521,7 +535,7 @@ def sweep(s: Scenario, axis, values, out_dir="./out"):
 
     results = []
     with ThreadPoolExecutor(max_workers=max_workers) as ex:
-        for res in ex.map(one, list(values)):
+        for res in ex.map(one, values, tags):
             results.append(res)
 
     rows = []

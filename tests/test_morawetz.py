@@ -3,7 +3,7 @@ import pytest
 
 from hartree_lab.evolve import EvolveConfig, SpongeConfig, evolve
 from hartree_lab.exponents import ModelParams, ab_exponents
-from hartree_lab.grid import (RadialField, RadialGrid, derivative,
+from hartree_lab.grid import (FieldState, RadialField, RadialGrid, derivative,
                               grad_norm_sq_spectral, l2_norm_sq)
 from hartree_lab.morawetz import (MorawetzWeight, build_weight, coercivity_check,
                                   cutoff_field, morawetz_average, morawetz_z,
@@ -134,10 +134,45 @@ def test_pair_term_quadratic_limit(grid_mid, kern2_mid, gs32_mid, params32):
     # with R beyond the support, the truncated weight acts as r^2 and the
     # symmetrized pair term reduces to 2 P(u)
     w = build_weight(35.0, grid_mid)
-    g = np.abs(gs32_mid.Q.values) ** params32.p
-    S = nonlocal_pair_term(w, params32.gamma, g)
+    S = nonlocal_pair_term(FieldState(gs32_mid.Q, kern2_mid, params32.p), w)
     P = potential_energy(kern2_mid, gs32_mid.Q, params32.p)
-    assert S == pytest.approx(2 * P, rel=1e-3)
+    assert S == pytest.approx(2 * P, rel=1e-12)
+
+
+@pytest.mark.parametrize("R, rel", [(15.0, 1e-12), (4.0, 1e-6)])
+def test_pair_term_truncated_newton_oracle(grid_mid, R, rel):
+    # g = e^(-r^2) at gamma = 2 has Newton's closed form
+    # h = pi^(3/2) erf(r)/r; S = 2/(gamma-3) int g a' h' dx by scipy quad,
+    # with a' written out from the weight's definition (a'' = 2(1 - S(tau))
+    # across the band, S the quintic smoothstep).  At R = 15 the band lies
+    # where g is below round-off; at R = 4 it cuts through the support and
+    # the sampled band (about two nodes wide) limits the agreement.
+    from scipy.special import erf
+
+    kern = build_kernel(2.0, grid_mid)
+    w = build_weight(R, grid_mid)
+    st = FieldState(grid_mid.field_from(lambda r: np.exp(-r**2 / 2)), kern, 2.0)
+    S = nonlocal_pair_term(st, w)
+    x0, x1 = R / 2 - w.band, R / 2 + w.band
+
+    def ap(r):
+        if r <= x0:
+            return 2 * r
+        if r >= x1:
+            return R
+        t = (r - x0) / (2 * w.band)
+        return 2 * r - 4 * w.band * t**4 * (2.5 - 3 * t + t**2)
+
+    def hp(r):
+        return np.pi**1.5 * (2 * np.exp(-r**2) / (np.sqrt(np.pi) * r) - erf(r) / r**2)
+
+    def integrand(r):
+        return 2 / (2.0 - 3.0) * 4 * np.pi * r**2 * np.exp(-r**2) * ap(r) * hp(r)
+
+    ref = sum(quad_1d(integrand, a, b) for a, b in ((0, x0), (x0, x1), (x1, 40.0)))
+    assert S == pytest.approx(ref, rel=rel)
+    if R < 10:  # here the quadratic-weight value 2P is far off
+        assert abs(2 * st.P - ref) > 1e-3 * ref
 
 
 def test_zpp_potential_term_sign(gs32_mid, kern2_mid, params32):

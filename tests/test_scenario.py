@@ -4,8 +4,11 @@ import os
 import numpy as np
 import pytest
 
+from hartree_lab import scenario as scn
 from hartree_lab.cli import main as cli_main
-from hartree_lab.exponents import ab_exponents
+from hartree_lab.evolve import BOUNDARY_WARNING
+from hartree_lab.exponents import ModelParams, ab_exponents
+from hartree_lab.grid import RadialGrid
 from hartree_lab.scenario import (ConfigError, Scenario, parse_document,
                                   parse_scenario, run_scenario, sweep)
 
@@ -87,6 +90,51 @@ def test_parse_error_carries_line():
 def test_parse_rejects_unknown_section():
     with pytest.raises(ConfigError, match="unknown section"):
         parse_document("[modle]\np = 3.0\n")
+
+
+@pytest.mark.parametrize("key, line, bad", [
+    ("scheme", "[evolve]\nscheme = {}\n", "leapfrog"),
+    ("monitor_expect", "[diagnostics]\nmonitor_expect = {}\n", "maybe"),
+    ("weight", "[diagnostics]\nweight = {}\n", "cubic"),
+])
+def test_parse_rejects_bad_choice(key, line, bad):
+    # rejected while parsing, before any kernel or ground state is built
+    with pytest.raises(ConfigError, match=key):
+        parse_scenario(MINIMAL + line.format(bad))
+    # the valid spellings still parse
+    good = {"scheme": "lie", "monitor_expect": "fail", "weight": "truncated"}[key]
+    assert getattr(parse_scenario(MINIMAL + line.format(good)), key) == good
+
+
+def test_boundary_warning_in_summary(tmp_path):
+    # a narrow packet reaches the wall by t = 1 with the sponge off
+    narrow = MINIMAL.replace("width = 1.0", "width = 0.3") + \
+        "\n[evolve]\nt_end = 1.0\nsample_every = 100\n"
+    with pytest.warns(UserWarning, match="boundary amplitude"):
+        run_scenario(parse_scenario(narrow), out_dir=str(tmp_path), tag="hit")
+    summary = json.loads((tmp_path / "hit_summary.json").read_text())
+    assert summary["warnings"] == [BOUNDARY_WARNING]
+    quiet = MINIMAL + "\n[evolve]\nt_end = 0.5\nsample_every = 100\n"
+    run_scenario(parse_scenario(quiet), out_dir=str(tmp_path), tag="quiet")
+    summary = json.loads((tmp_path / "quiet_summary.json").read_text())
+    assert summary["warnings"] == []
+
+
+def test_gs_cache_evicts_least_recent(monkeypatch):
+    monkeypatch.setattr(scn, "solve_ground_state", lambda model, grid, kern: object())
+    monkeypatch.setattr(scn, "_gs_cache", type(scn._gs_cache)())
+    grid = RadialGrid(24.0, 383)
+    models = [ModelParams(2.5 + 0.25 * i, 2.0) for i in range(scn.GS_CACHE_SIZE + 1)]
+    first = scn._shared_ground_state(models[0], grid, None)
+    for m in models[1:-1]:
+        scn._shared_ground_state(m, grid, None)
+    # a hit refreshes models[0], so models[1] is the least recent
+    assert scn._shared_ground_state(models[0], grid, None) is first
+    scn._shared_ground_state(models[-1], grid, None)
+    assert len(scn._gs_cache) == scn.GS_CACHE_SIZE
+    keys = {k[0] for k in scn._gs_cache}
+    assert models[1].p not in keys
+    assert models[0].p in keys and models[-1].p in keys
 
 
 def test_run_scenario_scattering(tmp_path):
@@ -175,6 +223,18 @@ def test_sweep_empty(tmp_path):
     rep = sweep(s, "c", [], out_dir=str(tmp_path))
     assert rep["pass"]
     assert os.path.exists(rep["csv"])
+
+
+@pytest.mark.parametrize("values", [[0.5, 0.5], [1.0000001, 1.0000002]])
+def test_sweep_rejects_colliding_tags(tmp_path, monkeypatch, values):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(scn, "run_scenario", forbidden)
+    s = parse_scenario(MINIMAL)
+    with pytest.raises(ValueError, match="share output tags"):
+        sweep(s, "c", values, out_dir=str(tmp_path / "sw"))
+    assert not (tmp_path / "sw").exists()
 
 
 def test_sweep_isolates_failures(tmp_path):
