@@ -21,7 +21,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .exponents import ModelParams, scattering_pairs
-from .grid import FieldState, RadialField, RadialGrid
+from .grid import FieldState, RadialField, RadialGrid, l2_norm_sq, lp_norm, mass_in_ball
 from .morawetz import (DiagnosticsSeries, MorawetzWeight, morawetz_z_from_state,
                        morawetz_zpp_from_state, quadratic_weight, radial_cutoff)
 from .potentials import PotentialSpec, energy_from_state
@@ -159,9 +159,6 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
         rbar, sigma_c = None, None
 
     weights = list(cfg.weights) if cfg.weights else [quadratic_weight(grid)]
-    if not all(0 < R <= grid.r_max for R in cfg.ball_radii):
-        raise ValueError("ball radii must lie in (0, r_max]")
-    ball = {R: grid.nodes <= R for R in cfg.ball_radii}
     eta = {R: radial_cutoff(grid, R) for R in cfg.ball_radii}
     chi = {R: radial_cutoff(grid, R) for R in cfg.chi_radii}
 
@@ -173,24 +170,22 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
     exported = 0.0
 
     def sample(tcur):
-        # every diagnostic of the sample reads the one state of this field
+        # the Riesz and spectral parts of every diagnostic read one state
         f = RadialField(grid, u)
+        M = l2_norm_sq(f)
         st = FieldState(f, kern, params.p)
-        w = grid.weights
         E, E0, lam = energy_from_state(st, V)
-        M = float(np.sum(w * st.usq))
         rows.append({
             "t": tcur, "M": M, "E": E, "E0": E0, "P": st.P, "grad_sq": st.grad_sq,
             "lambda_sq": lam, "exported_mass": exported,
             "threshold_track": st.P * M**sigma_c if sigma_c is not None else np.nan,
-            "lr_norm_rbar": (float(np.sum(w * st.absu**rbar) ** (1.0 / rbar))
-                             if rbar is not None else np.nan),
+            "lr_norm_rbar": lp_norm(f, rbar) if rbar is not None else np.nan,
             "extra_chains": {wgt.label(): (*morawetz_z_from_state(st, wgt),
                                            morawetz_zpp_from_state(st, wgt, V)
                                            if cfg.track_zpp else np.nan)
                              for wgt in weights},
-            "mass_in_ball": {R: float(np.sum(w[sel] * st.usq[sel])) for R, sel in ball.items()},
-            "eta_mass": {R: float(np.sum(w * e * st.usq)) for R, e in eta.items()},
+            "eta_mass": {R: float(np.sum(grid.weights * e * st.usq)) for R, e in eta.items()},
+            "mass_in_ball": {R: mass_in_ball(f, R) for R in cfg.ball_radii},
             "p_chi": {R: potential_energy(kern, RadialField(grid, c * u), params.p)
                       for R, c in chi.items()},
         })

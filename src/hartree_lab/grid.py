@@ -156,11 +156,6 @@ def dst_coeffs(f: RadialField) -> np.ndarray:
     return sfft.dst(f.grid.nodes * f.values, type=1, norm="ortho")
 
 
-def field_from_dst(grid: RadialGrid, coeffs: np.ndarray) -> RadialField:
-    v = sfft.dst(coeffs, type=1, norm="ortho")
-    return RadialField(grid, v / grid.nodes)
-
-
 def grad_norm_sq_spectral(f: RadialField) -> float:
     """Gradient norm via Parseval: 4*pi*dr*sum(k_m^2 |v_hat_m|^2).
 
@@ -180,14 +175,11 @@ def laplacian(f: RadialField) -> RadialField:
 
 
 def sine_derivative(coeffs, k, nodes, values):
-    """u' = (v' - u)/r on the nodes for v = r*u with orthonormal DST-I
-    coefficients ``coeffs`` on the modes sin(k_m r), m = 1..N (N >= n:
-    zero-padded, as for the Riesz operator's h').
+    """u' = (v' - u)/r on the nodes, v = r*u with orthonormal DST-I
+    coefficients ``coeffs`` on sin(k_m r), m = 1..N (N >= n when padded).
 
-    v' = sum_m c_m k_m cos(k_m r) is a DCT-I over the closed grid
-    i = 0..N+1 with zero slots m = 0, N+1: the DST-I carries sqrt(2/(N+1))
-    and the DCT-I (norm=None) of half-weighted coefficients reproduces
-    sum_m a_m cos(pi m i/(N+1)).
+    v' = sum_m c_m k_m cos(k_m r) is a DCT-I (norm=None) of the
+    half-weighted, sqrt(2/(N+1))-scaled coefficients over i = 0..N+1.
     """
     N = coeffs.shape[0]
     pad = np.zeros(N + 2, dtype=coeffs.dtype)
@@ -202,13 +194,10 @@ def spectral_derivative(f: RadialField) -> np.ndarray:
 
 
 class FieldState:
-    """What the diagnostics read off one field u, each computed once.
-
-    |u|, |u|^2, then on first use the DST-I coefficients of r*u, u' (one
-    DCT) and the Parseval gradient norm; with a Riesz kernel and p >= 2
-    also g = |u|^p, the symbol-scaled coefficients of r*g (one DST),
-    h = I_gamma*g (one more), h' (one DCT) and P = int h g.
-    """
+    """What diagnostics read off one field u, each computed once on first
+    use: |u|^2, the sine coefficients of r*u, u', the Parseval gradient
+    norm and, given a Riesz kernel and p >= 2, g = |u|^p, h = I_gamma*g,
+    h' and P = int h g."""
 
     def __init__(self, u: RadialField, kern=None, p: float | None = None):
         if kern is not None:
@@ -219,8 +208,14 @@ class FieldState:
         self.grid = u.grid
         self.kern = kern
         self.p = p
-        self.absu = np.abs(u.values)
-        self.usq = self.absu**2
+
+    @cached_property
+    def absu(self):
+        return np.abs(self.u.values)
+
+    @cached_property
+    def usq(self):
+        return self.absu**2
 
     @cached_property
     def coeffs(self):
@@ -250,7 +245,7 @@ class FieldState:
 
     @cached_property
     def hp(self):
-        return sine_derivative(self.spectrum, self.kern.wavenumbers, self.grid.nodes, self.h)
+        return self.kern.derivative(self.spectrum, self.h)
 
     @cached_property
     def P(self):

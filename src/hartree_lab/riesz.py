@@ -24,14 +24,14 @@ image of the padded data lies at distance >= L, so the truncation changes
 nothing: the result is exact for the sine interpolant of g.  The operator
 is self-adjoint in the 4*pi*r^2*dr inner product by construction and
 costs two DSTs of size N per apply; h' comes from the same scaled
-coefficients by one DCT-I (``grid.sine_derivative``).
+coefficients by one DCT-I (``RieszKernel.derivative``).
 """
 
 import numpy as np
 import scipy.fft as sfft
 from numpy.polynomial.legendre import leggauss
 
-from .grid import FOUR_PI, FieldState, RadialField, RadialGrid, _check_same_grid
+from .grid import FOUR_PI, FieldState, RadialField, RadialGrid, _check_same_grid, sine_derivative
 
 TWO_PI = 2.0 * np.pi
 
@@ -94,7 +94,7 @@ class RieszKernel:
         N = 2 * grid.n + 1
         k = (np.pi / (2.0 * grid.r_max)) * np.arange(1, N + 1)
         self._N = N
-        self.wavenumbers = k  # of the padded sine modes
+        self._k = k
         self._symbol = FOUR_PI * k ** (-self.gamma) * _sine_integrals(self.gamma, N)
         # h(0) = sqrt(2/(N+1)) sum_m c_m K_m k_m with c = DST(pad(r*g)),
         # folded back through the symmetric DST into a row acting on g
@@ -114,6 +114,10 @@ class RieszKernel:
         """h = I_gamma*g on the grid from ``spectrum(g)``."""
         v = sfft.dst(spec, type=1, norm="ortho")
         return v[: self.grid.n] / self.grid.nodes
+
+    def derivative(self, spec: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """h' on the grid from ``spectrum(g)`` and h = ``synthesize(spec)``."""
+        return sine_derivative(spec, self._k, self.grid.nodes, h)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
         return self.synthesize(self.spectrum(g))

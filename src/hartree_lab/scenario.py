@@ -321,22 +321,29 @@ def _fmt(x):
 
 
 def write_diagnostics_csv(path, series, scenario_dict):
-    def named(*keys):
-        return [(k, getattr(series, k)) for k in keys]
-
-    def radii(key):
-        per = getattr(series, key)
-        return [(f"{key}_{R:g}", per[R]) for R in sorted(per)]
-
-    cols = (named("t", "M", "E", "E0", "P", "grad_sq", "lambda_sq", "z", "zp", "zpp")
-            + radii("mass_in_ball")
-            + named("exported_mass", "threshold_track", "lr_norm_rbar")
-            + radii("eta_mass") + radii("p_chi"))
+    cols = ["t", "M", "E", "E0", "P", "grad_sq", "lambda_sq", "z", "zp", "zpp"]
+    extra_ball = sorted(series.mass_in_ball)
+    for R in extra_ball:
+        cols.append(f"mass_in_ball_{R:g}")
+    cols.append("exported_mass")
+    cols.append("threshold_track")
+    cols.append("lr_norm_rbar")
+    for R in extra_ball:
+        cols.append(f"eta_mass_{R:g}")
+    for R in sorted(series.p_chi):
+        cols.append(f"p_chi_{R:g}")
     with open(path, "w") as fh:
         fh.write(f"# hartree-lab-diagnostics,{OUTPUT_FORMAT_VERSION}\n")
         fh.write("# scenario: " + json.dumps(scenario_dict, sort_keys=True) + "\n")
-        fh.write(",".join(name for name, _ in cols) + "\n")
-        for row in zip(*(a for _, a in cols)):
+        fh.write(",".join(cols) + "\n")
+        arrays = [series.t, series.M, series.E, series.E0, series.P,
+                  series.grad_sq, series.lambda_sq, series.z, series.zp,
+                  series.zpp]
+        arrays += [series.mass_in_ball[R] for R in extra_ball]
+        arrays += [series.exported_mass, series.threshold_track, series.lr_norm_rbar]
+        arrays += [series.eta_mass[R] for R in extra_ball]
+        arrays += [series.p_chi[R] for R in sorted(series.p_chi)]
+        for row in zip(*arrays):
             fh.write(",".join(_fmt(float(x)) for x in row) + "\n")
 
 
