@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -11,28 +12,30 @@ from . import scenario as scn
 from .exponents import ModelParams, identity_report, scattering_pairs
 from .grid import RadialGrid, save_field_csv
 from .groundstate import pohozaev_check, solve_ground_state, threshold_functions
-from .potentials import (audit_hypotheses, gaussian_potential,
-                         softpower_potential, zero_potential)
+from .potentials import PotentialSpec, audit_hypotheses
 from .riesz import build_kernel
 
 
 def _parse_potential_arg(text):
-    """Mini-grammar 'kind:key=val,key=val', e.g. 'gaussian:amplitude=0.2,width=2'."""
+    """Mini-grammar 'kind:key=val,key=val', e.g. 'gaussian:amplitude=0.2,width=2'.
+
+    An unset amplitude is 1; other unset keys take PotentialSpec's defaults.
+    """
     kind, _, rest = text.partition(":")
+    if kind == "table":
+        raise SystemExit("potential kind 'table' has no command-line form")
     kv = {}
     for part in rest.split(","):
-        if not part.strip():
-            continue
-        k, _, v = part.partition("=")
-        kv[k.strip()] = float(v)
-    if kind == "zero":
-        return zero_potential()
-    if kind == "gaussian":
-        return gaussian_potential(kv.get("amplitude", 1.0), kv.get("width", 1.0))
-    if kind == "softpower":
-        return softpower_potential(kv.get("amplitude", 1.0), kv.get("power", 2.0),
-                                   kv.get("core", 1.0))
-    raise SystemExit(f"unknown potential kind {kind!r}")
+        if part.strip():
+            k, _, v = part.partition("=")
+            kv[k.strip()] = v
+    for k in kv:
+        if k not in ("amplitude", "width", "power", "core"):
+            raise SystemExit(f"unknown potential key {k!r}")
+    try:
+        return PotentialSpec(kind, **{"amplitude": 1.0, **{k: float(v) for k, v in kv.items()}})
+    except ValueError as exc:
+        raise SystemExit(f"bad potential {text!r}: {exc}")
 
 
 def cmd_exponents(args):
@@ -118,10 +121,8 @@ def cmd_evolve(args):
 
 def cmd_morawetz(args):
     s = _load_scenario(args.config)
-    if "morawetz" not in s.requests:
-        s.requests = tuple(s.requests) + ("morawetz",)
-    if not s.morawetz_R:
-        s.morawetz_R = (10.0,)
+    requests = s.requests if "morawetz" in s.requests else s.requests + ("morawetz",)
+    s = replace(s, requests=requests, morawetz_R=s.morawetz_R or (10.0,))
     rep = scn.run_scenario(s, out_dir=args.output_dir, tag=args.tag)
     print(json.dumps({"verdicts": rep.verdicts, "failures": rep.failures},
                      indent=2, sort_keys=True, default=float))

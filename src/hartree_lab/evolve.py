@@ -57,7 +57,6 @@ class EvolveConfig:
     weights: tuple = ()               # extra MorawetzWeight chains to record
     ball_radii: tuple = (10.0,)       # mass_in_ball / eta-mass radii
     chi_radii: tuple = ()             # P(chi_R u) radii for Morawetz averages
-    track_zpp: bool = True
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_end < 0:
@@ -181,8 +180,7 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
             "threshold_track": st.P * M**sigma_c if sigma_c is not None else np.nan,
             "lr_norm_rbar": lp_norm(f, rbar) if rbar is not None else np.nan,
             "extra_chains": {wgt.label(): (*morawetz_z_from_state(st, wgt),
-                                           morawetz_zpp_from_state(st, wgt, V)
-                                           if cfg.track_zpp else np.nan)
+                                           morawetz_zpp_from_state(st, wgt, V))
                              for wgt in weights},
             "eta_mass": {R: float(np.sum(grid.weights * e * st.usq)) for R, e in eta.items()},
             "mass_in_ball": {R: mass_in_ball(f, R) for R in cfg.ball_radii},

@@ -219,7 +219,7 @@ class DiagnosticsSeries:
 # coercivity (localized)
 
 def coercivity_check(u: RadialField, gs: GroundStateResult, R: float,
-                     kern: RieszKernel | None = None) -> dict:
+                     kern: RieszKernel) -> dict:
     """Localized coercivity |grad(chi_R u)|^2 - (B/2p) P(chi_R u) >= delta' P(chi_R u).
 
     delta comes from the threshold ratio P(u)M(u)^sigma / (P(Q)M(Q)^sigma);
@@ -228,8 +228,6 @@ def coercivity_check(u: RadialField, gs: GroundStateResult, R: float,
     params = gs.params
     p = params.p
     A, B, sigma_c = ab_exponents(params)
-    if kern is None:
-        raise ValueError("a Riesz kernel is required")
     Pu = potential_energy(kern, u, p)
     Mu = l2_norm_sq(u)
     ratio = (Pu * Mu**sigma_c) / gs.thresholds["PQ_MQ_sigma"]

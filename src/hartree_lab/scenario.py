@@ -30,30 +30,31 @@ The config grammar is a flat INI-like document:
     monitor_R = 10.0
     monitor_eps = 0.3
 
-Unknown keys and duplicate keys are errors (no silent defaults for
-misspellings).  Outputs are a diagnostics CSV plus a JSON summary, both
-carrying a format version and the fully resolved scenario; identical
-documents produce byte-identical outputs.
+Each key is one field of `Scenario`: its annotation is the key's type and
+its default the key's default.  Unknown keys, duplicate keys, mistyped
+values and out-of-range values are errors raised while parsing, before
+anything is built (no silent defaults for misspellings).  Outputs are a
+diagnostics CSV plus a JSON summary, both carrying a format version and
+the fully resolved scenario; identical documents produce byte-identical
+outputs.
 """
 
 import json
+import math
 import os
-import threading
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, fields, replace
+from typing import get_args, get_origin
 
 import numpy as np
 
-from .evolve import (BOUNDARY_WARNING, SCHEMES, EvolveConfig, SpongeConfig,
-                     conservation_report, evolve)
+from .evolve import BOUNDARY_WARNING, EvolveConfig, SpongeConfig, conservation_report, evolve
 from .exponents import ModelParams, ab_exponents
 from .grid import RadialGrid, load_field_csv, save_field_csv
 from .groundstate import solve_ground_state
 from .morawetz import (build_weight, coercivity_check, morawetz_average,
                        quadratic_weight, scattering_monitor)
-from .potentials import (PotentialSpec, gaussian_potential,
-                         softpower_potential, zero_potential)
+from .potentials import PotentialSpec
 from .riesz import build_kernel
 
 OUTPUT_FORMAT_VERSION = 1
@@ -68,41 +69,149 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# grammar
+# keys: section -> key names; a key's field is the key itself, prefixed
+# with the section name for the sections whose key names overlap
 
-_SCHEMA = {
-    "model": {"p": float, "gamma": float, "eps": float},
-    "grid": {"r_max": float, "n": int},
-    "potential": {"kind": str, "amplitude": float, "width": float,
-                  "power": float, "core": float},
-    "initial": {"kind": str, "c": float, "amplitude": float, "width": float,
-                "path": str},
-    "evolve": {"dt": float, "t_end": float, "sample_every": int, "scheme": str,
-               "sponge": bool, "sponge_start": float, "sponge_strength": float,
-               "sponge_power": float, "store_fields": bool},
-    "diagnostics": {"requests": list, "morawetz_R": list, "monitor_R": float,
-                    "monitor_eps": float, "monitor_expect": str,
-                    "weight": str, "weight_R": float, "ball_radii": list,
-                    "coercivity_R": float},
+SECTIONS = {
+    "model": ("p", "gamma", "eps"),
+    "grid": ("r_max", "n"),
+    "potential": ("kind", "amplitude", "width", "power", "core"),
+    "initial": ("kind", "c", "amplitude", "width", "path"),
+    "evolve": ("dt", "t_end", "sample_every", "scheme", "sponge", "sponge_start",
+               "sponge_strength", "sponge_power", "store_fields"),
+    "diagnostics": ("requests", "morawetz_R", "monitor_R", "monitor_eps",
+                    "monitor_expect", "weight", "weight_R", "ball_radii",
+                    "coercivity_R"),
+}
+_PREFIXED = ("grid", "potential", "initial")
+
+CHOICES = {
+    "initial_kind": ("ground_state", "gaussian", "file"),
+    "requests": ("conservation", "morawetz", "monitor", "thresholds"),
+    "monitor_expect": ("pass", "fail"),
+    "weight": ("quadratic", "truncated"),
 }
 
 
-def _parse_scalar(tok, line):
+def _field(section, key):
+    return f"{section}_{key}" if section in _PREFIXED else key
+
+
+@dataclass
+class Scenario:
+    p: float
+    gamma: float
+    eps: float = 1e-3
+    grid_r_max: float = 40.0
+    grid_n: int = 2047
+    potential_kind: str = "zero"
+    potential_amplitude: float = 0.0
+    potential_width: float = 1.0
+    potential_power: float = 2.0
+    potential_core: float = 1.0
+    initial_kind: str = "gaussian"
+    initial_c: float = 1.0
+    initial_amplitude: float = 1.0
+    initial_width: float = 1.0
+    initial_path: str = ""
+    dt: float = 1e-3
+    t_end: float = 5.0
+    sample_every: int = 50
+    scheme: str = "strang"
+    sponge: bool = False
+    sponge_start: float = 25.0
+    sponge_strength: float = 5.0
+    sponge_power: float = 4.0
+    store_fields: bool = False
+    requests: tuple[str, ...] = ("conservation",)
+    morawetz_R: tuple[float, ...] = ()
+    monitor_R: float = 10.0
+    monitor_eps: float = 0.3
+    monitor_expect: str = "pass"
+    weight: str = "quadratic"
+    weight_R: float = 10.0
+    ball_radii: tuple[float, ...] = ()
+    coercivity_R: float = 10.0
+
+    def __post_init__(self):
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if v not in allowed:
+                    raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {v!r}")
+        try:
+            # the model, potential, evolve and grid types check their own fields
+            self.model, self.potential, self.evolve_config
+            RadialGrid(self.grid_r_max, self.grid_n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        req = self.requests
+        radii_read = (  # (key, radii the run reads, open upper bound)
+            ("ball_radii", self.ball_radii, False),
+            ("monitor_R", (self.monitor_R,) if "monitor" in req else (), False),
+            ("morawetz_R", self.morawetz_R if "morawetz" in req else (), False),
+            ("coercivity_R", (self.coercivity_R,) if "thresholds" in req else (), False),
+            ("weight_R", (self.weight_R,) if self.weight == "truncated" else (), True),
+            ("sponge_start", (self.sponge_start,) if self.sponge else (), True))
+        for name, radii, open_top in radii_read:
+            top = ")" if open_top else "]"
+            for R in radii:
+                if not (0 < R < self.grid_r_max if open_top else 0 < R <= self.grid_r_max):
+                    raise ConfigError(f"{name} = {R:g} outside (0, r_max{top} = "
+                                      f"(0, {self.grid_r_max:g}{top}")
+        if self.initial_kind == "file" and not os.path.exists(self.initial_path):
+            raise ConfigError(f"initial data file not found: {self.initial_path}")
+
+    @property
+    def model(self):
+        return ModelParams(self.p, self.gamma, self.eps)
+
+    @property
+    def potential(self):
+        return PotentialSpec(self.potential_kind, self.potential_amplitude,
+                             self.potential_width, self.potential_power,
+                             self.potential_core)
+
+    @property
+    def evolve_config(self):
+        """Everything of the EvolveConfig but the Morawetz weights."""
+        ball = set(self.ball_radii)
+        if "monitor" in self.requests:
+            ball.add(self.monitor_R)
+        return EvolveConfig(
+            dt=self.dt, t_end=self.t_end, sample_every=self.sample_every,
+            scheme=self.scheme, store_fields=self.store_fields,
+            sponge=SpongeConfig(self.sponge, self.sponge_start,
+                                self.sponge_strength, self.sponge_power),
+            ball_radii=tuple(sorted(ball)),
+            chi_radii=self.morawetz_R if "morawetz" in self.requests else ())
+
+    def resolved(self):
+        """Plain-dict form embedded in outputs for provenance: every key."""
+        return {sec: {key: getattr(self, _field(sec, key)) for key in keys}
+                for sec, keys in SECTIONS.items()}
+
+
+# ---------------------------------------------------------------------------
+# grammar
+
+_TYPES = {f.name: f.type for f in fields(Scenario)}
+_EXPECTS = {bool: "on/off", int: "an integer", float: "a finite number"}
+_BOOLS = {"on": True, "true": True, "yes": True, "off": False, "false": False, "no": False}
+
+
+def _scalar(want, tok):
     t = tok.strip()
-    if t.lower() in ("on", "true", "yes"):
-        return True
-    if t.lower() in ("off", "false", "no"):
-        return False
-    try:
-        if "." in t or "e" in t.lower() or "inf" in t.lower():
-            return float(t)
-        return int(t)
-    except ValueError:
-        return t
+    if want is bool:
+        return _BOOLS[t.lower()]
+    value = want(t)
+    if want is float and not math.isfinite(value):
+        raise ValueError(t)
+    return value
 
 
 def parse_document(text):
-    """Raw parse: {section: {key: value}} with duplicate detection."""
+    """Raw parse: {section: {key: typed value}} with duplicate detection."""
     sections = {}
     cur = None
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -116,7 +225,7 @@ def parse_document(text):
             name = stripped[1:-1].strip()
             if name in sections:
                 raise ConfigError(f"duplicate section [{name}]", ln)
-            if name not in _SCHEMA:
+            if name not in SECTIONS:
                 raise ConfigError(f"unknown section [{name}]", ln)
             sections[name] = {}
             cur = name
@@ -130,189 +239,32 @@ def parse_document(text):
         col = line.index("=") + 1
         if key in sections[cur]:
             raise ConfigError(f"duplicate key {key!r} in [{cur}]", ln, col)
-        if key not in _SCHEMA[cur]:
+        if key not in SECTIONS[cur]:
             raise ConfigError(f"unknown key {key!r} in [{cur}]", ln, col)
-        want = _SCHEMA[cur][key]
-        if want is list:
-            parsed = [_parse_scalar(x, ln) for x in val.split(",") if x.strip()]
-        else:
-            parsed = _parse_scalar(val, ln)
-            if want is float and isinstance(parsed, int):
-                parsed = float(parsed)
-            if want is bool and not isinstance(parsed, bool):
-                raise ConfigError(f"key {key!r} expects on/off", ln, col)
-            if want in (int, float) and not isinstance(parsed, (int, float)):
-                raise ConfigError(f"key {key!r} expects a number, got {parsed!r}", ln, col)
-        sections[cur][key] = parsed
+        # a tuple annotation reads a comma-separated list of its item type
+        want = _TYPES[_field(cur, key)]
+        listed = get_origin(want) is tuple
+        item = get_args(want)[0] if listed else want
+        try:
+            sections[cur][key] = (tuple(_scalar(item, x) for x in val.split(",") if x.strip())
+                                  if listed else _scalar(item, val))
+        except (KeyError, ValueError):
+            raise ConfigError(f"key {key!r} expects {_EXPECTS[item]}, got {val.strip()!r}",
+                              ln, col) from None
     return sections
-
-
-@dataclass
-class Scenario:
-    model: ModelParams
-    grid_r_max: float = 40.0
-    grid_n: int = 2047
-    potential: PotentialSpec = dfield(default_factory=zero_potential)
-    initial_kind: str = "gaussian"       # ground_state | gaussian | file
-    initial_c: float = 1.0
-    initial_amplitude: float = 1.0
-    initial_width: float = 1.0
-    initial_path: str = ""
-    dt: float = 1e-3
-    t_end: float = 5.0
-    sample_every: int = 50
-    scheme: str = "strang"
-    sponge: SpongeConfig = dfield(default_factory=SpongeConfig)
-    store_fields: bool = False
-    requests: tuple = ("conservation",)
-    morawetz_R: tuple = ()
-    monitor_R: float = 10.0
-    monitor_eps: float = 0.3
-    monitor_expect: str = "pass"
-    weight: str = "quadratic"
-    weight_R: float = 10.0
-    ball_radii: tuple = ()
-    coercivity_R: float = 10.0
-
-    def resolved(self):
-        """Plain-dict form embedded in outputs for provenance."""
-        pot = {"kind": self.potential.kind}
-        if self.potential.kind == "gaussian":
-            pot.update(amplitude=self.potential.amplitude, width=self.potential.width)
-        elif self.potential.kind == "softpower":
-            pot.update(amplitude=self.potential.amplitude,
-                       power=self.potential.power, core=self.potential.core)
-        return {
-            "model": {"p": self.model.p, "gamma": self.model.gamma,
-                      "eps": self.model.epsilon},
-            "grid": {"r_max": self.grid_r_max, "n": self.grid_n},
-            "potential": pot,
-            "initial": {"kind": self.initial_kind, "c": self.initial_c,
-                        "amplitude": self.initial_amplitude,
-                        "width": self.initial_width, "path": self.initial_path},
-            "evolve": {"dt": self.dt, "t_end": self.t_end,
-                       "sample_every": self.sample_every, "scheme": self.scheme,
-                       "sponge": self.sponge.enabled,
-                       "sponge_start": self.sponge.start,
-                       "sponge_strength": self.sponge.strength,
-                       "sponge_power": self.sponge.power},
-            "diagnostics": {"requests": list(self.requests),
-                            "morawetz_R": list(self.morawetz_R),
-                            "monitor_R": self.monitor_R,
-                            "monitor_eps": self.monitor_eps,
-                            "monitor_expect": self.monitor_expect,
-                            "weight": self.weight, "weight_R": self.weight_R,
-                            "ball_radii": list(self.ball_radii),
-                            "coercivity_R": self.coercivity_R},
-        }
 
 
 def parse_scenario(text) -> Scenario:
     doc = parse_document(text)
-    if "model" not in doc:
-        raise ConfigError("missing required section [model]")
-    m = doc["model"]
-    if "p" not in m or "gamma" not in m:
+    model = doc.get("model", {})
+    if "p" not in model or "gamma" not in model:
         raise ConfigError("[model] requires p and gamma")
-    if m["p"] < 2:
-        raise ConfigError(f"p >= 2 required, got p = {m['p']}")
-    try:
-        model = ModelParams(m["p"], m["gamma"], m.get("eps", 1e-3))
-    except ValueError as e:
-        raise ConfigError(str(e))
-    s = Scenario(model=model)
-    if "grid" in doc:
-        s.grid_r_max = float(doc["grid"].get("r_max", s.grid_r_max))
-        s.grid_n = int(doc["grid"].get("n", s.grid_n))
-    if "potential" in doc:
-        podoc = dict(doc["potential"])
-        kind = podoc.pop("kind", "zero")
-        if kind == "zero":
-            s.potential = zero_potential()
-        elif kind == "gaussian":
-            s.potential = gaussian_potential(podoc.get("amplitude", 0.0),
-                                             podoc.get("width", 1.0))
-        elif kind == "softpower":
-            s.potential = softpower_potential(podoc.get("amplitude", 0.0),
-                                              podoc.get("power", 2.0),
-                                              podoc.get("core", 1.0))
-        else:
-            raise ConfigError(f"unknown potential kind {kind!r}")
-    if "initial" in doc:
-        idoc = doc["initial"]
-        s.initial_kind = idoc.get("kind", "gaussian")
-        if s.initial_kind not in ("ground_state", "gaussian", "file"):
-            raise ConfigError(f"unknown initial kind {s.initial_kind!r}")
-        s.initial_c = float(idoc.get("c", 1.0))
-        s.initial_amplitude = float(idoc.get("amplitude", 1.0))
-        s.initial_width = float(idoc.get("width", 1.0))
-        s.initial_path = idoc.get("path", "")
-        if s.initial_kind == "file" and not os.path.exists(s.initial_path):
-            raise ConfigError(f"initial data file not found: {s.initial_path}")
-    if "evolve" in doc:
-        e = doc["evolve"]
-        s.dt = float(e.get("dt", s.dt))
-        s.t_end = float(e.get("t_end", s.t_end))
-        s.sample_every = int(e.get("sample_every", s.sample_every))
-        s.scheme = e.get("scheme", s.scheme)
-        if s.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {', '.join(SCHEMES)}, got {s.scheme!r}")
-        s.sponge = SpongeConfig(
-            enabled=bool(e.get("sponge", False)),
-            start=float(e.get("sponge_start", 25.0)),
-            strength=float(e.get("sponge_strength", 5.0)),
-            power=float(e.get("sponge_power", 4.0)),
-        )
-        s.store_fields = bool(e.get("store_fields", False))
-    if "diagnostics" in doc:
-        d = doc["diagnostics"]
-        s.requests = tuple(d.get("requests", ["conservation"]))
-        for req in s.requests:
-            if req not in ("conservation", "morawetz", "monitor", "thresholds"):
-                raise ConfigError(f"unknown diagnostic request {req!r}")
-        s.morawetz_R = tuple(float(x) for x in d.get("morawetz_R", []))
-        s.monitor_R = float(d.get("monitor_R", 10.0))
-        s.monitor_eps = float(d.get("monitor_eps", 0.3))
-        s.monitor_expect = d.get("monitor_expect", "pass")
-        if s.monitor_expect not in ("pass", "fail"):
-            raise ConfigError(f"monitor_expect must be pass or fail, got {s.monitor_expect!r}")
-        s.weight = d.get("weight", "quadratic")
-        if s.weight not in ("quadratic", "truncated"):
-            raise ConfigError(f"weight must be quadratic or truncated, got {s.weight!r}")
-        s.weight_R = float(d.get("weight_R", 10.0))
-        s.ball_radii = tuple(float(x) for x in d.get("ball_radii", []))
-        s.coercivity_R = float(d.get("coercivity_R", 10.0))
-    if s.sponge.enabled and not s.sponge.start < s.grid_r_max:
-        raise ConfigError("sponge start radius must be below r_max")
-    return s
+    return Scenario(**{_field(sec, key): value
+                       for sec, keys in doc.items() for key, value in keys.items()})
 
 
 # ---------------------------------------------------------------------------
 # runner
-#
-# Ground states are immutable after construction, so sweep runs sharing a
-# (params, grid) pair reuse them; the least recently used beyond
-# GS_CACHE_SIZE are dropped.  Kernels take milliseconds and O(n) memory to
-# build, so every run builds its own.
-
-GS_CACHE_SIZE = 4
-_cache_lock = threading.Lock()
-_gs_cache = OrderedDict()
-
-
-def _shared_ground_state(model, grid, kern):
-    key = (model.p, model.gamma, model.epsilon, grid.n, float(grid.r_max))
-    with _cache_lock:
-        gs = _gs_cache.get(key)
-    if gs is None:
-        gs = solve_ground_state(model, grid, kern)
-    with _cache_lock:
-        gs = _gs_cache.setdefault(key, gs)
-        _gs_cache.move_to_end(key)
-        while len(_gs_cache) > GS_CACHE_SIZE:
-            _gs_cache.popitem(last=False)
-    return gs
-
 
 def _fmt(x):
     if isinstance(x, float):
@@ -375,12 +327,12 @@ class ExitReport:
 def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
     os.makedirs(out_dir, exist_ok=True)
     grid = RadialGrid(s.grid_r_max, s.grid_n)
-    kern = build_kernel(s.model.gamma, grid)
+    kern = build_kernel(s.gamma, grid)
 
     needs_gs = (s.initial_kind == "ground_state"
                 or "thresholds" in s.requests or "morawetz" in s.requests
                 or "monitor" in s.requests)
-    gs = _shared_ground_state(s.model, grid, kern) if needs_gs else None
+    gs = solve_ground_state(s.model, grid, kern) if needs_gs else None
 
     if s.initial_kind == "ground_state":
         u0 = s.initial_c * gs.Q
@@ -390,21 +342,8 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
     else:
         u0 = load_field_csv(s.initial_path, grid)
 
-    weights = []
-    if s.weight == "quadratic":
-        weights.append(quadratic_weight(grid))
-    else:
-        weights.append(build_weight(s.weight_R, grid))
-    ball = set(s.ball_radii)
-    if "monitor" in s.requests:
-        ball.add(s.monitor_R)
-    ball = tuple(sorted(ball))
-    chi_radii = tuple(s.morawetz_R) if "morawetz" in s.requests else ()
-
-    cfg = EvolveConfig(dt=s.dt, t_end=s.t_end, sample_every=s.sample_every,
-                       scheme=s.scheme, sponge=s.sponge,
-                       store_fields=s.store_fields, weights=tuple(weights),
-                       ball_radii=ball, chi_radii=chi_radii)
+    weight = quadratic_weight(grid) if s.weight == "quadratic" else build_weight(s.weight_R, grid)
+    cfg = replace(s.evolve_config, weights=(weight,))
     traj = evolve(u0, s.potential, kern, s.model, cfg)
     series = traj.diagnostics
 
@@ -490,31 +429,11 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
                       exit_code=0 if not failures else 1,
                       out_dir=out_dir, failures=failures)
 
-
 # ---------------------------------------------------------------------------
 # sweeps
 
-SWEEP_AXES = ("c", "p", "gamma", "R", "dt", "n")
-
-
-def _apply_axis(s: Scenario, axis, value):
-    import copy
-    s2 = copy.deepcopy(s)
-    if axis == "c":
-        s2.initial_c = float(value)
-    elif axis == "p":
-        s2.model = ModelParams(float(value), s.model.gamma, s.model.epsilon)
-    elif axis == "gamma":
-        s2.model = ModelParams(s.model.p, float(value), s.model.epsilon)
-    elif axis == "R":
-        s2.monitor_R = float(value)
-    elif axis == "dt":
-        s2.dt = float(value)
-    elif axis == "n":
-        s2.grid_n = int(value)
-    else:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}")
-    return s2
+SWEEP_AXES = {"c": "initial_c", "p": "p", "gamma": "gamma", "R": "monitor_R",
+              "dt": "dt", "n": "grid_n"}
 
 
 def sweep(s: Scenario, axis, values, out_dir="./out"):
@@ -522,9 +441,10 @@ def sweep(s: Scenario, axis, values, out_dir="./out"):
 
     Each run writes under its tag; values whose tags collide (duplicates,
     or floats equal to 6 significant digits) are rejected before any run.
+    A swept value passes the same checks as a parsed one.
     """
     if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}")
+        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}")
     values = list(values)
     tags = [f"{axis}_{v:g}" if isinstance(v, float) else f"{axis}_{v}" for v in values]
     if len(set(tags)) < len(tags):
@@ -534,7 +454,7 @@ def sweep(s: Scenario, axis, values, out_dir="./out"):
 
     def one(value, tag):
         try:
-            rep = run_scenario(_apply_axis(s, axis, value),
+            rep = run_scenario(replace(s, **{SWEEP_AXES[axis]: value}),
                                out_dir=os.path.join(out_dir, tag), tag=tag)
             return value, rep, None
         except Exception as exc:  # isolated: a failing run never kills siblings

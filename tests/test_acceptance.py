@@ -44,7 +44,7 @@ def scatter_runs(gs32_desk, kern2_desk, params32):
     for c in (0.3, 0.5, 0.8):
         for vname, V in (("V0", zero_potential()), ("Vg", V_GAUSS)):
             cfg = EvolveConfig(dt=1e-3, t_end=30.0, sample_every=200,
-                               track_zpp=False, sponge=sponge,
+                               sponge=sponge,
                                ball_radii=(10.0,), store_fields=True)
             runs[(c, vname)] = evolve(c * gs32_desk.Q, V, kern2_desk,
                                       params32, cfg)
@@ -165,7 +165,7 @@ def test_acceptance_4_conservation(gs32_desk, kern2_desk, params32):
     drifts = {}
     for dt in (1e-3, 5e-4):
         cfg = EvolveConfig(dt=dt, t_end=5.0, sample_every=max(1, int(0.05 / dt)),
-                           scheme="strang-linear-first", track_zpp=False)
+                           scheme="strang-linear-first")
         traj = evolve(0.8 * gs32_desk.Q, V_GAUSS, kern2_desk, params32, cfg)
         rep = conservation_report(traj)
         drifts[dt] = rep
@@ -233,7 +233,7 @@ def test_acceptance_6_soliton_controls(grid_desk, kern2_desk):
     gs = solve_ground_state(params, grid_desk, kern2_desk)
     Q = gs.Q.values.real
     cfg = EvolveConfig(dt=4e-4, t_end=5.0, sample_every=2500,
-                       track_zpp=False, ball_radii=(10.0,), store_fields=True)
+                       ball_radii=(10.0,), store_fields=True)
     traj = evolve(gs.Q, zero_potential(), kern2_desk, params, cfg)
     drift = max(np.max(np.abs(np.abs(f.values) - Q)) for f in traj.fields) / Q.max()
     assert drift <= 1e-5

@@ -13,7 +13,7 @@ from oracles import free_gaussian
 def test_linear_mode_free_gaussian(grid_desk, kern2_desk, params32):
     u0 = grid_desk.field_from(lambda r: np.exp(-r**2 / 2))
     cfg = EvolveConfig(dt=1e-3, t_end=1.0, sample_every=1000,
-                       linear_only=True, track_zpp=False, ball_radii=())
+                       linear_only=True, ball_radii=())
     traj = evolve(u0, zero_potential(), kern2_desk, params32, cfg)
     exact = free_gaussian(grid_desk.nodes, 1.0)
     err = np.sqrt(np.sum(grid_desk.weights
@@ -47,13 +47,13 @@ def test_gauge_covariance(gs32_mid, kern2_mid, params32):
 
 
 def test_zero_t_end_single_sample(gs32_mid, kern2_mid, params32):
-    cfg = EvolveConfig(dt=1e-3, t_end=0.0, sample_every=10, track_zpp=False)
+    cfg = EvolveConfig(dt=1e-3, t_end=0.0, sample_every=10)
     traj = evolve(gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
     assert len(traj.times) == 1 and traj.times[0] == 0.0
 
 
 def test_conservation_window(gs32_mid, kern2_mid, params32):
-    cfg = EvolveConfig(dt=1e-3, t_end=0.5, sample_every=100, track_zpp=False)
+    cfg = EvolveConfig(dt=1e-3, t_end=0.5, sample_every=100)
     traj = evolve(0.8 * gs32_mid.Q, gaussian_potential(0.2, 2.0),
                   kern2_mid, params32, cfg)
     rep = conservation_report(traj)
@@ -67,7 +67,7 @@ def test_dt_refinement_second_order(gs32_mid, kern2_mid, params32):
     drifts = []
     for dt in (2e-3, 1e-3):
         cfg = EvolveConfig(dt=dt, t_end=0.5, sample_every=int(0.05 / dt),
-                           scheme="strang-linear-first", track_zpp=False)
+                           scheme="strang-linear-first")
         traj = evolve(0.8 * gs32_mid.Q, V, kern2_mid, params32, cfg)
         drifts.append(conservation_report(traj)["energy_drift"])
     assert 3.0 < drifts[0] / drifts[1] < 5.0
@@ -77,7 +77,7 @@ def test_soliton_short_horizon(gs32_mid, kern2_mid, params32):
     # the (3,2) soliton is orbitally unstable (growth rate ~5/time unit);
     # modulus stationarity is checkable only on a short window
     Q = gs32_mid.Q.values.real
-    cfg = EvolveConfig(dt=2e-4, t_end=0.25, sample_every=250, track_zpp=False)
+    cfg = EvolveConfig(dt=2e-4, t_end=0.25, sample_every=250)
     traj = evolve(gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
     drift = np.max(np.abs(np.abs(traj.final.values) - Q)) / Q.max()
     assert drift < 1e-5
@@ -87,7 +87,7 @@ def test_soliton_short_horizon(gs32_mid, kern2_mid, params32):
 
 
 def test_h1_bounded_below_threshold(gs32_mid, kern2_mid, params32):
-    cfg = EvolveConfig(dt=1e-3, t_end=1.0, sample_every=100, track_zpp=False)
+    cfg = EvolveConfig(dt=1e-3, t_end=1.0, sample_every=100)
     traj = evolve(0.5 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
     d = traj.diagnostics
     h1 = d.M + d.grad_sq
@@ -97,7 +97,7 @@ def test_h1_bounded_below_threshold(gs32_mid, kern2_mid, params32):
 def test_sponge_mass_budget(gs32_mid, kern2_mid, params32):
     sponge = SpongeConfig(enabled=True, start=22.0, strength=5.0, power=4.0)
     cfg = EvolveConfig(dt=1e-3, t_end=2.0, sample_every=200, sponge=sponge,
-                       track_zpp=False, ball_radii=(10.0,))
+                       ball_radii=(10.0,))
     traj = evolve(0.3 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
     d = traj.diagnostics
     budget = d.M + d.exported_mass
@@ -114,7 +114,7 @@ def test_lie_scheme_first_order():
     drifts = []
     for dt in (2e-3, 1e-3):
         cfg = EvolveConfig(dt=dt, t_end=0.2, sample_every=int(0.05 / dt),
-                           scheme="lie", track_zpp=False)
+                           scheme="lie")
         traj = evolve(0.8 * gs.Q, zero_potential(), kern, params, cfg)
         drifts.append(conservation_report(traj)["energy_drift"])
     assert 1.5 < drifts[0] / drifts[1] < 2.6   # first-order signature
@@ -125,7 +125,7 @@ def test_blowup_detection(grid_small):
     kern = build_kernel(2.0, grid_small)
     # grossly supercritical data at a huge time step blows past overflow
     u0 = grid_small.field_from(lambda r: 50.0 * np.exp(-(r * 4) ** 2))
-    cfg = EvolveConfig(dt=0.5, t_end=50.0, sample_every=1, track_zpp=False)
+    cfg = EvolveConfig(dt=0.5, t_end=50.0, sample_every=1)
     import warnings as _w
     try:
         with _w.catch_warnings():
@@ -141,7 +141,7 @@ def test_boundary_warning(grid_small, params32):
     kern = build_kernel(2.0, grid_small)
     # fast-dispersing packet hits the wall with the sponge off
     u0 = grid_small.field_from(lambda r: np.exp(-((r - 18) / 2) ** 2))
-    cfg = EvolveConfig(dt=1e-3, t_end=1.0, sample_every=500, track_zpp=False)
+    cfg = EvolveConfig(dt=1e-3, t_end=1.0, sample_every=500)
     with pytest.warns(UserWarning):
         traj = evolve(u0, zero_potential(), kern, params32, cfg)
     assert traj.boundary_warning

@@ -249,8 +249,7 @@ def test_morawetz_average_zero_field(grid_small, params32):
 def test_scattering_monitor_decay_and_control(gs32_mid, kern2_mid, params32):
     grid = gs32_mid.Q.grid
     sponge = SpongeConfig(enabled=True, start=25.0)
-    cfg = EvolveConfig(dt=1e-3, t_end=6.0, sample_every=300, track_zpp=False,
-                       sponge=sponge, ball_radii=(10.0,))
+    cfg = EvolveConfig(dt=1e-3, t_end=6.0, sample_every=300, sponge=sponge, ball_radii=(10.0,))
     traj = evolve(0.3 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
     mon = scattering_monitor(traj.diagnostics, 10.0, 0.5)
     assert mon["final_mass_in_ball"] < 0.5 * mon["initial_mass_in_ball"]
@@ -264,7 +263,7 @@ def test_morawetz_average_trend(gs32_mid, kern2_mid, params32):
     sponge = SpongeConfig(enabled=True, start=25.0)
     Rs = (2.5, 3.5)
     cfg = EvolveConfig(dt=2e-3, t_end=float(Rs[-1] ** 3), sample_every=100,
-                       track_zpp=False, sponge=sponge, chi_radii=Rs,
+                       sponge=sponge, chi_radii=Rs,
                        ball_radii=())
     traj = evolve(0.5 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
     avgs = [morawetz_average(traj.diagnostics, gs32_mid, R, R**3)["average"]
@@ -293,8 +292,7 @@ def test_localized_mass_derivative_identity(gs32_mid, kern2_mid, params32):
     R = 8.0
     eta = radial_cutoff(grid, R)
     etap = radial_cutoff_derivative(grid, R)
-    cfg = EvolveConfig(dt=5e-3, t_end=0.5, sample_every=1, track_zpp=False,
-                       ball_radii=(R,), store_fields=True)
+    cfg = EvolveConfig(dt=5e-3, t_end=0.5, sample_every=1, ball_radii=(R,), store_fields=True)
     traj = evolve(0.8 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
     t = traj.diagnostics.t
     em = traj.diagnostics.eta_mass[R]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,10 +6,10 @@ import numpy as np
 import pytest
 
 from hartree_lab import scenario as scn
-from hartree_lab.cli import main as cli_main
+from hartree_lab.cli import _parse_potential_arg, main as cli_main
 from hartree_lab.evolve import BOUNDARY_WARNING
-from hartree_lab.exponents import ModelParams, ab_exponents
-from hartree_lab.grid import RadialGrid
+from hartree_lab.exponents import ab_exponents
+from hartree_lab.potentials import PotentialSpec
 from hartree_lab.scenario import (ConfigError, Scenario, parse_document,
                                   parse_scenario, run_scenario, sweep)
 
@@ -106,6 +107,36 @@ def test_parse_rejects_bad_choice(key, line, bad):
     assert getattr(parse_scenario(MINIMAL + line.format(good)), key) == good
 
 
+@pytest.mark.parametrize("text, line", [
+    pytest.param(MINIMAL + "[evolve]\ndt = on\n", 15, id="dt-on"),  # on/off is not a number
+    pytest.param(MINIMAL.replace("n = 383", "n = 383.5"), 8, id="n-fraction"),
+    pytest.param(MINIMAL + "[evolve]\nsample_every = 2.5\n", 15, id="sample_every-fraction"),
+    pytest.param(MINIMAL + "[evolve]\ndt = -1e-3\n", None, id="dt-negative"),
+    pytest.param(MINIMAL + "[diagnostics]\nmorawetz_R = 10, abc\n", 15, id="morawetz_R-text"),
+    # a truncated weight needs weight_R in (0, r_max)
+    pytest.param(MINIMAL + "[diagnostics]\nweight = truncated\nweight_R = 50\n", None,
+                 id="weight_R-beyond-r_max"),
+    # a negative Morawetz radius would run to a negative bound_shape
+    pytest.param(MINIMAL + "[diagnostics]\nrequests = morawetz\nmorawetz_R = -5\n", None,
+                 id="morawetz_R-negative"),
+])
+def test_parse_rejects_before_build(monkeypatch, text, line):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built while parsing")
+
+    monkeypatch.setattr(scn, "build_kernel", forbidden)
+    monkeypatch.setattr(scn, "solve_ground_state", forbidden)
+    with pytest.raises(ConfigError) as err:
+        parse_scenario(text)
+    assert err.value.line == line
+
+
+def test_every_field_is_one_key():
+    keys = [scn._field(sec, key) for sec, keys in scn.SECTIONS.items() for key in keys]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(Scenario))
+    assert set(parse_scenario(MINIMAL).resolved()) == set(scn.SECTIONS)
+
+
 def test_boundary_warning_in_summary(tmp_path):
     # a narrow packet reaches the wall by t = 1 with the sponge off
     narrow = MINIMAL.replace("width = 1.0", "width = 0.3") + \
@@ -118,23 +149,6 @@ def test_boundary_warning_in_summary(tmp_path):
     run_scenario(parse_scenario(quiet), out_dir=str(tmp_path), tag="quiet")
     summary = json.loads((tmp_path / "quiet_summary.json").read_text())
     assert summary["warnings"] == []
-
-
-def test_gs_cache_evicts_least_recent(monkeypatch):
-    monkeypatch.setattr(scn, "solve_ground_state", lambda model, grid, kern: object())
-    monkeypatch.setattr(scn, "_gs_cache", type(scn._gs_cache)())
-    grid = RadialGrid(24.0, 383)
-    models = [ModelParams(2.5 + 0.25 * i, 2.0) for i in range(scn.GS_CACHE_SIZE + 1)]
-    first = scn._shared_ground_state(models[0], grid, None)
-    for m in models[1:-1]:
-        scn._shared_ground_state(m, grid, None)
-    # a hit refreshes models[0], so models[1] is the least recent
-    assert scn._shared_ground_state(models[0], grid, None) is first
-    scn._shared_ground_state(models[-1], grid, None)
-    assert len(scn._gs_cache) == scn.GS_CACHE_SIZE
-    keys = {k[0] for k in scn._gs_cache}
-    assert models[1].p not in keys
-    assert models[0].p in keys and models[-1].p in keys
 
 
 def test_run_scenario_scattering(tmp_path):
@@ -264,6 +278,17 @@ def test_cli_kato(capsys):
     assert rc == 0
     assert not out["nonneg"]
     assert out["negative_part_below_4pi"]
+    # an unset amplitude is the command line's 1, not PotentialSpec's 0
+    assert _parse_potential_arg("gaussian:width=2") == PotentialSpec("gaussian", 1.0, 2.0)
+
+
+@pytest.mark.parametrize("spec, word", [
+    ("gaussian:amplitdue=-3,width=1", "amplitdue"),
+    ("table:amplitude=1", "table"),
+])
+def test_cli_kato_rejects_unknown_potential(spec, word):
+    with pytest.raises(SystemExit, match=word):
+        cli_main(["kato", "--potential", spec, "--n", "511", "--r-max", "24"])
 
 
 def test_cli_evolve_and_sweep(tmp_path, capsys):
