@@ -108,7 +108,11 @@ def cmd_ground_state(args):
 
 def _load_scenario(path):
     with open(path) as fh:
-        return scn.parse_scenario(fh.read())
+        text = fh.read()
+    try:
+        return scn.parse_scenario(text)
+    except scn.ConfigError as exc:
+        raise SystemExit(f"{path}: {exc}") from None
 
 
 def cmd_evolve(args):
@@ -131,9 +135,11 @@ def cmd_morawetz(args):
 
 def cmd_sweep(args):
     s = _load_scenario(args.config)
-    values = [float(x) for x in args.values.split(",")]
-    if args.axis == "n":
-        values = [int(v) for v in values]
+    cast = int if args.axis == "n" else float
+    try:
+        values = [cast(x) for x in args.values.split(",")]
+    except ValueError as exc:
+        raise SystemExit(f"--values: {exc}") from None
     rep = scn.sweep(s, args.axis, values, out_dir=args.output_dir)
     print(json.dumps({"csv": rep["csv"], "pass": rep["pass"]}, indent=2))
     return 0 if rep["pass"] else 1

@@ -1,12 +1,14 @@
 """Time integration of i u_t + Lap u - V u + (I_gamma*|u|^p)|u|^{p-2} u = 0.
 
-Strang splitting: a half-step of the local phase rotation
-u <- u * exp(i (dt/2) [(I_gamma*|u|^p)|u|^{p-2} - V]), a full linear step
-by sine-transform diagonalization of the Laplacian acting on v = r u,
-then the phase half-step recomputed.  The phase flow preserves |u|
-pointwise (the convolution depends only on |u|), so that substep is
-exact, and the orthonormal DST makes the linear substep unitary: discrete
-mass is conserved to round-off whenever the sponge is off.
+Strang splitting with the linear half-steps outside: a half-step of the
+linear flow by sine-transform diagonalization of the Laplacian acting on
+v = r u, a full step of the local phase rotation
+u <- u * exp(i dt [(I_gamma*|u|^p)|u|^{p-2} - V]), then the linear
+half-step again.  The phase flow preserves |u| pointwise (the convolution
+depends only on |u|), so that substep is exact, and the orthonormal DST
+makes the linear substep unitary: discrete mass is conserved to round-off
+whenever the sponge is off.  The step is second order and costs one
+convolution.
 
 The optional sponge multiplies u by exp(-dt sigma(r)) each step,
 sigma(r) = strength ((r - start)/(r_max - start))^power beyond the start
@@ -27,7 +29,6 @@ from .morawetz import (DiagnosticsSeries, MorawetzWeight, morawetz_z_from_state,
 from .potentials import PotentialSpec, energy_from_state
 from .riesz import RieszKernel, potential_energy
 
-SCHEMES = ("strang", "strang-linear-first", "lie")
 BOUNDARY_WARNING = "boundary amplitude exceeds 1e-6 of max|u| with sponge off"
 
 
@@ -50,9 +51,7 @@ class EvolveConfig:
     dt: float = 1e-3
     t_end: float = 5.0
     sample_every: int = 50
-    scheme: str = "strang"            # strang | strang-linear-first | lie
     sponge: SpongeConfig = dfield(default_factory=SpongeConfig)
-    linear_only: bool = False         # drop the nonlinear term (free/linear mode)
     store_fields: bool = False        # keep field snapshots at sample times
     weights: tuple = ()               # extra MorawetzWeight chains to record
     ball_radii: tuple = (10.0,)       # mass_in_ball / eta-mass radii
@@ -61,8 +60,6 @@ class EvolveConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_end < 0:
             raise ValueError("dt > 0 and t_end >= 0 required")
-        if self.scheme not in SCHEMES:
-            raise ValueError("scheme must be strang, strang-linear-first, or lie")
         if self.sample_every < 1:
             raise ValueError("sample_every >= 1")
 
@@ -80,15 +77,12 @@ class Stepper:
     """Holds the precomputed linear propagator and sponge for one setup."""
 
     def __init__(self, grid: RadialGrid, V: PotentialSpec, kern: RieszKernel,
-                 params: ModelParams, dt: float, sponge: SpongeConfig | None = None,
-                 linear_only: bool = False):
+                 params: ModelParams, dt: float, sponge: SpongeConfig | None = None):
         self.grid = grid
         self.V = V
         self.kern = kern
         self.params = params
         self.dt = dt
-        self.linear_only = linear_only
-        self.phase_lin = np.exp(-1j * grid.wavenumbers**2 * dt)
         self.phase_lin_half = np.exp(-0.5j * grid.wavenumbers**2 * dt)
         self.Vr = np.zeros(grid.n) if V.is_zero() else np.asarray(V(grid.nodes), float)
         if sponge is not None and sponge.enabled:
@@ -99,58 +93,27 @@ class Stepper:
         else:
             self.damp = None
 
-    def _phase(self, u, half):
-        if self.linear_only:
-            wloc = -self.Vr
-        else:
-            g = np.abs(u) ** self.params.p
-            wloc = self.kern.apply(g) * np.abs(u) ** (self.params.p - 2) - self.Vr
-        return u * np.exp(1j * (self.dt * (0.5 if half else 1.0)) * wloc)
+    def _phase(self, u):
+        g = np.abs(u) ** self.params.p
+        wloc = self.kern.apply(g) * np.abs(u) ** (self.params.p - 2) - self.Vr
+        return u * np.exp(1j * self.dt * wloc)
 
-    def _linear(self, u, half=False):
+    def _linear(self, u):
         v = self.grid.nodes * u
         c = sfft.dst(v, type=1, norm="ortho")
-        ph = self.phase_lin_half if half else self.phase_lin
-        v = sfft.dst(ph * c, type=1, norm="ortho")
+        v = sfft.dst(self.phase_lin_half * c, type=1, norm="ortho")
         return v / self.grid.nodes
 
     def step_values(self, u):
-        """Strang step, local phase on the outside (the documented default)."""
-        u = self._phase(u, half=True)
-        u = self._linear(u)
-        u = self._phase(u, half=True)
-        return u
-
-    def step_values_linear_first(self, u):
-        """Strang step with the linear half-steps outside; same order and
-        exact mass conservation, measurably smaller error constant on the
-        energy for this nonlinearity."""
-        u = self._linear(u, half=True)
-        u = self._phase(u, half=False)
-        u = self._linear(u, half=True)
-        return u
-
-    def step_values_lie(self, u):
-        u = self._phase(u, half=False)
-        return self._linear(u)
-
-
-def step(u: RadialField, V: PotentialSpec, kern: RieszKernel,
-         params: ModelParams, dt: float, linear_only=False) -> RadialField:
-    """One Strang step; convenience wrapper building a throwaway Stepper."""
-    st = Stepper(u.grid, V, kern, params, dt, linear_only=linear_only)
-    out = st.step_values(u.values)
-    if not np.all(np.isfinite(out.view(float))):
-        raise EvolutionBlowup(dt)
-    return RadialField(u.grid, out)
+        """One Strang step L(dt/2) P(dt) L(dt/2)."""
+        return self._linear(self._phase(self._linear(u)))
 
 
 def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
            params: ModelParams, cfg: EvolveConfig) -> Trajectory:
     """Run the splitting integrator, sampling diagnostics every sample_every steps."""
     grid = u0.grid
-    st = Stepper(grid, V, kern, params, cfg.dt,
-                 sponge=cfg.sponge, linear_only=cfg.linear_only)
+    st = Stepper(grid, V, kern, params, cfg.dt, sponge=cfg.sponge)
     try:
         es = scattering_pairs(params)
         rbar, sigma_c = es.r_bar, es.sigma_c
@@ -190,12 +153,9 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
         if fields is not None:
             fields.append(f.copy())
 
-    stepfn = {"strang": st.step_values,
-              "strang-linear-first": st.step_values_linear_first,
-              "lie": st.step_values_lie}[cfg.scheme]
     sample(0.0)
     for k in range(1, n_steps + 1):
-        u = stepfn(u)
+        u = st.step_values(u)
         if st.damp is not None:
             m_before = float(np.sum(grid.weights * np.abs(u) ** 2))
             u = u * st.damp

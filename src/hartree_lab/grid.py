@@ -34,6 +34,8 @@ class RadialGrid:
     wavenumbers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"grid size n must be an integer, got {self.n!r}")
         if self.r_max <= 0 or self.n < 1:
             raise ValueError("need r_max > 0 and n >= 1")
         dr = self.r_max / (self.n + 1)

@@ -139,6 +139,15 @@ def pohozaev_check(gs: GroundStateResult, tol: float = 1e-6) -> dict:
     }
 
 
+def _sharp_constant_forms(gs: GroundStateResult):
+    """The two closed forms of the sharp constant, see `sharp_constant`."""
+    p = gs.params.p
+    A, B, sigma_c = ab_exponents(gs.params)
+    c1 = gs.P / (gs.mass ** (A / 2) * gs.grad_norm_sq ** (B / 2))
+    c2 = (2 * p / B) ** (B / 2) / (gs.mass**sigma_c * gs.P) ** (B / 2 - 1)
+    return c1, c2
+
+
 def sharp_constant(gs: GroundStateResult, tol_agree: float = 1e-4) -> float:
     """Best constant in P(u) <= C |u|_2^A |grad u|_2^B, two ways.
 
@@ -146,10 +155,7 @@ def sharp_constant(gs: GroundStateResult, tol_agree: float = 1e-4) -> float:
     C = (2p/B)^{B/2} / (M(Q)^{sigma_c} P(Q))^{B/2-1}; disagreement beyond
     tol_agree signals a non-converged ground state.
     """
-    p = gs.params.p
-    A, B, sigma_c = ab_exponents(gs.params)
-    c1 = gs.P / (gs.mass ** (A / 2) * gs.grad_norm_sq ** (B / 2))
-    c2 = (2 * p / B) ** (B / 2) / (gs.mass**sigma_c * gs.P) ** (B / 2 - 1)
+    c1, c2 = _sharp_constant_forms(gs)
     if abs(c1 - c2) / c1 > tol_agree:
         raise GroundStateError(
             f"sharp-constant formulas disagree: {c1} vs {c2} (not converged?)")
@@ -157,10 +163,7 @@ def sharp_constant(gs: GroundStateResult, tol_agree: float = 1e-4) -> float:
 
 
 def sharp_constant_defect(gs: GroundStateResult) -> float:
-    p = gs.params.p
-    A, B, sigma_c = ab_exponents(gs.params)
-    c1 = gs.P / (gs.mass ** (A / 2) * gs.grad_norm_sq ** (B / 2))
-    c2 = (2 * p / B) ** (B / 2) / (gs.mass**sigma_c * gs.P) ** (B / 2 - 1)
+    c1, c2 = _sharp_constant_forms(gs)
     return abs(c1 - c2) / c1
 
 

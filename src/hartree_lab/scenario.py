@@ -77,7 +77,7 @@ SECTIONS = {
     "grid": ("r_max", "n"),
     "potential": ("kind", "amplitude", "width", "power", "core"),
     "initial": ("kind", "c", "amplitude", "width", "path"),
-    "evolve": ("dt", "t_end", "sample_every", "scheme", "sponge", "sponge_start",
+    "evolve": ("dt", "t_end", "sample_every", "sponge", "sponge_start",
                "sponge_strength", "sponge_power", "store_fields"),
     "diagnostics": ("requests", "morawetz_R", "monitor_R", "monitor_eps",
                     "monitor_expect", "weight", "weight_R", "ball_radii",
@@ -97,7 +97,7 @@ def _field(section, key):
     return f"{section}_{key}" if section in _PREFIXED else key
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     p: float
     gamma: float
@@ -117,7 +117,6 @@ class Scenario:
     dt: float = 1e-3
     t_end: float = 5.0
     sample_every: int = 50
-    scheme: str = "strang"
     sponge: bool = False
     sponge_start: float = 25.0
     sponge_strength: float = 5.0
@@ -180,7 +179,7 @@ class Scenario:
             ball.add(self.monitor_R)
         return EvolveConfig(
             dt=self.dt, t_end=self.t_end, sample_every=self.sample_every,
-            scheme=self.scheme, store_fields=self.store_fields,
+            store_fields=self.store_fields,
             sponge=SpongeConfig(self.sponge, self.sponge_start,
                                 self.sponge_strength, self.sponge_power),
             ball_radii=tuple(sorted(ball)),
@@ -273,29 +272,19 @@ def _fmt(x):
 
 
 def write_diagnostics_csv(path, series, scenario_dict):
-    cols = ["t", "M", "E", "E0", "P", "grad_sq", "lambda_sq", "z", "zp", "zpp"]
-    extra_ball = sorted(series.mass_in_ball)
-    for R in extra_ball:
-        cols.append(f"mass_in_ball_{R:g}")
-    cols.append("exported_mass")
-    cols.append("threshold_track")
-    cols.append("lr_norm_rbar")
-    for R in extra_ball:
-        cols.append(f"eta_mass_{R:g}")
-    for R in sorted(series.p_chi):
-        cols.append(f"p_chi_{R:g}")
+    balls = sorted(series.mass_in_ball)
+    columns = [(name, getattr(series, name)) for name in
+               ("t", "M", "E", "E0", "P", "grad_sq", "lambda_sq", "z", "zp", "zpp")]
+    columns += [(f"mass_in_ball_{R:g}", series.mass_in_ball[R]) for R in balls]
+    columns += [(name, getattr(series, name)) for name in
+                ("exported_mass", "threshold_track", "lr_norm_rbar")]
+    columns += [(f"eta_mass_{R:g}", series.eta_mass[R]) for R in balls]
+    columns += [(f"p_chi_{R:g}", series.p_chi[R]) for R in sorted(series.p_chi)]
     with open(path, "w") as fh:
         fh.write(f"# hartree-lab-diagnostics,{OUTPUT_FORMAT_VERSION}\n")
         fh.write("# scenario: " + json.dumps(scenario_dict, sort_keys=True) + "\n")
-        fh.write(",".join(cols) + "\n")
-        arrays = [series.t, series.M, series.E, series.E0, series.P,
-                  series.grad_sq, series.lambda_sq, series.z, series.zp,
-                  series.zpp]
-        arrays += [series.mass_in_ball[R] for R in extra_ball]
-        arrays += [series.exported_mass, series.threshold_track, series.lr_norm_rbar]
-        arrays += [series.eta_mass[R] for R in extra_ball]
-        arrays += [series.p_chi[R] for R in sorted(series.p_chi)]
-        for row in zip(*arrays):
+        fh.write(",".join(name for name, _ in columns) + "\n")
+        for row in zip(*(values for _, values in columns)):
             fh.write(",".join(_fmt(float(x)) for x in row) + "\n")
 
 

@@ -164,8 +164,7 @@ def test_acceptance_4_conservation(gs32_desk, kern2_desk, params32):
     t0 = time.time()
     drifts = {}
     for dt in (1e-3, 5e-4):
-        cfg = EvolveConfig(dt=dt, t_end=5.0, sample_every=max(1, int(0.05 / dt)),
-                           scheme="strang-linear-first")
+        cfg = EvolveConfig(dt=dt, t_end=5.0, sample_every=max(1, int(0.05 / dt)))
         traj = evolve(0.8 * gs32_desk.Q, V_GAUSS, kern2_desk, params32, cfg)
         rep = conservation_report(traj)
         drifts[dt] = rep

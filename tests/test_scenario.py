@@ -60,7 +60,10 @@ def test_parse_minimal_defaults():
     assert s.model.p == 3.0
     assert s.grid_n == 383
     assert s.potential.is_zero()
-    assert s.dt == 1e-3 and s.scheme == "strang"
+    assert s.dt == 1e-3
+    # a parsed scenario is immutable: a changed field must pass the checks again
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.dt = -1.0
 
 
 def test_parse_rejects_small_p():
@@ -69,8 +72,11 @@ def test_parse_rejects_small_p():
 
 
 def test_parse_rejects_unknown_key():
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_scenario(MINIMAL.replace("amplitude = 0.5", "amplitud = 0.5"))
+    for text in (MINIMAL.replace("amplitude = 0.5", "amplitud = 0.5"),
+                 # the splitting has one ordering, so there is no scheme to choose
+                 MINIMAL + "[evolve]\nscheme = strang\n"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_scenario(text)
 
 
 def test_parse_rejects_duplicate_key():
@@ -94,7 +100,6 @@ def test_parse_rejects_unknown_section():
 
 
 @pytest.mark.parametrize("key, line, bad", [
-    ("scheme", "[evolve]\nscheme = {}\n", "leapfrog"),
     ("monitor_expect", "[diagnostics]\nmonitor_expect = {}\n", "maybe"),
     ("weight", "[diagnostics]\nweight = {}\n", "cubic"),
 ])
@@ -103,7 +108,7 @@ def test_parse_rejects_bad_choice(key, line, bad):
     with pytest.raises(ConfigError, match=key):
         parse_scenario(MINIMAL + line.format(bad))
     # the valid spellings still parse
-    good = {"scheme": "lie", "monitor_expect": "fail", "weight": "truncated"}[key]
+    good = {"monitor_expect": "fail", "weight": "truncated"}[key]
     assert getattr(parse_scenario(MINIMAL + line.format(good)), key) == good
 
 
@@ -206,8 +211,8 @@ def test_soliton_negative_control_expectation(tmp_path):
     rep = run_scenario(s, out_dir=str(tmp_path), tag="sol")
     assert not rep.verdicts["monitor"]["crossed"]
     assert rep.exit_code == 1
-    s.monitor_expect = "fail"
-    rep2 = run_scenario(s, out_dir=str(tmp_path), tag="sol2")
+    rep2 = run_scenario(dataclasses.replace(s, monitor_expect="fail"),
+                        out_dir=str(tmp_path), tag="sol2")
     assert rep2.verdicts["monitor"]["pass"]
     assert rep2.exit_code == 0
 
@@ -262,6 +267,12 @@ def test_sweep_isolates_failures(tmp_path):
     assert len(errs) == 1 and len(good) == 1
 
 
+def test_sweep_rejects_fractional_grid_size(tmp_path):
+    rep = sweep(parse_scenario(MINIMAL), "n", [383.5], out_dir=str(tmp_path))
+    assert not rep["pass"]
+    assert "integer" in rep["rows"][0]["error"]
+
+
 def test_cli_exponents_json(capsys):
     rc = cli_main(["exponents", "--p", "3", "--gamma", "2", "--json"])
     out = capsys.readouterr().out
@@ -305,6 +316,31 @@ def test_cli_evolve_and_sweep(tmp_path, capsys):
                    "--values", "2e-3,1e-3"])
     capsys.readouterr()
     assert rc == 0
+
+
+@pytest.mark.parametrize("cmd, extra", [
+    ("evolve", []),
+    ("sweep", ["--axis", "c", "--values", "0.5"]),
+])
+def test_cli_config_error_is_one_line(tmp_path, capsys, cmd, extra):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(MINIMAL + "[evolve]\ndt = on\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--output-dir", str(tmp_path / "out"), cmd, "--config", str(bad), *extra])
+    # a string code exits with status 1 and prints the string alone
+    assert isinstance(exc.value.code, str)
+    assert exc.value.code.startswith(f"{bad}: key 'dt' expects")
+    assert "\n" not in exc.value.code
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_sweep_rejects_fractional_n(tmp_path):
+    cfg = tmp_path / "minimal.ini"
+    cfg.write_text(MINIMAL)
+    with pytest.raises(SystemExit, match="383.5"):
+        cli_main(["--output-dir", str(tmp_path / "sw"), "sweep", "--config", str(cfg),
+                  "--axis", "n", "--values", "383.5"])
+    assert not (tmp_path / "sw").exists()
 
 
 def test_morawetz_verdict_identity_defects(tmp_path):
