@@ -107,10 +107,11 @@ def cmd_ground_state(args):
 
 
 def _load_scenario(path):
-    with open(path) as fh:
-        text = fh.read()
     try:
-        return scn.parse_scenario(text)
+        with open(path) as fh:
+            return scn.parse_scenario(fh.read())
+    except OSError as exc:
+        raise SystemExit(f"{path}: {exc.strerror or exc}") from None
     except scn.ConfigError as exc:
         raise SystemExit(f"{path}: {exc}") from None
 

@@ -10,10 +10,16 @@ makes the linear substep unitary: discrete mass is conserved to round-off
 whenever the sponge is off.  The step is second order and costs one
 convolution.
 
-The optional sponge multiplies u by exp(-dt sigma(r)) each step,
-sigma(r) = strength ((r - start)/(r_max - start))^power beyond the start
-radius, and the absorbed mass is accumulated as exported_mass so the
-interior budget M + exported stays constant.
+The loop state is c = DST(r u) at a step boundary, so the closing
+half-step of one step and the opening one of the next stay in
+coefficient space: a step runs 2 length-n DSTs plus the 2 of the Riesz
+apply, and a sample reads u = DST(c)/r without changing the state.
+
+The optional sponge multiplies u by D = exp(-dt sigma(r)) between the
+phase substep and the closing half-step, sigma(r) = strength
+((r - start)/(r_max - start))^power beyond the start radius.  The
+absorbed mass sum(w (1 - D^2) |u|^2) is accumulated as exported_mass;
+every other substep is unitary, so M + exported stays constant.
 """
 
 import warnings
@@ -23,7 +29,8 @@ import numpy as np
 import scipy.fft as sfft
 
 from .exponents import ModelParams, scattering_pairs
-from .grid import FieldState, RadialField, RadialGrid, l2_norm_sq, lp_norm, mass_in_ball
+from .grid import (FieldState, RadialField, RadialGrid, dst_coeffs, from_dst_coeffs, l2_norm_sq,
+                   lp_norm, mass_in_ball)
 from .morawetz import (DiagnosticsSeries, MorawetzWeight, morawetz_z_from_state,
                        morawetz_zpp_from_state, quadratic_weight, radial_cutoff)
 from .potentials import PotentialSpec, energy_from_state
@@ -90,23 +97,24 @@ class Stepper:
             ramp = np.clip((r - sponge.start) / (grid.r_max - sponge.start),
                            0.0, None)
             self.damp = np.exp(-dt * sponge.strength * ramp**sponge.power)
+            self.loss_weights = grid.weights * (1.0 - self.damp**2)
         else:
             self.damp = None
 
-    def _phase(self, u):
-        g = np.abs(u) ** self.params.p
-        wloc = self.kern.apply(g) * np.abs(u) ** (self.params.p - 2) - self.Vr
-        return u * np.exp(1j * self.dt * wloc)
-
-    def _linear(self, u):
-        v = self.grid.nodes * u
-        c = sfft.dst(v, type=1, norm="ortho")
-        v = sfft.dst(self.phase_lin_half * c, type=1, norm="ortho")
-        return v / self.grid.nodes
-
-    def step_values(self, u):
-        """One Strang step L(dt/2) P(dt) L(dt/2)."""
-        return self._linear(self._phase(self._linear(u)))
+    def step_values(self, c):
+        """One Strang step L(dt/2) P(dt) L(dt/2), sponge between P and the
+        closing half-step, on c = DST(r u) at a step boundary.  Returns the
+        next boundary's coefficients and the mass the sponge absorbed."""
+        r, p = self.grid.nodes, self.params.p
+        u = sfft.dst(self.phase_lin_half * c, type=1, norm="ortho") / r
+        a = np.abs(u)
+        u *= np.exp(1j * self.dt * (self.kern.apply(a**p) * a ** (p - 2) - self.Vr))
+        absorbed = 0.0
+        if self.damp is not None:
+            # P preserves |u| pointwise, so a is still |u| here
+            absorbed = float(np.sum(self.loss_weights * a**2))
+            u *= self.damp
+        return self.phase_lin_half * sfft.dst(r * u, type=1, norm="ortho"), absorbed
 
 
 def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
@@ -128,14 +136,14 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
     rows = []
     fields = [] if cfg.store_fields else None
 
-    u = u0.values.copy()
+    c = dst_coeffs(u0)
     exported = 0.0
 
     def sample(tcur):
         # the Riesz and spectral parts of every diagnostic read one state
-        f = RadialField(grid, u)
+        f = from_dst_coeffs(grid, c)
         M = l2_norm_sq(f)
-        st = FieldState(f, kern, params.p)
+        st = FieldState(f, kern, params.p, coeffs=c)
         E, E0, lam = energy_from_state(st, V)
         rows.append({
             "t": tcur, "M": M, "E": E, "E0": E0, "P": st.P, "grad_sq": st.grad_sq,
@@ -147,26 +155,23 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
                              for wgt in weights},
             "eta_mass": {R: float(np.sum(grid.weights * e * st.usq)) for R, e in eta.items()},
             "mass_in_ball": {R: mass_in_ball(f, R) for R in cfg.ball_radii},
-            "p_chi": {R: potential_energy(kern, RadialField(grid, c * u), params.p)
-                      for R, c in chi.items()},
+            "p_chi": {R: potential_energy(kern, f * cut, params.p)
+                      for R, cut in chi.items()},
         })
         if fields is not None:
-            fields.append(f.copy())
+            fields.append(f)
 
     sample(0.0)
     for k in range(1, n_steps + 1):
-        u = st.step_values(u)
-        if st.damp is not None:
-            m_before = float(np.sum(grid.weights * np.abs(u) ** 2))
-            u = u * st.damp
-            m_after = float(np.sum(grid.weights * np.abs(u) ** 2))
-            exported += m_before - m_after
-        if not np.all(np.isfinite(u.view(float))):
+        c, absorbed = st.step_values(c)
+        exported += absorbed
+        if not np.all(np.isfinite(c.view(float))):
             raise EvolutionBlowup(k * cfg.dt)
         if k % cfg.sample_every == 0 or k == n_steps:
             sample(k * cfg.dt)
 
-    fin = RadialField(grid, u)
+    fin = from_dst_coeffs(grid, c)
+    u = fin.values
     bwarn = False
     if st.damp is None:
         tail = float(np.max(np.abs(u[int(0.95 * grid.n):])))

@@ -7,9 +7,8 @@ which makes the radial Laplacian exactly diagonal in the DST-I basis.
 Quadrature weights are w_i = 4*pi*r_i^2*dr.
 
 Two gradient norms are provided: ``grad_norm_sq`` (second-order centered
-differences, the documented contract) and ``grad_norm_sq_spectral``
-(Parseval in the sine basis), the latter used wherever identity checks
-need better than O(dr^2).
+differences, an O(dr^2) cross-check) and ``grad_norm_sq_spectral``
+(Parseval in the sine basis), which the solver and every diagnostic read.
 """
 
 import io
@@ -158,6 +157,11 @@ def dst_coeffs(f: RadialField) -> np.ndarray:
     return sfft.dst(f.grid.nodes * f.values, type=1, norm="ortho")
 
 
+def from_dst_coeffs(grid: RadialGrid, coeffs: np.ndarray) -> RadialField:
+    """Inverse of ``dst_coeffs``: the field u whose r*u has these coefficients."""
+    return RadialField(grid, sfft.dst(coeffs, type=1, norm="ortho") / grid.nodes)
+
+
 def grad_norm_sq_spectral(f: RadialField) -> float:
     """Gradient norm via Parseval: 4*pi*dr*sum(k_m^2 |v_hat_m|^2).
 
@@ -170,10 +174,7 @@ def grad_norm_sq_spectral(f: RadialField) -> float:
 
 def laplacian(f: RadialField) -> RadialField:
     """Radial 3D Laplacian via sine diagonalization of v = r*u."""
-    g = f.grid
-    c = dst_coeffs(f)
-    v = sfft.dst(-g.wavenumbers**2 * c, type=1, norm="ortho")
-    return RadialField(g, v / g.nodes)
+    return from_dst_coeffs(f.grid, -f.grid.wavenumbers**2 * dst_coeffs(f))
 
 
 def sine_derivative(coeffs, k, nodes, values):
@@ -199,9 +200,10 @@ class FieldState:
     """What diagnostics read off one field u, each computed once on first
     use: |u|^2, the sine coefficients of r*u, u', the Parseval gradient
     norm and, given a Riesz kernel and p >= 2, g = |u|^p, h = I_gamma*g,
-    h' and P = int h g."""
+    h' and P = int h g.  Pass ``coeffs = dst_coeffs(u)`` if already known."""
 
-    def __init__(self, u: RadialField, kern=None, p: float | None = None):
+    def __init__(self, u: RadialField, kern=None, p: float | None = None,
+                 coeffs: np.ndarray | None = None):
         if kern is not None:
             _check_same_grid(kern.grid, u.grid)
             if p is None or p < 2:
@@ -210,6 +212,8 @@ class FieldState:
         self.grid = u.grid
         self.kern = kern
         self.p = p
+        if coeffs is not None:
+            self.coeffs = coeffs  # fills the cached property
 
     @cached_property
     def absu(self):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 
 from hartree_lab.evolve import (EvolutionBlowup, EvolveConfig, SpongeConfig,
                                 Stepper, conservation_report, evolve)
 from hartree_lab.exponents import ModelParams
-from hartree_lab.grid import RadialField, h1_norm_sq, l2_norm_sq
+from hartree_lab.grid import dst_coeffs, from_dst_coeffs, l2_norm_sq
 from hartree_lab.potentials import gaussian_potential, zero_potential
 from hartree_lab.riesz import build_kernel
 from oracles import free_gaussian
@@ -27,15 +28,17 @@ def test_linear_mode_free_gaussian(grid_desk, kern2_desk, params32):
 def test_single_step_mass_exact(gs32_mid, kern2_mid, params32):
     u0 = gs32_mid.Q
     st = Stepper(u0.grid, zero_potential(), kern2_mid, params32, 1e-3)
-    u1 = RadialField(u0.grid, st.step_values(u0.values))
+    c1, _ = st.step_values(dst_coeffs(u0))
+    u1 = from_dst_coeffs(u0.grid, c1)
     assert abs(l2_norm_sq(u1) - l2_norm_sq(u0)) <= 1e-12 * l2_norm_sq(u0)
 
 
 def test_time_reversal(gs32_mid, kern2_mid, params32):
     u0 = 0.7 * gs32_mid.Q
     V = gaussian_potential(0.3, 1.5)
-    u1 = Stepper(u0.grid, V, kern2_mid, params32, 1e-3).step_values(u0.values)
-    u2 = Stepper(u0.grid, V, kern2_mid, params32, -1e-3).step_values(u1)
+    c1, _ = Stepper(u0.grid, V, kern2_mid, params32, 1e-3).step_values(dst_coeffs(u0))
+    c2, _ = Stepper(u0.grid, V, kern2_mid, params32, -1e-3).step_values(c1)
+    u2 = from_dst_coeffs(u0.grid, c2).values
     assert np.max(np.abs(u2 - u0.values)) <= 1e-10 * np.max(np.abs(u0.values))
 
 
@@ -43,9 +46,53 @@ def test_gauge_covariance(gs32_mid, kern2_mid, params32):
     u0 = 0.6 * gs32_mid.Q
     phase = np.exp(1j * 0.9)
     st = Stepper(u0.grid, zero_potential(), kern2_mid, params32, 1e-3)
-    a = st.step_values(phase * u0.values)
-    b = phase * st.step_values(u0.values)
+    a = from_dst_coeffs(u0.grid, st.step_values(dst_coeffs(phase * u0))[0]).values
+    b = phase * from_dst_coeffs(u0.grid, st.step_values(dst_coeffs(u0))[0]).values
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_matches_physical_space_strang(gs32_mid, kern2_mid, params32):
+    # reference: k steps L(dt/2) P(dt) L(dt/2), each substep on the grid
+    grid = gs32_mid.Q.grid
+    u0 = 0.8 * gs32_mid.Q
+    V = gaussian_potential(0.2, 2.0)
+    dt, k, p = 1e-3, 300, params32.p
+    r = grid.nodes
+    half = np.exp(-0.5j * grid.wavenumbers**2 * dt)
+
+    def lin(u):
+        c = sfft.dst(r * u, type=1, norm="ortho")
+        return sfft.dst(half * c, type=1, norm="ortho") / r
+
+    def phase(u):
+        a = np.abs(u)
+        return u * np.exp(1j * dt * (kern2_mid.apply(a**p) * a ** (p - 2) - V(r)))
+
+    ref = u0.values
+    for _ in range(k):
+        ref = lin(phase(lin(ref)))
+    cfg = EvolveConfig(dt=dt, t_end=k * dt, sample_every=k, ball_radii=())
+    traj = evolve(u0, V, kern2_mid, params32, cfg)
+    assert np.max(np.abs(traj.final.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("sponge_on", [False, True])
+def test_sampling_leaves_state_alone(gs32_mid, kern2_mid, params32, sponge_on):
+    # 300 steps: cadences 7 and 200 leave a partial last interval
+    sponge = SpongeConfig(enabled=sponge_on, start=2.0, strength=50.0, power=1.0)
+    finals, exported = [], []
+    for every in (1, 7, 200):
+        cfg = EvolveConfig(dt=1e-3, t_end=0.3, sample_every=every, sponge=sponge,
+                           ball_radii=())
+        traj = evolve(0.8 * gs32_mid.Q, gaussian_potential(0.2, 2.0),
+                      kern2_mid, params32, cfg)
+        finals.append(traj.final.values)
+        exported.append(traj.diagnostics.exported_mass[-1])
+    assert (exported[0] > 1e-3) == sponge_on
+    scale = np.max(np.abs(finals[0]))
+    for f, m in zip(finals[1:], exported[1:]):
+        assert np.max(np.abs(f - finals[0])) <= 1e-13 * scale
+        assert abs(m - exported[0]) <= 1e-13 * max(exported[0], 1e-300)
 
 
 def test_zero_t_end_single_sample(gs32_mid, kern2_mid, params32):

@@ -334,6 +334,19 @@ def test_cli_config_error_is_one_line(tmp_path, capsys, cmd, extra):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("cmd, extra", [
+    ("evolve", []),
+    ("sweep", ["--axis", "c", "--values", "0.5"]),
+])
+def test_cli_missing_config_is_one_line(tmp_path, capsys, cmd, extra):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--output-dir", str(tmp_path / "out"), cmd,
+                  "--config", "/nonexistent.ini", *extra])
+    assert exc.value.code == "/nonexistent.ini: No such file or directory"
+    assert capsys.readouterr().err == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sweep_rejects_fractional_n(tmp_path):
     cfg = tmp_path / "minimal.ini"
     cfg.write_text(MINIMAL)
