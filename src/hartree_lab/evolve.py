@@ -12,8 +12,9 @@ convolution.
 
 The loop state is c = DST(r u) at a step boundary, so the closing
 half-step of one step and the opening one of the next stay in
-coefficient space: a step runs 2 length-n DSTs plus the 2 of the Riesz
-apply, and a sample reads u = DST(c)/r without changing the state.
+coefficient space: a step runs 2 length-n complex DSTs (each one
+two-column real transform) plus the 2 of the Riesz apply.  A sample
+reads u and u' off c by one FFT without changing the state.
 
 The optional sponge multiplies u by D = exp(-dt sigma(r)) between the
 phase substep and the closing half-step, sigma(r) = strength
@@ -26,11 +27,10 @@ import warnings
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-import scipy.fft as sfft
 
 from .exponents import ModelParams, scattering_pairs
-from .grid import (FieldState, RadialField, RadialGrid, dst_coeffs, from_dst_coeffs, l2_norm_sq,
-                   lp_norm, mass_in_ball)
+from .grid import (FieldState, RadialField, RadialGrid, dst1, dst_coeffs, from_dst_coeffs,
+                   l2_norm_sq, lp_norm, mass_in_ball)
 from .morawetz import (DiagnosticsSeries, MorawetzWeight, morawetz_z_from_state,
                        morawetz_zpp_from_state, quadratic_weight, radial_cutoff)
 from .potentials import PotentialSpec, energy_from_state
@@ -106,7 +106,7 @@ class Stepper:
         closing half-step, on c = DST(r u) at a step boundary.  Returns the
         next boundary's coefficients and the mass the sponge absorbed."""
         r, p = self.grid.nodes, self.params.p
-        u = sfft.dst(self.phase_lin_half * c, type=1, norm="ortho") / r
+        u = dst1(self.phase_lin_half * c) / r
         a = np.abs(u)
         u *= np.exp(1j * self.dt * (self.kern.apply(a**p) * a ** (p - 2) - self.Vr))
         absorbed = 0.0
@@ -114,14 +114,15 @@ class Stepper:
             # P preserves |u| pointwise, so a is still |u| here
             absorbed = float(np.sum(self.loss_weights * a**2))
             u *= self.damp
-        return self.phase_lin_half * sfft.dst(r * u, type=1, norm="ortho"), absorbed
+        return self.phase_lin_half * dst1(r * u), absorbed
 
 
 def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
            params: ModelParams, cfg: EvolveConfig) -> Trajectory:
     """Run the splitting integrator, sampling diagnostics every sample_every steps."""
     grid = u0.grid
-    st = Stepper(grid, V, kern, params, cfg.dt, sponge=cfg.sponge)
+    stepper = Stepper(grid, V, kern, params, cfg.dt, sponge=cfg.sponge)
+    dVr = V.dV(grid.nodes)
     try:
         es = scattering_pairs(params)
         rbar, sigma_c = es.r_bar, es.sigma_c
@@ -141,17 +142,17 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
 
     def sample(tcur):
         # the Riesz and spectral parts of every diagnostic read one state
-        f = from_dst_coeffs(grid, c)
+        st = FieldState.from_coeffs(grid, c, kern, params.p)
+        f = st.u
         M = l2_norm_sq(f)
-        st = FieldState(f, kern, params.p, coeffs=c)
-        E, E0, lam = energy_from_state(st, V)
+        E, E0, lam = energy_from_state(st, stepper.Vr)
         rows.append({
             "t": tcur, "M": M, "E": E, "E0": E0, "P": st.P, "grad_sq": st.grad_sq,
             "lambda_sq": lam, "exported_mass": exported,
             "threshold_track": st.P * M**sigma_c if sigma_c is not None else np.nan,
             "lr_norm_rbar": lp_norm(f, rbar) if rbar is not None else np.nan,
             "extra_chains": {wgt.label(): (*morawetz_z_from_state(st, wgt),
-                                           morawetz_zpp_from_state(st, wgt, V))
+                                           morawetz_zpp_from_state(st, wgt, dVr))
                              for wgt in weights},
             "eta_mass": {R: float(np.sum(grid.weights * e * st.usq)) for R, e in eta.items()},
             "mass_in_ball": {R: mass_in_ball(f, R) for R in cfg.ball_radii},
@@ -163,7 +164,7 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
 
     sample(0.0)
     for k in range(1, n_steps + 1):
-        c, absorbed = st.step_values(c)
+        c, absorbed = stepper.step_values(c)
         exported += absorbed
         if not np.all(np.isfinite(c.view(float))):
             raise EvolutionBlowup(k * cfg.dt)
@@ -173,7 +174,7 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
     fin = from_dst_coeffs(grid, c)
     u = fin.values
     bwarn = False
-    if st.damp is None:
+    if stepper.damp is None:
         tail = float(np.max(np.abs(u[int(0.95 * grid.n):])))
         if tail > 1e-6 * max(float(np.max(np.abs(u))), 1e-300):
             bwarn = True

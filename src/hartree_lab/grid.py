@@ -9,6 +9,10 @@ Quadrature weights are w_i = 4*pi*r_i^2*dr.
 Two gradient norms are provided: ``grad_norm_sq`` (second-order centered
 differences, an O(dr^2) cross-check) and ``grad_norm_sq_spectral``
 (Parseval in the sine basis), which the solver and every diagnostic read.
+
+A complex DST-I runs as one two-column real transform (``dst1``); u and
+u' come from the sine coefficients of r*u by one real FFT
+(``sine_series_and_derivative``).
 """
 
 import io
@@ -145,21 +149,64 @@ def grad_norm_sq(f: RadialField, order: int = 2) -> float:
     return float(np.sum(f.grid.weights * np.abs(du) ** 2))
 
 
-def h1_norm_sq(f: RadialField) -> float:
-    return l2_norm_sq(f) + grad_norm_sq(f)
-
-
 # ---------------------------------------------------------------------------
 # sine-spectral machinery on v = r*u
 
+def _columns(x):
+    """A length-m array as an (m, 2) real array of (re, im) rows."""
+    return np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2)
+
+
+def _complex(y):
+    """Inverse of ``_columns``."""
+    return np.ascontiguousarray(y).view(complex).reshape(-1)
+
+
+def dst1(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I of a complex x, its own inverse: one real transform
+    of the two columns (re, im), the values of transforming them apart."""
+    return _complex(sfft.dst(_columns(x), type=1, norm="ortho", axis=0))
+
+
 def dst_coeffs(f: RadialField) -> np.ndarray:
     """Orthonormal DST-I coefficients of v = r*u."""
-    return sfft.dst(f.grid.nodes * f.values, type=1, norm="ortho")
+    return dst1(f.grid.nodes * f.values)
 
 
 def from_dst_coeffs(grid: RadialGrid, coeffs: np.ndarray) -> RadialField:
     """Inverse of ``dst_coeffs``: the field u whose r*u has these coefficients."""
-    return RadialField(grid, sfft.dst(coeffs, type=1, norm="ortho") / grid.nodes)
+    return RadialField(grid, dst1(coeffs) / grid.nodes)
+
+
+def sine_series_and_derivative(coeffs, k, nodes):
+    """(f, f') on the n nodes for f = v/r, f' = (v' - f)/r, where
+    v = sum_m c_m sin(k_m r) over M >= n modes, k_m = m*pi/((M+1)*dr), and
+    c are orthonormal DST-I coefficients.
+
+    One real FFT over the period L = 2(M+1) (Cooley, Lewis & Welch, J.
+    Sound Vib. 12, 1970) takes x_m = (b_m - a_m)/2, x_(L-m) = (b_m + a_m)/2
+    to X_j = sum b_m cos(pi m j/(M+1)) + i sum a_m sin(pi m j/(M+1)); with
+    a = sqrt(2/(M+1)) c and b = lam a k, v = Im X and v' = Re X / lam.
+    lam = |a|/|a k| puts both sums on one round-off level.  A complex c
+    runs as two real columns, so a real-valued c gives a real result.
+    """
+    M = coeffs.shape[0]
+    a = (0.5 * np.sqrt(2.0 / (M + 1))) * coeffs  # the halves in x carried by a and b
+    ak = a * k
+    nk = np.vdot(ak, ak).real
+    lam = np.sqrt(np.vdot(a, a).real / nk) if nk > 0 else 1.0
+    b = lam * ak
+    cplx = np.iscomplexobj(coeffs)
+    if cplx:
+        a, b = _columns(a), _columns(b)
+    x = np.zeros((2 * M + 2,) + a.shape[1:])
+    x[1 : M + 1] = b - a
+    x[: M + 1 : -1] = b + a
+    X = sfft.rfft(x, axis=0)[1 : nodes.shape[0] + 1]
+    r = nodes[:, None] if cplx else nodes
+    f = X.imag / r
+    fp = (X.real / lam - f) / r
+    return (_complex(f), _complex(fp)) if cplx else (f, fp)
 
 
 def grad_norm_sq_spectral(f: RadialField) -> float:
@@ -177,20 +224,6 @@ def laplacian(f: RadialField) -> RadialField:
     return from_dst_coeffs(f.grid, -f.grid.wavenumbers**2 * dst_coeffs(f))
 
 
-def sine_derivative(coeffs, k, nodes, values):
-    """u' = (v' - u)/r on the nodes, v = r*u with orthonormal DST-I
-    coefficients ``coeffs`` on sin(k_m r), m = 1..N (N >= n when padded).
-
-    v' = sum_m c_m k_m cos(k_m r) is a DCT-I (norm=None) of the
-    half-weighted, sqrt(2/(N+1))-scaled coefficients over i = 0..N+1.
-    """
-    N = coeffs.shape[0]
-    pad = np.zeros(N + 2, dtype=coeffs.dtype)
-    pad[1 : N + 1] = coeffs * k * np.sqrt(2.0 / (N + 1))
-    vp = sfft.dct(pad * 0.5, type=1, norm=None)
-    return (vp[1 : len(nodes) + 1] - values) / nodes
-
-
 def spectral_derivative(f: RadialField) -> np.ndarray:
     """u'(r_i) from the sine series: u' = (v' - u)/r with v' a cosine sum."""
     return FieldState(f).du
@@ -198,12 +231,13 @@ def spectral_derivative(f: RadialField) -> np.ndarray:
 
 class FieldState:
     """What diagnostics read off one field u, each computed once on first
-    use: |u|^2, the sine coefficients of r*u, u', the Parseval gradient
-    norm and, given a Riesz kernel and p >= 2, g = |u|^p, h = I_gamma*g,
-    h' and P = int h g.  Pass ``coeffs = dst_coeffs(u)`` if already known."""
+    use: |u|^2, the sine coefficients c of r*u, u', the Parseval gradient
+    norm and, given a Riesz kernel and p >= 2, g = |u|^p, the padded sine
+    spectrum of r*g, P = int h g (by Parseval) and h = I_gamma*g with h'.
+    ``FieldState.from_coeffs`` starts from c instead of u; u and u' then
+    come from one transform."""
 
-    def __init__(self, u: RadialField, kern=None, p: float | None = None,
-                 coeffs: np.ndarray | None = None):
+    def __init__(self, u: RadialField, kern=None, p: float | None = None):
         if kern is not None:
             _check_same_grid(kern.grid, u.grid)
             if p is None or p < 2:
@@ -212,8 +246,14 @@ class FieldState:
         self.grid = u.grid
         self.kern = kern
         self.p = p
-        if coeffs is not None:
-            self.coeffs = coeffs  # fills the cached property
+
+    @classmethod
+    def from_coeffs(cls, grid: RadialGrid, coeffs: np.ndarray, kern=None,
+                    p: float | None = None):
+        u, du = sine_series_and_derivative(coeffs, grid.wavenumbers, grid.nodes)
+        st = cls(RadialField(grid, u), kern, p)
+        st.coeffs, st.du = coeffs, du  # fill the cached properties
+        return st
 
     @cached_property
     def absu(self):
@@ -230,7 +270,7 @@ class FieldState:
     @cached_property
     def du(self):
         g = self.grid
-        return sine_derivative(self.coeffs, g.wavenumbers, g.nodes, self.u.values)
+        return sine_series_and_derivative(self.coeffs, g.wavenumbers, g.nodes)[1]
 
     @cached_property
     def grad_sq(self):
@@ -246,24 +286,20 @@ class FieldState:
         return self.kern.spectrum(self.g)
 
     @cached_property
-    def h(self):
-        return self.kern.synthesize(self.spectrum)
-
-    @cached_property
-    def hp(self):
-        return self.kern.derivative(self.spectrum, self.h)
-
-    @cached_property
     def P(self):
-        return float(np.sum(self.grid.weights * self.h * self.g))
+        return self.kern.pairing(self.spectrum)
 
+    @cached_property
+    def h_hp(self):
+        return self.kern.potential_and_derivative(self.spectrum)
 
-def boundary_fraction(f: RadialField) -> float:
-    """|u| at the last node relative to max|u| (truncation diagnostic)."""
-    m = float(np.max(np.abs(f.values)))
-    if m == 0.0:
-        return 0.0
-    return float(np.abs(f.values[-1])) / m
+    @property
+    def h(self):
+        return self.h_hp[0]
+
+    @property
+    def hp(self):
+        return self.h_hp[1]
 
 
 # ---------------------------------------------------------------------------

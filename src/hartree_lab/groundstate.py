@@ -14,10 +14,9 @@ below double precision at the default domain size).
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-import scipy.fft as sfft
 
 from .exponents import ModelParams, ab_exponents
-from .grid import (RadialField, RadialGrid, dst_coeffs,
+from .grid import (RadialField, RadialGrid, dst_coeffs, from_dst_coeffs,
                    grad_norm_sq_spectral, l2_norm_sq, laplacian)
 from .riesz import RieszKernel, potential_energy
 
@@ -60,10 +59,7 @@ class GroundStateResult:
 
 
 def _inv_helmholtz(f: RadialField) -> RadialField:
-    g = f.grid
-    c = dst_coeffs(f)
-    v = sfft.dst(c / (1.0 + g.wavenumbers**2), type=1, norm="ortho")
-    return RadialField(g, v / g.nodes)
+    return from_dst_coeffs(f.grid, dst_coeffs(f) / (1.0 + f.grid.wavenumbers**2))
 
 
 def elliptic_residual(Q: RadialField, kern: RieszKernel, p: float) -> float:

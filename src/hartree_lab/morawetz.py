@@ -42,14 +42,6 @@ def radial_cutoff(grid: RadialGrid, R: float) -> np.ndarray:
     return out
 
 
-def radial_cutoff_derivative(grid: RadialGrid, R: float) -> np.ndarray:
-    x = grid.nodes / R
-    out = np.zeros(grid.n)
-    band = (x > 0.5) & (x < 1.0)
-    out[band] = -np.pi * np.sin(2 * np.pi * (x[band] - 0.5)) / R
-    return out
-
-
 def cutoff_field(u: RadialField, R: float) -> RadialField:
     return RadialField(u.grid, radial_cutoff(u.grid, R) * u.values)
 
@@ -168,11 +160,12 @@ def morawetz_z_from_state(st: FieldState, weight: MorawetzWeight):
 def morawetz_zpp(u: RadialField, weight: MorawetzWeight, V: PotentialSpec,
                  kern: RieszKernel, params: ModelParams) -> float:
     """Second time derivative of z from the four-term identity."""
-    return morawetz_zpp_from_state(FieldState(u, kern, params.p), weight, V)
+    return morawetz_zpp_from_state(FieldState(u, kern, params.p), weight, V.dV(u.grid.nodes))
 
 
 def morawetz_zpp_from_state(st: FieldState, weight: MorawetzWeight,
-                            V: PotentialSpec) -> float:
+                            dVr: np.ndarray) -> float:
+    """``morawetz_zpp`` from a state with a kernel and p; dVr = V' on the nodes."""
     p = st.p
     gamma = st.kern.gamma
     w = st.grid.weights
@@ -181,10 +174,7 @@ def morawetz_zpp_from_state(st: FieldState, weight: MorawetzWeight,
     term_c = 4.0 * float(np.sum(w * weight.app * np.abs(st.du) ** 2))
     S = 2.0 * st.P if weight.quadratic else nonlocal_pair_term(st, weight)
     term_d = -(2.0 * (3.0 - gamma) / p) * S
-    if V.is_zero():
-        term_v = 0.0
-    else:
-        term_v = -2.0 * float(np.sum(w * V.dV(st.grid.nodes) * weight.ap * st.usq))
+    term_v = -2.0 * float(np.sum(w * dVr * weight.ap * st.usq))
     return term_a + term_b + term_c + term_d + term_v
 
 

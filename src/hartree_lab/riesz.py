@@ -6,15 +6,16 @@ average of the kernel reduces it to a half-line integral
     h(r) = int_0^inf k(r,s) s^2 g(s) ds,
     k(r,s) = 2*pi/((gamma-1) r s) * [(r+s)^(gamma-1) - |r-s|^(gamma-1)]
 
-(log form at gamma = 1); ``kernel_value`` keeps that form as an analytic
-reference.  The operator itself is spectral, one code path for every
-gamma (Vico, Greengard & Ferrando, "Fast convolution with free-space
-Green's functions", JCP 323 (2016), reduced to one radial dimension):
+(log form at gamma = 1).  The operator itself is spectral, one code path
+for every gamma (Vico, Greengard & Ferrando, "Fast convolution with
+free-space Green's functions", JCP 323 (2016), reduced to one radial
+dimension):
 
   - v = r*g is zero-padded from n to N = 2n+1 nodes on the same dr, so the
     padded interval is R_pad = 2*r_max;
   - an orthonormal DST-I expands v in the modes sin(k_m r), k_m = m*pi/R_pad,
-    and sin(k_m r)/r is the angular average of a plane wave;
+    with coefficients C_m, and sin(k_m r)/r is the angular average of a
+    plane wave;
   - each mode is scaled by the Fourier symbol of the kernel truncated at
     L = R_pad,  K_m = 4*pi k_m^(-gamma) int_0^{m*pi} t^(gamma-2) sin t dt;
   - the inverse DST, cut back to the first n values and divided by r, is h.
@@ -23,39 +24,20 @@ Every pair distance on the grid is at most 2*r_max = L and every periodic
 image of the padded data lies at distance >= L, so the truncation changes
 nothing: the result is exact for the sine interpolant of g.  The operator
 is self-adjoint in the 4*pi*r^2*dr inner product by construction and
-costs two DSTs of size N per apply; h' comes from the same scaled
-coefficients by one DCT-I (``RieszKernel.derivative``).
+costs two DSTs of size N per apply.  A diagnostics sample needs fewer:
+P = int h g dx = 4*pi*dr*sum K_m C_m^2 by Parseval (the DST is orthogonal
+and r*g vanishes on the pad), one DST in all, and h with h' come from
+K*C by one real FFT (``grid.sine_series_and_derivative``).
 """
 
 import numpy as np
 import scipy.fft as sfft
 from numpy.polynomial.legendre import leggauss
 
-from .grid import FOUR_PI, FieldState, RadialField, RadialGrid, _check_same_grid, sine_derivative
-
-TWO_PI = 2.0 * np.pi
+from .grid import FOUR_PI, FieldState, RadialField, RadialGrid, sine_series_and_derivative
 
 SERIES_TERMS = 40  # first-panel power series: round-off for gamma in (0, 3)
 PANEL_NODES = 30   # Gauss-Legendre nodes per later half-period panel
-
-
-def kernel_value(gamma, r, s):
-    """Angular-averaged kernel k(r,s); symmetric, positive. Vectorizes."""
-    r = np.asarray(r, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if gamma == 1.0:
-        out = (TWO_PI / (r * s)) * np.log((r + s) / np.abs(r - s))
-    else:
-        c = TWO_PI / ((gamma - 1.0) * r * s)
-        out = c * ((r + s) ** (gamma - 1.0) - np.abs(r - s) ** (gamma - 1.0))
-    return out if out.shape else float(out)
-
-
-def kernel_value_origin(gamma, s):
-    """lim_{r->0} k(r,s) = 4*pi*s^(gamma-3)."""
-    s = np.asarray(s, dtype=float)
-    out = FOUR_PI * s ** (gamma - 3.0)
-    return out if out.shape else float(out)
 
 
 def _sine_integrals(gamma, N):
@@ -102,25 +84,26 @@ class RieszKernel:
         self._origin_row = grid.nodes * sfft.dst(ow, type=1, norm="ortho")[: grid.n]
 
     def spectrum(self, g: np.ndarray) -> np.ndarray:
-        """Symbol-scaled orthonormal DST-I coefficients of the padded r*g."""
+        """C: the orthonormal DST-I coefficients of the zero-padded r*g."""
         g = np.asarray(g, dtype=float)
         if g.shape != (self.grid.n,):
             raise ValueError("grid mismatch")
-        c = sfft.dst(self.grid.nodes * g, type=1, n=self._N, norm="ortho")
-        c *= self._symbol
-        return c
+        return sfft.dst(self.grid.nodes * g, type=1, n=self._N, norm="ortho")
 
-    def synthesize(self, spec: np.ndarray) -> np.ndarray:
-        """h = I_gamma*g on the grid from ``spectrum(g)``."""
-        v = sfft.dst(spec, type=1, norm="ortho")
-        return v[: self.grid.n] / self.grid.nodes
+    def pairing(self, spec: np.ndarray) -> float:
+        """int (I_gamma*g) g dx = 4*pi*dr*sum K_m C_m^2 from C = ``spectrum(g)``.
 
-    def derivative(self, spec: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """h' on the grid from ``spectrum(g)`` and h = ``synthesize(spec)``."""
-        return sine_derivative(spec, self._k, self.grid.nodes, h)
+        K_m < 0 for some m when gamma > 2, so nothing here divides by it.
+        """
+        return float(FOUR_PI * self.grid.dr * np.sum(self._symbol * spec**2))
+
+    def potential_and_derivative(self, spec: np.ndarray):
+        """(h, h') on the grid, h = I_gamma*g, from C = ``spectrum(g)``."""
+        return sine_series_and_derivative(self._symbol * spec, self._k, self.grid.nodes)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        return self.synthesize(self.spectrum(g))
+        v = sfft.dst(self._symbol * self.spectrum(g), type=1, norm="ortho")
+        return v[: self.grid.n] / self.grid.nodes
 
     def apply_origin(self, g: np.ndarray) -> float:
         return float(self._origin_row @ np.asarray(g, dtype=float))
@@ -128,16 +111,6 @@ class RieszKernel:
 
 def build_kernel(gamma, grid: RadialGrid) -> RieszKernel:
     return RieszKernel(gamma, grid)
-
-
-def convolve(kern: RieszKernel, g) -> RadialField:
-    """(I_gamma * g) on the grid; g real (array or real-valued field)."""
-    if isinstance(g, RadialField):
-        _check_same_grid(kern.grid, g.grid)
-        gv = g.values.real.astype(float)
-    else:
-        gv = np.asarray(g, dtype=float)
-    return RadialField(kern.grid, kern.apply(gv).astype(complex))
 
 
 def convolve_origin(kern: RieszKernel, g) -> float:

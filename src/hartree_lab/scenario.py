@@ -173,13 +173,13 @@ class Scenario:
 
     @property
     def evolve_config(self):
-        """Everything of the EvolveConfig but the Morawetz weights."""
+        """Everything of the EvolveConfig but the Morawetz weights and the
+        per-sample field snapshots (``store_fields`` writes ``traj.final``)."""
         ball = set(self.ball_radii)
         if "monitor" in self.requests:
             ball.add(self.monitor_R)
         return EvolveConfig(
             dt=self.dt, t_end=self.t_end, sample_every=self.sample_every,
-            store_fields=self.store_fields,
             sponge=SpongeConfig(self.sponge, self.sponge_start,
                                 self.sponge_strength, self.sponge_power),
             ball_radii=tuple(sorted(ball)),
@@ -399,8 +399,8 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
     scn = s.resolved()
     csv_path = os.path.join(out_dir, f"{tag}_diagnostics.csv")
     write_diagnostics_csv(csv_path, series, scn)
-    if s.store_fields and traj.fields:
-        save_field_csv(traj.fields[-1], os.path.join(out_dir, f"{tag}_final_field.csv"))
+    if s.store_fields:
+        save_field_csv(traj.final, os.path.join(out_dir, f"{tag}_final_field.csv"))
     summary = {
         "format_version": OUTPUT_FORMAT_VERSION,
         "scenario": scn,

@@ -2,10 +2,12 @@
 
 Everything here deliberately avoids the package's own quadrature paths:
 Monte-Carlo sampling in 3D for the Riesz convolution, scipy adaptive
-quadrature for radial integrals, and closed forms where they exist.
+quadrature for radial integrals, explicit scipy transforms for sine
+series, and closed forms where they exist.
 """
 
 import numpy as np
+import scipy.fft as sfft
 from scipy.integrate import quad
 
 
@@ -40,6 +42,39 @@ def mc_riesz_potential(gamma, g_func, support_radius, probe_r, n_samples, seed):
     mean = ssum / n_samples
     var = max(ssq / n_samples - mean**2, 0.0) / n_samples
     return norm * mean, norm * np.sqrt(var)
+
+
+def kernel_value(gamma, r, s):
+    """Angular-averaged Riesz kernel k(r, s) = 2 pi / ((gamma-1) r s) *
+    [(r+s)^(gamma-1) - |r-s|^(gamma-1)] (log form at gamma = 1), the
+    analytic reference for quadrature oracles; symmetric, positive."""
+    r = np.asarray(r, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if gamma == 1.0:
+        out = (2.0 * np.pi / (r * s)) * np.log((r + s) / np.abs(r - s))
+    else:
+        c = 2.0 * np.pi / ((gamma - 1.0) * r * s)
+        out = c * ((r + s) ** (gamma - 1.0) - np.abs(r - s) ** (gamma - 1.0))
+    return out if out.shape else float(out)
+
+
+def sine_series_reference(c, k, nodes):
+    """(f, f') for f = v/r from explicit scipy transforms: v by DST-I,
+    v' = sum c_m k_m cos(k_m r) by an unnormalized DCT-I."""
+    M, n = c.shape[0], nodes.shape[0]
+    v = sfft.dst(c, type=1, norm="ortho")[:n]
+    pad = np.zeros(M + 2, dtype=c.dtype)
+    pad[1 : M + 1] = 0.5 * np.sqrt(2.0 / (M + 1)) * k * c
+    vp = sfft.dct(pad, type=1)[1 : n + 1]
+    f = v / nodes
+    return f, (vp - f) / nodes
+
+
+def weighted_rel_err(grid, got, want):
+    """Relative error in the L^2(w) norm that every diagnostic sums in."""
+    def norm(x):
+        return np.sqrt(np.sum(grid.weights * np.abs(x) ** 2))
+    return norm(got - want) / norm(want)
 
 
 def quad_radial(f, a=0.0, b=np.inf, **kw):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from hartree_lab.grid import (FOUR_PI, RadialField, RadialGrid, boundary_fraction,
-                              derivative, dst_coeffs, grad_norm_sq,
-                              grad_norm_sq_spectral, h1_norm_sq, l2_norm_sq,
+from hartree_lab.grid import (FOUR_PI, FieldState, RadialField, RadialGrid,
+                              derivative, dst1, dst_coeffs, grad_norm_sq,
+                              grad_norm_sq_spectral, l2_norm_sq,
                               laplacian, load_field_csv, lp_norm, mass_in_ball,
                               save_field_csv, spectral_derivative)
-from oracles import quad_1d, random_smooth_field
+from oracles import (quad_1d, random_smooth_field, sine_series_reference,
+                     weighted_rel_err)
 
 
 def gaussian_field(grid, a=0.5):
@@ -130,6 +131,36 @@ def test_dst_parseval_roundtrip():
     assert np.max(np.abs(back - v)) < 1e-12 * np.max(np.abs(v))
 
 
+def test_complex_dst_as_two_columns():
+    # one two-column real transform gives scipy's complex DST-I bit for bit
+    rng = np.random.default_rng(13)
+    for n in (383, 2047):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        want = (sfft.dst(x.real, type=1, norm="ortho")
+                + 1j * sfft.dst(x.imag, type=1, norm="ortho"))
+        assert np.array_equal(dst1(x), want)
+        assert np.array_equal(dst1(x), sfft.dst(x, type=1, norm="ortho"))
+
+
+def test_fused_value_and_derivative():
+    # white-noise coefficients: every mode up to k_max carries weight, so
+    # v' = sum c k cos is about k_max times larger than v.  The tight value
+    # bound is the one the balancing of the packed cosine sum keeps: with
+    # the raw k its error measured 6e-14 here.
+    g = RadialGrid(10.0, 2047)
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        c = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        u_ref, du_ref = sine_series_reference(c, g.wavenumbers, g.nodes)
+        st = FieldState.from_coeffs(g, c)
+        assert weighted_rel_err(g, st.u.values, u_ref) <= 1e-14
+        assert weighted_rel_err(g, st.du, du_ref) <= 1e-13
+        # starting from u instead of c: the same u' through the forward DST
+        assert weighted_rel_err(g, FieldState(RadialField(g, u_ref)).du, du_ref) <= 1e-13
+    zero = FieldState.from_coeffs(g, np.zeros(g.n, dtype=complex))
+    assert not np.any(zero.u.values) and not np.any(zero.du)
+
+
 def test_laplacian_eigenfunction():
     g = RadialGrid(10.0, 255)
     k = 3 * np.pi / g.r_max
@@ -155,7 +186,7 @@ def test_radial_sobolev_linf_audit():
             v = random_smooth_field(g, rng)
             f = RadialField(g, v.astype(complex))
             num = np.max(g.nodes**s * np.abs(v))
-            ratios.append(num / np.sqrt(h1_norm_sq(f)))
+            ratios.append(num / np.sqrt(l2_norm_sq(f) + grad_norm_sq(f)))
         assert max(ratios) < 3.0  # bounded; constant not pinned
 
 
@@ -192,13 +223,6 @@ def test_field_csv_roundtrip(tmp_path):
     buf.seek(0)
     f3 = load_field_csv(buf, grid=g)
     assert np.array_equal(f3.values, f.values)
-
-
-def test_boundary_fraction():
-    g = RadialGrid(20.0, 511)
-    f = gaussian_field(g)
-    assert boundary_fraction(f) < 1e-8
-    assert boundary_fraction(g.zeros()) == 0.0
 
 
 def test_field_validation():

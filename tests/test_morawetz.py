@@ -286,12 +286,12 @@ def test_localized_mass_derivative_identity(gs32_mid, kern2_mid, params32):
     # d/dt int eta_R |u|^2 = 2 Im int grad(eta_R).grad(u) conj(u), checked
     # by finite differences in time against the directly evaluated flux
     from hartree_lab.grid import spectral_derivative
-    from hartree_lab.morawetz import radial_cutoff_derivative
 
     grid = gs32_mid.Q.grid
     R = 8.0
     eta = radial_cutoff(grid, R)
-    etap = radial_cutoff_derivative(grid, R)
+    x = grid.nodes / R
+    etap = np.where((x > 0.5) & (x < 1.0), -np.pi * np.sin(2 * np.pi * (x - 0.5)) / R, 0.0)
     cfg = EvolveConfig(dt=5e-3, t_end=0.5, sample_every=1, ball_radii=(R,), store_fields=True)
     traj = evolve(0.8 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
     t = traj.diagnostics.t

@@ -4,12 +4,11 @@ from scipy.integrate import quad
 from scipy.special import erf, gamma as gamma_fn
 
 from hartree_lab.grid import FOUR_PI, RadialField, RadialGrid, l2_norm_sq
-from hartree_lab.riesz import (build_kernel, convolve, convolve_origin,
-                               kernel_value, kernel_value_origin,
-                               potential_energy)
+from hartree_lab.riesz import build_kernel, convolve_origin, potential_energy
 from hartree_lab.exponents import hartree_holder_exponents
 from hartree_lab.grid import lp_norm
-from oracles import mc_riesz_potential, newton_ball_potential, random_smooth_field
+from oracles import (kernel_value, mc_riesz_potential, newton_ball_potential,
+                     random_smooth_field, sine_series_reference, weighted_rel_err)
 
 
 def test_kernel_value_formulas():
@@ -28,8 +27,7 @@ def test_kernel_value_formulas():
         k1 = kernel_value(gamma, r, s)
         assert k1 == pytest.approx(kernel_value(gamma, s, r), rel=1e-12)
         assert k1 > 0
-    # origin limit
-    assert kernel_value_origin(2.0, 3.0) == pytest.approx(FOUR_PI / 3.0)
+    # origin limit 4 pi s^(gamma-3)
     assert kernel_value(2.0, 1e-9, 3.0) == pytest.approx(FOUR_PI / 3.0, rel=1e-5)
 
 
@@ -41,8 +39,8 @@ def test_build_kernel_rejects_bad_gamma():
 
 
 def test_convolve_zero_and_linearity(grid_mid, kern2_mid):
-    z = convolve(kern2_mid, grid_mid.zeros())
-    assert np.max(np.abs(z.values)) == 0.0
+    z = kern2_mid.apply(np.zeros(grid_mid.n))
+    assert np.max(np.abs(z)) == 0.0
     rng = np.random.default_rng(7)
     f1 = random_smooth_field(grid_mid, rng)
     f2 = random_smooth_field(grid_mid, rng)
@@ -142,6 +140,37 @@ def test_mc_oracle_agreement(grid_mid):
             assert abs(h[rp_idx] - est) <= 3.0 * se
 
 
+PARSEVAL_GAMMAS = (0.6, 1.0, 1.5, 2.0, 2.5, 2.9)
+
+
+def test_potential_energy_parseval(grid_mid):
+    # P = 4 pi dr sum K_m C_m^2 equals sum w h g with h from the full
+    # apply, also where the symbol K_m turns negative (gamma > 2)
+    rng = np.random.default_rng(15)
+    g = random_smooth_field(grid_mid, rng)
+    for gamma in PARSEVAL_GAMMAS:
+        kern = build_kernel(gamma, grid_mid)
+        want = float(np.sum(grid_mid.weights * kern.apply(g) * g))
+        got = kern.pairing(kern.spectrum(g))
+        assert abs(got - want) <= 1e-13 * abs(want), gamma
+
+
+def test_fused_potential_and_derivative(grid_mid):
+    # h and h' from one FFT against explicit scipy DST-I/DCT-I of K*C, for
+    # a g with high-k content (a rough, non-negative random profile).  At
+    # gamma = 2.9, where K runs from -1.0e5 to 4.5e5, h' agrees to 4e-14.
+    rng = np.random.default_rng(16)
+    g = rng.random(grid_mid.n) * np.exp(-grid_mid.nodes / 8.0)
+    for gamma in PARSEVAL_GAMMAS:
+        kern = build_kernel(gamma, grid_mid)
+        spec = kern.spectrum(g)
+        h, hp = kern.potential_and_derivative(spec)
+        h_ref, hp_ref = sine_series_reference(kern._symbol * spec, kern._k, grid_mid.nodes)
+        assert weighted_rel_err(grid_mid, h, h_ref) <= 1e-13, gamma
+        assert weighted_rel_err(grid_mid, hp, hp_ref) <= 3e-13, gamma
+        assert np.array_equal(kern.apply(g), h_ref)
+
+
 def test_potential_energy_scaling(gs32_mid, kern2_mid, params32):
     u = gs32_mid.Q
     P1 = potential_energy(kern2_mid, u, params32.p)
@@ -198,4 +227,4 @@ def test_hartree_holder_audit(grid_mid, kern2_mid):
 def test_grid_mismatch_rejected(grid_small, grid_mid):
     kern = build_kernel(2.0, grid_small)
     with pytest.raises(ValueError):
-        convolve(kern, grid_mid.zeros())
+        kern.apply(np.zeros(grid_mid.n))

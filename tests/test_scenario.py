@@ -9,6 +9,7 @@ from hartree_lab import scenario as scn
 from hartree_lab.cli import _parse_potential_arg, main as cli_main
 from hartree_lab.evolve import BOUNDARY_WARNING
 from hartree_lab.exponents import ab_exponents
+from hartree_lab.grid import load_field_csv
 from hartree_lab.potentials import PotentialSpec
 from hartree_lab.scenario import (ConfigError, Scenario, parse_document,
                                   parse_scenario, run_scenario, sweep)
@@ -179,6 +180,25 @@ def test_run_scenario_deterministic(tmp_path):
     j1 = (d1 / "x_summary.json").read_bytes()
     j2 = (d2 / "x_summary.json").read_bytes()
     assert j1 == j2
+
+
+def test_store_fields_writes_final_without_snapshots(tmp_path, monkeypatch):
+    # the field file is the trajectory's final field; evolve keeps no
+    # per-sample snapshot list for it
+    trajs, evolve = [], scn.evolve
+
+    def capture(*args):
+        trajs.append(evolve(*args))
+        return trajs[-1]
+
+    monkeypatch.setattr(scn, "evolve", capture)
+    run_scenario(parse_scenario(MINIMAL + "\n[evolve]\nt_end = 0.1\nstore_fields = on\n"),
+                 out_dir=str(tmp_path), tag="f")
+    monkeypatch.undo()
+    (traj,) = trajs
+    assert traj.fields is None
+    saved = load_field_csv(str(tmp_path / "f_final_field.csv"))
+    assert np.array_equal(saved.values, traj.final.values)
 
 
 def test_conservation_verdict_not_vacuous(tmp_path):
