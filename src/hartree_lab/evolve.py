@@ -24,15 +24,15 @@ every other substep is unitary, so M + exported stays constant.
 """
 
 import warnings
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
 from .exponents import ModelParams, scattering_pairs
 from .grid import (FieldState, RadialField, RadialGrid, dst1, dst_coeffs, from_dst_coeffs,
                    l2_norm_sq, lp_norm, mass_in_ball)
-from .morawetz import (DiagnosticsSeries, MorawetzWeight, morawetz_z_from_state,
-                       morawetz_zpp_from_state, quadratic_weight, radial_cutoff)
+from .morawetz import (DiagnosticsSeries, morawetz_z_from_state, morawetz_zpp_from_state,
+                       quadratic_weight, radial_cutoff)
 from .potentials import PotentialSpec, energy_from_state
 from .riesz import RieszKernel, potential_energy
 
@@ -47,10 +47,14 @@ class EvolutionBlowup(RuntimeError):
 
 @dataclass
 class SpongeConfig:
-    enabled: bool = False
     start: float = 25.0
     strength: float = 5.0
     power: float = 4.0
+
+    def __post_init__(self):
+        # strength < 0 amplifies; power <= 0 damps the whole domain (0^0 = 1)
+        if not (self.strength >= 0 and self.power > 0):
+            raise ValueError("sponge needs strength >= 0 and power > 0")
 
 
 @dataclass
@@ -58,7 +62,7 @@ class EvolveConfig:
     dt: float = 1e-3
     t_end: float = 5.0
     sample_every: int = 50
-    sponge: SpongeConfig = dfield(default_factory=SpongeConfig)
+    sponge: SpongeConfig | None = None   # None: no absorbing layer
     store_fields: bool = False        # keep field snapshots at sample times
     weights: tuple = ()               # extra MorawetzWeight chains to record
     ball_radii: tuple = (10.0,)       # mass_in_ball / eta-mass radii
@@ -73,7 +77,6 @@ class EvolveConfig:
 
 @dataclass
 class Trajectory:
-    times: np.ndarray
     diagnostics: DiagnosticsSeries
     fields: list | None
     final: RadialField
@@ -86,13 +89,12 @@ class Stepper:
     def __init__(self, grid: RadialGrid, V: PotentialSpec, kern: RieszKernel,
                  params: ModelParams, dt: float, sponge: SpongeConfig | None = None):
         self.grid = grid
-        self.V = V
         self.kern = kern
         self.params = params
         self.dt = dt
         self.phase_lin_half = np.exp(-0.5j * grid.wavenumbers**2 * dt)
-        self.Vr = np.zeros(grid.n) if V.is_zero() else np.asarray(V(grid.nodes), float)
-        if sponge is not None and sponge.enabled:
+        self.Vr = np.asarray(V(grid.nodes), float)
+        if sponge is not None:
             r = grid.nodes
             ramp = np.clip((r - sponge.start) / (grid.r_max - sponge.start),
                            0.0, None)
@@ -187,8 +189,7 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
     data["extra_chains"] = {lbl: tuple(a.T) for lbl, a in data["extra_chains"].items()}
     data["z"], data["zp"], data["zpp"] = data["extra_chains"][weights[0].label()]
     series = DiagnosticsSeries(**data)
-    return Trajectory(times=series.t, diagnostics=series, fields=fields,
-                      final=fin, boundary_warning=bwarn)
+    return Trajectory(diagnostics=series, fields=fields, final=fin, boundary_warning=bwarn)
 
 
 def conservation_report(traj: Trajectory) -> dict:
@@ -213,5 +214,4 @@ def conservation_report(traj: Trajectory) -> dict:
         "energy_drift": edrift,
         "samples_pre_export": int(np.sum(pre)),
         "mass_budget_drift": float(np.max(np.abs(budget - budget[0])) / budget[0]),
-        "lambda_sq_series": d.lambda_sq,
     }

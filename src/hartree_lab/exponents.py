@@ -208,13 +208,6 @@ def distant_past_pairs(params: ModelParams):
     return theta, k, l, p_bar
 
 
-def hartree_holder_exponents(gamma, r):
-    """Solve 1/r + gamma/3 = 1/p + 1/q with p = q (symmetric split)."""
-    rhs = 1 / r + gamma / 3
-    p = 2 / rhs
-    return p, p
-
-
 def identity_report(params: ModelParams) -> dict:
     """Pass/fail of every algebraic identity at these parameters."""
     s_c = critical_exponent(params)

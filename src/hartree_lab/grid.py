@@ -6,9 +6,9 @@ profiles u are even in r, so v = r*u is odd and vanishes at both ends,
 which makes the radial Laplacian exactly diagonal in the DST-I basis.
 Quadrature weights are w_i = 4*pi*r_i^2*dr.
 
-Two gradient norms are provided: ``grad_norm_sq`` (second-order centered
-differences, an O(dr^2) cross-check) and ``grad_norm_sq_spectral``
-(Parseval in the sine basis), which the solver and every diagnostic read.
+Derivatives and the gradient norm are spectral: u' comes from the sine
+series of v = r*u and ``grad_norm_sq_spectral`` is Parseval in the sine
+basis.  The solver and every diagnostic read these.
 
 A complex DST-I runs as one two-column real transform (``dst1``); u and
 u' come from the sine coefficients of r*u by one real FFT
@@ -62,9 +62,6 @@ class RadialGrid:
         """Sample a callable of radius into a RadialField."""
         return RadialField(self, np.asarray(fn(self.nodes), dtype=complex))
 
-    def zeros(self):
-        return RadialField(self, np.zeros(self.n, dtype=complex))
-
 
 @dataclass
 class RadialField:
@@ -78,17 +75,10 @@ class RadialField:
         if not np.iscomplexobj(self.values):
             self.values = self.values.astype(complex)
 
-    def copy(self):
-        return RadialField(self.grid, self.values.copy())
-
     def __mul__(self, c):
         return RadialField(self.grid, self.values * c)
 
     __rmul__ = __mul__
-
-    def __add__(self, other):
-        _check_same_grid(self.grid, other.grid)
-        return RadialField(self.grid, self.values + other.values)
 
 
 def _check_same_grid(g1, g2):
@@ -119,34 +109,6 @@ def mass_in_ball(f: RadialField, R: float) -> float:
         raise ValueError("R out of range (0, r_max]")
     sel = g.nodes <= R
     return float(np.sum(g.weights[sel] * np.abs(f.values[sel]) ** 2))
-
-
-def derivative(f: RadialField, order: int = 2) -> np.ndarray:
-    """Centered-difference radial derivative with parity-correct ends.
-
-    The ghost value at r=0 comes from the even extension (quadratic fit
-    with f'(0)=0); the ghost beyond r_max is zero (decaying fields).
-    ``order=4`` switches to a five-point stencil for convergence studies.
-    """
-    g = f.grid
-    u = f.values
-    dr = g.dr
-    if order == 2:
-        u0 = (4.0 * u[0] - u[1]) / 3.0
-        ext = np.concatenate(([u0], u, [0.0]))
-        return (ext[2:] - ext[:-2]) / (2 * dr)
-    if order == 4:
-        # even extension needs two ghost nodes left: f(0), f(-dr)=f(dr)
-        u0 = (15.0 * u[0] - 6.0 * u[1] + u[2]) / 10.0
-        ext = np.concatenate(([u[0], u0], u, [0.0, 0.0]))
-        return (-ext[4:] + 8 * ext[3:-1] - 8 * ext[1:-3] + ext[:-4]) / (12 * dr)
-    raise ValueError("order must be 2 or 4")
-
-
-def grad_norm_sq(f: RadialField, order: int = 2) -> float:
-    """sum(w_i |f'(r_i)|^2) with finite differences; O(dr^2) accurate."""
-    du = derivative(f, order=order)
-    return float(np.sum(f.grid.weights * np.abs(du) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +175,7 @@ def grad_norm_sq_spectral(f: RadialField) -> float:
     """Gradient norm via Parseval: 4*pi*dr*sum(k_m^2 |v_hat_m|^2).
 
     Exact for the sine interpolant of v = r*u; spectrally accurate for
-    smooth decaying profiles, so identity checks are not limited by the
-    O(dr^2) of the finite-difference version.
+    smooth decaying profiles.
     """
     return FieldState(f).grad_sq
 
@@ -222,11 +183,6 @@ def grad_norm_sq_spectral(f: RadialField) -> float:
 def laplacian(f: RadialField) -> RadialField:
     """Radial 3D Laplacian via sine diagonalization of v = r*u."""
     return from_dst_coeffs(f.grid, -f.grid.wavenumbers**2 * dst_coeffs(f))
-
-
-def spectral_derivative(f: RadialField) -> np.ndarray:
-    """u'(r_i) from the sine series: u' = (v' - u)/r with v' a cosine sum."""
-    return FieldState(f).du
 
 
 class FieldState:
@@ -325,6 +281,8 @@ def load_field_csv(path_or_buf, grid: RadialGrid | None = None) -> RadialField:
     else:
         with open(path_or_buf) as fh:
             lines = fh.read().splitlines()
+    if not lines:
+        raise ValueError("empty field file")
     tag, ver, r_max, n = lines[0].split(",")
     if tag != "hartree-lab-field" or int(ver) != FIELD_FORMAT_VERSION:
         raise ValueError("unrecognized field file format")
@@ -333,8 +291,12 @@ def load_field_csv(path_or_buf, grid: RadialGrid | None = None) -> RadialField:
         grid = RadialGrid(r_max, n)
     elif grid.n != n or grid.r_max != r_max:
         raise ValueError("field file grid does not match requested grid")
+    if len(lines) < n + 2:
+        raise ValueError(f"field file has {len(lines) - 2} rows, its header says {n}")
     vals = np.empty(n, dtype=complex)
     for i, line in enumerate(lines[2 : 2 + n]):
         _, re, im = line.split(",")
         vals[i] = float(re) + 1j * float(im)
+        if not np.isfinite(vals[i]):
+            raise ValueError(f"non-finite field value on line {i + 3}")
     return RadialField(grid, vals)

@@ -21,6 +21,10 @@ from .grid import (RadialField, RadialGrid, dst_coeffs, from_dst_coeffs,
 from .riesz import RieszKernel, potential_energy
 
 POSITIVITY_FLOOR = 1e-12   # relative to max(Q)
+MAX_ITER = 2000
+RESIDUAL_TOL = 1e-9        # certify: residual, relative to max|Q|
+BOUNDARY_TOL = 1e-8        # certify: |Q(r_n)| relative to max|Q|
+SHARP_AGREE_TOL = 1e-4     # relative disagreement of the two sharp constants
 
 
 class GroundStateError(RuntimeError):
@@ -36,17 +40,26 @@ class GroundStateResult:
     grad_norm_sq: float        # spectral
     P: float
     E0: float
-    C_op: float
-    thresholds: dict = dfield(default_factory=dict)
-    params: ModelParams | None = None
+    params: ModelParams
+    C_op: float = dfield(init=False)
+    thresholds: dict = dfield(init=False)
 
-    def certify(self, tol_residual=1e-9, tol_pohozaev=1e-6, tol_boundary=1e-8):
+    def __post_init__(self):
+        self.C_op = sharp_constant(self)
+        sigma_c = ab_exponents(self.params)[2]
+        self.thresholds = {
+            "PQ_MQ_sigma": self.P * self.mass**sigma_c,
+            "ME_threshold": self.mass**sigma_c * self.E0,
+            "grad_mass_threshold": np.sqrt(self.mass) ** sigma_c * np.sqrt(self.grad_norm_sq),
+        }
+
+    def certify(self, tol_pohozaev=1e-6):
         """Raise GroundStateError if any certification invariant fails."""
         q = self.Q.values.real
         mx = float(np.max(np.abs(q)))
-        if self.residual > tol_residual:
-            raise GroundStateError(f"residual {self.residual} > {tol_residual}")
-        if abs(q[-1]) > tol_boundary * mx:
+        if self.residual > RESIDUAL_TOL:
+            raise GroundStateError(f"residual {self.residual} > {RESIDUAL_TOL}")
+        if abs(q[-1]) > BOUNDARY_TOL * mx:
             raise GroundStateError("Q has not decayed at the truncation radius")
         if np.min(q) < -POSITIVITY_FLOOR * mx:
             raise GroundStateError("Q is not positive beyond the round-off floor")
@@ -72,7 +85,7 @@ def elliptic_residual(Q: RadialField, kern: RieszKernel, p: float) -> float:
 
 
 def solve_ground_state(params: ModelParams, grid: RadialGrid, kern: RieszKernel,
-                       tol: float = 1e-9, max_iter: int = 2000) -> GroundStateResult:
+                       tol: float = 1e-9) -> GroundStateResult:
     if not params.intercritical:
         raise ValueError("intercritical parameters required")
     if kern.gamma != params.gamma:
@@ -82,8 +95,7 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid, kern: RieszKernel,
     alpha = (2 * p - 1) / (2 * p - 2)
 
     Q = np.exp(-grid.nodes**2)
-    last_res = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         f = RadialField(grid, Q)
         g = np.abs(Q) ** p
         h = kern.apply(g)
@@ -100,25 +112,17 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid, kern: RieszKernel,
         if step < 1e-14:
             break
     f = RadialField(grid, Q)
-    last_res = elliptic_residual(f, kern, p)
-    if last_res > tol:
+    res = elliptic_residual(f, kern, p)
+    if res > tol:
         raise GroundStateError(
-            f"no convergence after {it} iterations: residual {last_res} > {tol}")
+            f"no convergence after {it} iterations: residual {res} > {tol}")
 
     mass = l2_norm_sq(f)
     gsq = grad_norm_sq_spectral(f)
     P = potential_energy(kern, f, p)
     E0 = 0.5 * gsq - P / (2 * p)
-    A, B, sigma_c = ab_exponents(params)
-    gs = GroundStateResult(Q=f, residual=last_res, iterations=it, mass=mass,
-                           grad_norm_sq=gsq, P=P, E0=E0, C_op=0.0, params=params)
-    gs.C_op = sharp_constant(gs)
-    gs.thresholds = {
-        "PQ_MQ_sigma": P * mass**sigma_c,
-        "ME_threshold": mass**sigma_c * E0,
-        "grad_mass_threshold": np.sqrt(mass) ** sigma_c * np.sqrt(gsq),
-    }
-    return gs
+    return GroundStateResult(Q=f, residual=res, iterations=it, mass=mass,
+                             grad_norm_sq=gsq, P=P, E0=E0, params=params)
 
 
 def pohozaev_check(gs: GroundStateResult, tol: float = 1e-6) -> dict:
@@ -144,15 +148,15 @@ def _sharp_constant_forms(gs: GroundStateResult):
     return c1, c2
 
 
-def sharp_constant(gs: GroundStateResult, tol_agree: float = 1e-4) -> float:
+def sharp_constant(gs: GroundStateResult) -> float:
     """Best constant in P(u) <= C |u|_2^A |grad u|_2^B, two ways.
 
     C = P(Q) / (|Q|^A |grad Q|^B) and the Pohozaev-equivalent
     C = (2p/B)^{B/2} / (M(Q)^{sigma_c} P(Q))^{B/2-1}; disagreement beyond
-    tol_agree signals a non-converged ground state.
+    SHARP_AGREE_TOL signals a non-converged ground state.
     """
     c1, c2 = _sharp_constant_forms(gs)
-    if abs(c1 - c2) / c1 > tol_agree:
+    if abs(c1 - c2) / c1 > SHARP_AGREE_TOL:
         raise GroundStateError(
             f"sharp-constant formulas disagree: {c1} vs {c2} (not converged?)")
     return 0.5 * (c1 + c2)

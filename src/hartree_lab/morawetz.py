@@ -91,16 +91,14 @@ def quadratic_weight(grid: RadialGrid) -> MorawetzWeight:
     )
 
 
-def build_weight(R: float, grid: RadialGrid, band: float | None = None) -> MorawetzWeight:
+def build_weight(R: float, grid: RadialGrid) -> MorawetzWeight:
+    """The truncated weight at radius R, mollified over the band
+    delta = R/100 on each side of R/2."""
     if not (0 < R < grid.r_max):
         raise ValueError("R in (0, r_max) required")
-    if band is None:
-        band = R / 100.0
-    delta = band
+    delta = R / 100.0
     x0 = R / 2 - delta
     x1 = R / 2 + delta
-    if x0 <= 0:
-        raise ValueError("band too wide")
     r = grid.nodes
     tau = np.clip((r - x0) / (2 * delta), 0.0, 1.0)
     below = r <= x0
@@ -127,7 +125,7 @@ def build_weight(R: float, grid: RadialGrid, band: float | None = None) -> Moraw
     lap_a = app + 2 * ap / r
     bilap_a = apppp + 4 * appp / r  # nonzero only in the band
 
-    w = MorawetzWeight(grid=grid, R=R, band=band, a=a, ap=ap, app=app,
+    w = MorawetzWeight(grid=grid, R=R, band=delta, a=a, ap=ap, app=app,
                        lap_a=lap_a, bilap_a=bilap_a)
     assert np.all(w.ap > 0)
     assert np.all(w.app >= -1e-12)

@@ -16,6 +16,8 @@ from .grid import FOUR_PI, FieldState, RadialField, RadialGrid
 from .riesz import RieszKernel
 
 SIGN_TOL = 1e-12
+KATO_PROBES = 64                   # log-spaced probe radii for the Kato sup
+LR_EXPONENTS = (1.5, 2.0, np.inf)  # r in the x.grad V in L^r audit
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,6 @@ class PotentialSpec:
                             np.diff(self.values) / np.diff(self.radii))
         return out if out.shape else float(out)
 
-    def is_zero(self):
-        return self.kind == "zero" or (self.kind != "table" and self.amplitude == 0.0)
-
 
 def zero_potential():
     return PotentialSpec("zero")
@@ -111,14 +110,14 @@ def _kato_profile(absV, grid: RadialGrid, probe_idx):
     return vals
 
 
-def _probe_indices(grid: RadialGrid, n_probes=64):
+def _probe_indices(grid: RadialGrid):
     # log-spaced probe radii in (0, r_max/2]
-    targets = np.geomspace(grid.dr, grid.r_max / 2, n_probes)
+    targets = np.geomspace(grid.dr, grid.r_max / 2, KATO_PROBES)
     idx = np.unique(np.clip(np.round(targets / grid.dr).astype(int) - 1, 0, grid.n - 1))
     return idx
 
 
-def kato_norm(V: PotentialSpec, grid: RadialGrid, n_probes=64, negative_part=False):
+def kato_norm(V: PotentialSpec, grid: RadialGrid, negative_part=False):
     """Kato norm of V (or of V_- = min(V,0)) on the grid.
 
     Returns (norm, probe_radius_at_max).  Warns through the audit if the
@@ -128,7 +127,7 @@ def kato_norm(V: PotentialSpec, grid: RadialGrid, n_probes=64, negative_part=Fal
     if negative_part:
         vals = np.minimum(vals, 0.0)
     absV = np.abs(vals)
-    idx = _probe_indices(grid, n_probes)
+    idx = _probe_indices(grid)
     prof = _kato_profile(absV, grid, idx)
     k = int(np.argmax(prof))
     best_rho = 0.0 if k == 0 else float(grid.nodes[idx[k - 1]])
@@ -154,7 +153,7 @@ class PotentialAudit:
         return self.nonneg and self.radial_derivative_sign and finite
 
 
-def audit_hypotheses(V: PotentialSpec, grid: RadialGrid, r_exponents=(1.5, 2.0, np.inf)):
+def audit_hypotheses(V: PotentialSpec, grid: RadialGrid):
     r = grid.nodes
     vals = np.asarray(V(r), float)
     dv = np.asarray(V.dV(r), float)
@@ -167,7 +166,7 @@ def audit_hypotheses(V: PotentialSpec, grid: RadialGrid, r_exponents=(1.5, 2.0, 
     nonneg = bool(np.all(vals >= -SIGN_TOL * scale))
     dsign = bool(np.all(xgv <= SIGN_TOL * max(np.max(np.abs(xgv)), 1e-300)))
     norms = {}
-    for e in r_exponents:
+    for e in LR_EXPONENTS:
         if np.isinf(e):
             norms[e] = float(np.max(np.abs(xgv)))
         else:

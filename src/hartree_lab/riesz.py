@@ -78,10 +78,6 @@ class RieszKernel:
         self._N = N
         self._k = k
         self._symbol = FOUR_PI * k ** (-self.gamma) * _sine_integrals(self.gamma, N)
-        # h(0) = sqrt(2/(N+1)) sum_m c_m K_m k_m with c = DST(pad(r*g)),
-        # folded back through the symmetric DST into a row acting on g
-        ow = np.sqrt(2.0 / (N + 1)) * self._symbol * k
-        self._origin_row = grid.nodes * sfft.dst(ow, type=1, norm="ortho")[: grid.n]
 
     def spectrum(self, g: np.ndarray) -> np.ndarray:
         """C: the orthonormal DST-I coefficients of the zero-padded r*g."""
@@ -106,17 +102,14 @@ class RieszKernel:
         return v[: self.grid.n] / self.grid.nodes
 
     def apply_origin(self, g: np.ndarray) -> float:
-        return float(self._origin_row @ np.asarray(g, dtype=float))
+        """h(0) = sqrt(2/(N+1)) sum_m K_m k_m C_m, the r -> 0 limit of the
+        sine series of r*h divided by r."""
+        spec = self.spectrum(g)
+        return float(np.sqrt(2.0 / (self._N + 1)) * np.sum(self._symbol * self._k * spec))
 
 
 def build_kernel(gamma, grid: RadialGrid) -> RieszKernel:
     return RieszKernel(gamma, grid)
-
-
-def convolve_origin(kern: RieszKernel, g) -> float:
-    """Convolution value at r = 0 (analytic kernel limit 4*pi*s^(gamma-3))."""
-    gv = g.values.real.astype(float) if isinstance(g, RadialField) else np.asarray(g, float)
-    return kern.apply_origin(gv)
 
 
 def potential_energy(kern: RieszKernel, u: RadialField, p: float) -> float:

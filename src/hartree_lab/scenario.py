@@ -141,7 +141,7 @@ class Scenario:
         try:
             # the model, potential, evolve and grid types check their own fields
             self.model, self.potential, self.evolve_config
-            RadialGrid(self.grid_r_max, self.grid_n)
+            grid = RadialGrid(self.grid_r_max, self.grid_n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         req = self.requests
@@ -158,8 +158,18 @@ class Scenario:
                 if not (0 < R < self.grid_r_max if open_top else 0 < R <= self.grid_r_max):
                     raise ConfigError(f"{name} = {R:g} outside (0, r_max{top} = "
                                       f"(0, {self.grid_r_max:g}{top}")
-        if self.initial_kind == "file" and not os.path.exists(self.initial_path):
-            raise ConfigError(f"initial data file not found: {self.initial_path}")
+        if self.initial_kind == "gaussian" and not self.initial_width > 0:
+            raise ConfigError(f"initial_width = {self.initial_width:g} must be > 0")
+        if "monitor" in req and not self.monitor_eps > 0:
+            raise ConfigError(f"monitor_eps = {self.monitor_eps:g} must be > 0")
+        if self.initial_kind == "file":
+            try:  # read here, so that a bad file fails before anything is built
+                load_field_csv(self.initial_path, grid)
+            except OSError as exc:
+                raise ConfigError(f"initial data file {self.initial_path}: "
+                                  f"{exc.strerror or exc}") from None
+            except ValueError as exc:
+                raise ConfigError(f"initial data file {self.initial_path}: {exc}") from None
 
     @property
     def model(self):
@@ -180,8 +190,8 @@ class Scenario:
             ball.add(self.monitor_R)
         return EvolveConfig(
             dt=self.dt, t_end=self.t_end, sample_every=self.sample_every,
-            sponge=SpongeConfig(self.sponge, self.sponge_start,
-                                self.sponge_strength, self.sponge_power),
+            sponge=SpongeConfig(self.sponge_start, self.sponge_strength,
+                                self.sponge_power) if self.sponge else None,
             ball_radii=tuple(sorted(ball)),
             chi_radii=self.morawetz_R if "morawetz" in self.requests else ())
 
@@ -309,7 +319,6 @@ class ExitReport:
     verdicts: dict
     thresholds: dict
     exit_code: int
-    out_dir: str
     failures: list
 
 
@@ -415,8 +424,7 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
         json.dump(summary, fh, sort_keys=True, indent=2, default=float)
         fh.write("\n")
     return ExitReport(verdicts=verdicts, thresholds=thresholds,
-                      exit_code=0 if not failures else 1,
-                      out_dir=out_dir, failures=failures)
+                      exit_code=0 if not failures else 1, failures=failures)
 
 # ---------------------------------------------------------------------------
 # sweeps
@@ -439,7 +447,7 @@ def sweep(s: Scenario, axis, values, out_dir="./out"):
     if len(set(tags)) < len(tags):
         raise ValueError(f"sweep values {values} share output tags {tags}")
     os.makedirs(out_dir, exist_ok=True)
-    max_workers = int(os.environ.get("HARTREE_LAB_THREADS", "0")) or min(4, os.cpu_count() or 1)
+    max_workers = min(4, os.cpu_count() or 1)
 
     def one(value, tag):
         try:

@@ -25,7 +25,7 @@ from hartree_lab.morawetz import (build_weight, coercivity_check, cutoff_field,
 from hartree_lab.potentials import (audit_hypotheses, gaussian_potential,
                                     kato_norm, softpower_potential,
                                     table_potential, zero_potential)
-from hartree_lab.riesz import build_kernel, convolve_origin, potential_energy
+from hartree_lab.riesz import build_kernel, potential_energy
 from oracles import mc_riesz_potential, newton_ball_potential, random_smooth_field
 
 V_GAUSS = gaussian_potential(0.2, 2.0)
@@ -40,7 +40,7 @@ def cert_grid():
 def scatter_runs(gs32_desk, kern2_desk, params32):
     """Criterion 7/8 trajectories: c in {0.3, 0.5, 0.8} x V in {0, gaussian}."""
     runs = {}
-    sponge = SpongeConfig(enabled=True, start=25.0, strength=5.0, power=4.0)
+    sponge = SpongeConfig(start=25.0, strength=5.0, power=4.0)
     for c in (0.3, 0.5, 0.8):
         for vname, V in (("V0", zero_potential()), ("Vg", V_GAUSS)):
             cfg = EvolveConfig(dt=1e-3, t_end=30.0, sample_every=200,
@@ -123,7 +123,7 @@ def test_acceptance_2_riesz_oracles():
     want = newton_ball_potential(grid.nodes[sel], r_eff)
     ext_err = float(np.max(np.abs(h[sel] - want) / want))
     assert ext_err < 1e-4
-    center = convolve_origin(kern2, ball)
+    center = kern2.apply_origin(ball)
     cen_err = abs(center - 2 * np.pi * r_eff**2) / (2 * np.pi * r_eff**2)
     assert cen_err < 1e-4
     dt = time.time() - t0

@@ -79,7 +79,7 @@ def test_matches_physical_space_strang(gs32_mid, kern2_mid, params32):
 @pytest.mark.parametrize("sponge_on", [False, True])
 def test_sampling_leaves_state_alone(gs32_mid, kern2_mid, params32, sponge_on):
     # 300 steps: cadences 7 and 200 leave a partial last interval
-    sponge = SpongeConfig(enabled=sponge_on, start=2.0, strength=50.0, power=1.0)
+    sponge = SpongeConfig(start=2.0, strength=50.0, power=1.0) if sponge_on else None
     finals, exported = [], []
     for every in (1, 7, 200):
         cfg = EvolveConfig(dt=1e-3, t_end=0.3, sample_every=every, sponge=sponge,
@@ -98,7 +98,7 @@ def test_sampling_leaves_state_alone(gs32_mid, kern2_mid, params32, sponge_on):
 def test_zero_t_end_single_sample(gs32_mid, kern2_mid, params32):
     cfg = EvolveConfig(dt=1e-3, t_end=0.0, sample_every=10)
     traj = evolve(gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
-    assert len(traj.times) == 1 and traj.times[0] == 0.0
+    assert len(traj.diagnostics.t) == 1 and traj.diagnostics.t[0] == 0.0
 
 
 def test_conservation_window(gs32_mid, kern2_mid, params32):
@@ -143,7 +143,7 @@ def test_h1_bounded_below_threshold(gs32_mid, kern2_mid, params32):
 
 
 def test_sponge_mass_budget(gs32_mid, kern2_mid, params32):
-    sponge = SpongeConfig(enabled=True, start=22.0, strength=5.0, power=4.0)
+    sponge = SpongeConfig(start=22.0, strength=5.0, power=4.0)
     cfg = EvolveConfig(dt=1e-3, t_end=2.0, sample_every=200, sponge=sponge,
                        ball_radii=(10.0,))
     traj = evolve(0.3 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)

@@ -6,9 +6,8 @@ import pytest
 
 from hartree_lab.exponents import (IDENTITY_TOL, ModelParams, ab_exponents,
                                    critical_exponent, distant_past_pairs,
-                                   hartree_holder_exponents, identity_report,
-                                   is_hs_admissible, is_l2_admissible,
-                                   scattering_pairs)
+                                   identity_report, is_hs_admissible,
+                                   is_l2_admissible, scattering_pairs)
 
 
 def test_critical_exponent_endpoints():
@@ -163,11 +162,6 @@ def test_large_eps_reports_constraint():
 def test_identity_report_all_pass():
     rep = identity_report(ModelParams(2.7, 1.3))
     assert all(v["pass"] for v in rep.values())
-
-
-def test_hartree_holder_split():
-    p, q = hartree_holder_exponents(2.0, 2.0)
-    assert 1 / 2.0 + 2.0 / 3 == pytest.approx(1 / p + 1 / q)
 
 
 def test_model_params_validation():

@@ -5,10 +5,9 @@ import pytest
 import scipy.fft as sfft
 
 from hartree_lab.grid import (FOUR_PI, FieldState, RadialField, RadialGrid,
-                              derivative, dst1, dst_coeffs, grad_norm_sq,
-                              grad_norm_sq_spectral, l2_norm_sq,
+                              dst1, dst_coeffs, grad_norm_sq_spectral, l2_norm_sq,
                               laplacian, load_field_csv, lp_norm, mass_in_ball,
-                              save_field_csv, spectral_derivative)
+                              save_field_csv)
 from oracles import (quad_1d, random_smooth_field, sine_series_reference,
                      weighted_rel_err)
 
@@ -33,7 +32,7 @@ def test_grid_rejects_tiny_n():
 
 def test_l2_zero_and_gaussian():
     g = RadialGrid(12.0, 2047)
-    assert l2_norm_sq(g.zeros()) == 0.0
+    assert l2_norm_sq(RadialField(g, np.zeros(g.n))) == 0.0
     f = gaussian_field(g)  # |f|^2 = exp(-r^2), integral pi^(3/2)
     assert l2_norm_sq(f) == pytest.approx(np.pi**1.5, rel=1e-6)
 
@@ -49,9 +48,8 @@ def test_grad_norm_gaussian():
     g = RadialGrid(12.0, 2047)
     f = g.field_from(lambda r: np.exp(-r**2 / 2))
     exact = 1.5 * np.pi**1.5  # int |grad e^{-r^2/2}|^2 = int r^2 e^{-r^2}
-    assert grad_norm_sq(f) == pytest.approx(exact, rel=1e-4)
     assert grad_norm_sq_spectral(f) == pytest.approx(exact, rel=1e-12)
-    assert grad_norm_sq(g.zeros()) == 0.0
+    assert grad_norm_sq_spectral(RadialField(g, np.zeros(g.n))) == 0.0
 
 
 def test_grad_scaling_law():
@@ -62,16 +60,6 @@ def test_grad_scaling_law():
     flam = g.field_from(lambda r: np.exp(-(lam * r) ** 2 / 2))
     assert grad_norm_sq_spectral(flam) == pytest.approx(
         grad_norm_sq_spectral(f) / lam, rel=1e-10)
-
-
-def test_derivative_orders():
-    g = RadialGrid(12.0, 511)
-    f = g.field_from(lambda r: np.exp(-r**2 / 2))
-    exact = -g.nodes * np.exp(-g.nodes**2 / 2)
-    e2 = np.max(np.abs(derivative(f, order=2) - exact))
-    e4 = np.max(np.abs(derivative(f, order=4) - exact))
-    assert e2 < 1e-3
-    assert e4 < e2 / 50
 
 
 def test_mass_in_ball():
@@ -173,7 +161,7 @@ def test_spectral_derivative():
     g = RadialGrid(12.0, 511)
     f = g.field_from(lambda r: np.exp(-r**2 / 2))
     exact = -g.nodes * np.exp(-g.nodes**2 / 2)
-    assert np.max(np.abs(spectral_derivative(f) - exact)) < 1e-11
+    assert np.max(np.abs(FieldState(f).du - exact)) < 1e-11
 
 
 def test_radial_sobolev_linf_audit():
@@ -186,7 +174,7 @@ def test_radial_sobolev_linf_audit():
             v = random_smooth_field(g, rng)
             f = RadialField(g, v.astype(complex))
             num = np.max(g.nodes**s * np.abs(v))
-            ratios.append(num / np.sqrt(l2_norm_sq(f) + grad_norm_sq(f)))
+            ratios.append(num / np.sqrt(l2_norm_sq(f) + grad_norm_sq_spectral(f)))
         assert max(ratios) < 3.0  # bounded; constant not pinned
 
 
@@ -203,7 +191,7 @@ def test_radial_sobolev_lp_tail_audit():
             sel = g.nodes >= R
             lhs = np.sum(g.weights[sel] * np.abs(v[sel]) ** (p + 1))
             l2 = np.sqrt(np.sum(g.weights[sel] * v[sel] ** 2))
-            gr = np.sqrt(grad_norm_sq(f))
+            gr = np.sqrt(grad_norm_sq_spectral(f))
             rhs = R ** (1 - p) * l2 ** ((p + 3) / 2) * gr ** ((p - 1) / 2)
             if rhs > 1e-14:
                 ratios.append(lhs / rhs)

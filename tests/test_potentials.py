@@ -107,7 +107,7 @@ def test_energy_triple_zero_potential(gs32_mid, kern2_mid, params32):
     E, E0, lam = energy(u, zero_potential(), kern2_mid, params32.p)
     assert E == E0
     assert lam == pytest.approx(grad_norm_sq_spectral(u), rel=1e-14)
-    z = u.grid.zeros()
+    z = RadialField(u.grid, np.zeros(u.grid.n))
     assert energy(z, zero_potential(), kern2_mid, params32.p) == (0.0, 0.0, 0.0)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 
@@ -9,7 +10,7 @@ from hartree_lab import scenario as scn
 from hartree_lab.cli import _parse_potential_arg, main as cli_main
 from hartree_lab.evolve import BOUNDARY_WARNING
 from hartree_lab.exponents import ab_exponents
-from hartree_lab.grid import load_field_csv
+from hartree_lab.grid import RadialGrid, load_field_csv, save_field_csv
 from hartree_lab.potentials import PotentialSpec
 from hartree_lab.scenario import (ConfigError, Scenario, parse_document,
                                   parse_scenario, run_scenario, sweep)
@@ -56,11 +57,30 @@ monitor_eps = 0.6
 """
 
 
+SPONGE_ON = MINIMAL + "[evolve]\nsponge = on\nsponge_start = 15\n"
+
+# initial data from a field file; {path} is one of the files that
+# field_files() writes
+FROM_FILE = MINIMAL.replace("kind = gaussian", "kind = file\npath = {path}")
+
+
+def field_files(tmp_path):
+    """A good field file on the MINIMAL grid, and two bad copies of it."""
+    buf = io.StringIO()
+    save_field_csv(RadialGrid(24.0, 383).field_from(lambda r: np.exp(-r**2)), buf)
+    rows = buf.getvalue().splitlines(keepends=True)
+    files = {"good": rows, "nan": rows[:11] + ["1.0,nan,0.0\n"] + rows[12:],
+             "short": rows[:-1]}
+    for name, text in files.items():
+        (tmp_path / f"{name}.csv").write_text("".join(text))
+    return {name: tmp_path / f"{name}.csv" for name in files}
+
+
 def test_parse_minimal_defaults():
     s = parse_scenario(MINIMAL)
     assert s.model.p == 3.0
     assert s.grid_n == 383
-    assert s.potential.is_zero()
+    assert s.potential.kind == "zero"
     assert s.dt == 1e-3
     # a parsed scenario is immutable: a changed field must pass the checks again
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -125,16 +145,41 @@ def test_parse_rejects_bad_choice(key, line, bad):
     # a negative Morawetz radius would run to a negative bound_shape
     pytest.param(MINIMAL + "[diagnostics]\nrequests = morawetz\nmorawetz_R = -5\n", None,
                  id="morawetz_R-negative"),
+    # a negative power zeroes the field, 0^0 = 1 damps the whole domain,
+    # and a negative strength amplifies
+    pytest.param(SPONGE_ON + "sponge_power = -1\n", None, id="sponge_power-negative"),
+    pytest.param(SPONGE_ON + "sponge_power = 0\n", None, id="sponge_power-zero"),
+    pytest.param(SPONGE_ON + "sponge_strength = -50\n", None, id="sponge_strength-negative"),
+    # width 0 gives a zero field; -1 would run as +1
+    pytest.param(MINIMAL.replace("width = 1.0", "width = 0"), None, id="initial_width-zero"),
+    pytest.param(MINIMAL.replace("width = 1.0", "width = -1"), None,
+                 id="initial_width-negative"),
+    # eps^2 = 0 can never be crossed
+    pytest.param(MINIMAL + "[diagnostics]\nrequests = monitor\nmonitor_eps = 0\n", None,
+                 id="monitor_eps-zero"),
+    pytest.param(FROM_FILE.format(path="{nan}"), None, id="file-nan"),
+    pytest.param(FROM_FILE.format(path="{short}"), None, id="file-truncated"),
 ])
-def test_parse_rejects_before_build(monkeypatch, text, line):
+def test_parse_rejects_before_build(monkeypatch, tmp_path, text, line):
     def forbidden(*args, **kwargs):
         raise AssertionError("built while parsing")
 
     monkeypatch.setattr(scn, "build_kernel", forbidden)
     monkeypatch.setattr(scn, "solve_ground_state", forbidden)
     with pytest.raises(ConfigError) as err:
-        parse_scenario(text)
+        parse_scenario(text.format(**field_files(tmp_path)))
     assert err.value.line == line
+
+
+def test_file_initial_data(tmp_path):
+    files = field_files(tmp_path)
+    with pytest.raises(ConfigError, match="non-finite field value on line 12"):
+        parse_scenario(FROM_FILE.format(path=files["nan"]))
+    s = parse_scenario(FROM_FILE.format(path=files["good"]) + "[evolve]\nt_end = 0.01\n")
+    run_scenario(s, out_dir=str(tmp_path), tag="file")
+    csv = (tmp_path / "file_diagnostics.csv").read_text().splitlines()
+    M0 = float(csv[3].split(",")[1])
+    assert M0 == pytest.approx(np.pi**1.5 / 2**1.5, rel=1e-6)  # int e^(-2 r^2) dx
 
 
 def test_every_field_is_one_key():
