@@ -1,7 +1,6 @@
 """Command-line interface: exponents, kato, ground-state, evolve, morawetz, sweep."""
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -48,7 +47,7 @@ def cmd_exponents(args):
                "identities": rep,
                "all_pass": all(v["pass"] for v in rep.values())}
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True, default=float))
+        print(scn.strict_json(payload))
     else:
         for k, v in sorted(es.as_dict().items()):
             print(f"{k:28s} {v}")
@@ -73,7 +72,7 @@ def cmd_kato(args):
         "checks": audit.checks,
         "theorem_hypotheses_pass": audit.theorem_hypotheses_pass(),
     }
-    print(json.dumps(payload, indent=2, sort_keys=True, default=float))
+    print(scn.strict_json(payload))
     return 0
 
 
@@ -98,11 +97,10 @@ def cmd_ground_state(args):
         "threshold_functions": threshold_functions(gs),
         "field_file": field_path,
     }
-    out = os.path.join(args.output_dir, "ground_state.json")
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
-    print(json.dumps(payload, indent=2, sort_keys=True, default=float))
+    text = scn.strict_json(payload)
+    with open(os.path.join(args.output_dir, "ground_state.json"), "w") as fh:
+        fh.write(text + "\n")
+    print(text)
     return 0
 
 
@@ -119,8 +117,7 @@ def _load_scenario(path):
 def cmd_evolve(args):
     s = _load_scenario(args.config)
     rep = scn.run_scenario(s, out_dir=args.output_dir, tag=args.tag)
-    print(json.dumps({"verdicts": rep.verdicts, "failures": rep.failures},
-                     indent=2, sort_keys=True, default=float))
+    print(scn.strict_json({"verdicts": rep.verdicts, "failures": rep.failures}))
     return rep.exit_code
 
 
@@ -129,8 +126,7 @@ def cmd_morawetz(args):
     requests = s.requests if "morawetz" in s.requests else s.requests + ("morawetz",)
     s = replace(s, requests=requests, morawetz_R=s.morawetz_R or (10.0,))
     rep = scn.run_scenario(s, out_dir=args.output_dir, tag=args.tag)
-    print(json.dumps({"verdicts": rep.verdicts, "failures": rep.failures},
-                     indent=2, sort_keys=True, default=float))
+    print(scn.strict_json({"verdicts": rep.verdicts, "failures": rep.failures}))
     return rep.exit_code
 
 
@@ -142,7 +138,7 @@ def cmd_sweep(args):
     except ValueError as exc:
         raise SystemExit(f"--values: {exc}") from None
     rep = scn.sweep(s, args.axis, values, out_dir=args.output_dir)
-    print(json.dumps({"csv": rep["csv"], "pass": rep["pass"]}, indent=2))
+    print(scn.strict_json({"csv": rep["csv"], "pass": rep["pass"]}))
     return 0 if rep["pass"] else 1
 
 

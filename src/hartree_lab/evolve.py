@@ -12,9 +12,13 @@ convolution.
 
 The loop state is c = DST(r u) at a step boundary, so the closing
 half-step of one step and the opening one of the next stay in
-coefficient space: a step runs 2 length-n complex DSTs (each one
-two-column real transform) plus the 2 of the Riesz apply.  A sample
-reads u and u' off c by one FFT without changing the state.
+coefficient space.  The phase substep works on v = r u itself: |u| is
+the real |v|/r and the rotation multiplies v, so no complex division by
+r or multiplication by it runs.  A step runs 2 length-n complex DSTs
+(each one two-column real transform, a real FFT of 2 x 2(n+1) points)
+plus the 4 half-length transforms of the Riesz apply (real FFTs of
+2 x (2(n+1) + (n+1)) points).  A sample reads u and u' off c by one FFT
+without changing the state.
 
 The optional sponge multiplies u by D = exp(-dt sigma(r)) between the
 phase substep and the closing half-step, sigma(r) = strength
@@ -107,16 +111,21 @@ class Stepper:
         """One Strang step L(dt/2) P(dt) L(dt/2), sponge between P and the
         closing half-step, on c = DST(r u) at a step boundary.  Returns the
         next boundary's coefficients and the mass the sponge absorbed."""
-        r, p = self.grid.nodes, self.params.p
-        u = dst1(self.phase_lin_half * c) / r
-        a = np.abs(u)
-        u *= np.exp(1j * self.dt * (self.kern.apply(a**p) * a ** (p - 2) - self.Vr))
+        p = self.params.p
+        v = dst1(self.phase_lin_half * c)  # r u
+        a = np.abs(v) / self.grid.nodes    # |u|
+        ap2 = a ** (p - 2)
+        theta = self.dt * (self.kern.apply(ap2 * a * a) * ap2 - self.Vr)
+        rot = np.empty_like(v)
+        np.cos(theta, out=rot.real)
+        np.sin(theta, out=rot.imag)
+        v *= rot
         absorbed = 0.0
         if self.damp is not None:
             # P preserves |u| pointwise, so a is still |u| here
-            absorbed = float(np.sum(self.loss_weights * a**2))
-            u *= self.damp
-        return self.phase_lin_half * dst1(r * u), absorbed
+            absorbed = float(np.dot(self.loss_weights, a * a))
+            v *= self.damp
+        return self.phase_lin_half * dst1(v), absorbed
 
 
 def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,

@@ -167,10 +167,15 @@ def morawetz_zpp_from_state(st: FieldState, weight: MorawetzWeight,
     p = st.p
     gamma = st.kern.gamma
     w = st.grid.weights
-    term_a = -4.0 * (0.5 - 1.0 / p) * float(np.sum(w * weight.lap_a * st.h * st.g))
+    if weight.quadratic:
+        # Lap a = 6 and S = 2P: both terms by Parseval, no h
+        term_a = -24.0 * (0.5 - 1.0 / p) * st.P
+        S = 2.0 * st.P
+    else:
+        term_a = -4.0 * (0.5 - 1.0 / p) * float(np.sum(w * weight.lap_a * st.h * st.g))
+        S = nonlocal_pair_term(st, weight)
     term_b = -float(np.sum(w * weight.bilap_a * st.usq))
     term_c = 4.0 * float(np.sum(w * weight.app * np.abs(st.du) ** 2))
-    S = 2.0 * st.P if weight.quadratic else nonlocal_pair_term(st, weight)
     term_d = -(2.0 * (3.0 - gamma) / p) * S
     term_v = -2.0 * float(np.sum(w * dVr * weight.ap * st.usq))
     return term_a + term_b + term_c + term_d + term_v

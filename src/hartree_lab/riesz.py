@@ -23,11 +23,20 @@ dimension):
 Every pair distance on the grid is at most 2*r_max = L and every periodic
 image of the padded data lies at distance >= L, so the truncation changes
 nothing: the result is exact for the sine interpolant of g.  The operator
-is self-adjoint in the 4*pi*r^2*dr inner product by construction and
-costs two DSTs of size N per apply.  A diagnostics sample needs fewer:
-P = int h g dx = 4*pi*dr*sum K_m C_m^2 by Parseval (the DST is orthogonal
-and r*g vanishes on the pad), one DST in all, and h with h' come from
-K*C by one real FFT (``grid.sine_series_and_derivative``).
+is self-adjoint in the 4*pi*r^2*dr inner product by construction.
+
+No transform runs on the pad.  N + 1 = 2(n+1) and r*g is zero beyond
+node n, so the padded DST-I splits exactly: the even modes m = 2j are
+DST-I_n(r*g)/sqrt(2), the odd modes m = 2j+1 are DST-III_(n+1) of r*g
+with one zero appended, over sqrt(2) (the term that the orthonormal
+DST-III scales falls on that zero), and on the first n nodes
+r*h = DST-I_n(K_even e/2) + DST-II_(n+1)(K_odd o/2)[:n] for the unscaled
+halves e, o (the dropped last output is the only one the orthonormal
+DST-II scales).  pocketfft runs the padded DST-I as a real FFT of 4(n+1)
+points, the halves as one of 2(n+1) and one of n+1.  ``spectrum``
+returns the interleaved C: a diagnostics sample needs only it, as
+P = int h g dx = 4*pi*dr*sum K_m C_m^2 by Parseval and h with h' come
+from K*C by one real FFT (``grid.sine_series_and_derivative``).
 """
 
 import numpy as np
@@ -78,13 +87,29 @@ class RieszKernel:
         self._N = N
         self._k = k
         self._symbol = FOUR_PI * k ** (-self.gamma) * _sine_integrals(self.gamma, N)
+        # the symbol on the odd (m = 1, 3, ..) and even (m = 2, 4, ..) modes,
+        # each with the 1/2 of two 1/sqrt(2) folds
+        self._half_odd = 0.5 * self._symbol[0::2]
+        self._half_even = 0.5 * self._symbol[1::2]
 
-    def spectrum(self, g: np.ndarray) -> np.ndarray:
-        """C: the orthonormal DST-I coefficients of the zero-padded r*g."""
+    def _halves(self, g):
+        """(e, o) = (DST-I_n, DST-III_(n+1)) of r*g, orthonormal: sqrt(2) C
+        on the even and on the odd modes."""
         g = np.asarray(g, dtype=float)
         if g.shape != (self.grid.n,):
             raise ValueError("grid mismatch")
-        return sfft.dst(self.grid.nodes * g, type=1, n=self._N, norm="ortho")
+        v = self.grid.nodes * g
+        return (sfft.dst(v, type=1, norm="ortho"),
+                sfft.dst(v, type=3, n=self.grid.n + 1, norm="ortho"))
+
+    def spectrum(self, g: np.ndarray) -> np.ndarray:
+        """C: the orthonormal DST-I coefficients of the zero-padded r*g."""
+        e, o = self._halves(g)
+        spec = np.empty(self._N)
+        spec[0::2] = o
+        spec[1::2] = e
+        spec *= np.sqrt(0.5)
+        return spec
 
     def pairing(self, spec: np.ndarray) -> float:
         """int (I_gamma*g) g dx = 4*pi*dr*sum K_m C_m^2 from C = ``spectrum(g)``.
@@ -98,8 +123,11 @@ class RieszKernel:
         return sine_series_and_derivative(self._symbol * spec, self._k, self.grid.nodes)
 
     def apply(self, g: np.ndarray) -> np.ndarray:
-        v = sfft.dst(self._symbol * self.spectrum(g), type=1, norm="ortho")
-        return v[: self.grid.n] / self.grid.nodes
+        """h = I_gamma*g on the grid."""
+        e, o = self._halves(g)
+        v = sfft.dst(self._half_even * e, type=1, norm="ortho")
+        v += sfft.dst(self._half_odd * o, type=2, norm="ortho")[: self.grid.n]
+        return v / self.grid.nodes
 
     def apply_origin(self, g: np.ndarray) -> float:
         """h(0) = sqrt(2/(N+1)) sum_m K_m k_m C_m, the r -> 0 limit of the

@@ -160,16 +160,22 @@ class Scenario:
                                       f"(0, {self.grid_r_max:g}{top}")
         if self.initial_kind == "gaussian" and not self.initial_width > 0:
             raise ConfigError(f"initial_width = {self.initial_width:g} must be > 0")
+        # zero initial data has M(0) = 0, which every relative drift divides by
+        for kind, name in (("gaussian", "initial_amplitude"), ("ground_state", "initial_c")):
+            if self.initial_kind == kind and getattr(self, name) == 0:
+                raise ConfigError(f"{name} = 0 gives zero initial data")
         if "monitor" in req and not self.monitor_eps > 0:
             raise ConfigError(f"monitor_eps = {self.monitor_eps:g} must be > 0")
         if self.initial_kind == "file":
             try:  # read here, so that a bad file fails before anything is built
-                load_field_csv(self.initial_path, grid)
+                u0 = load_field_csv(self.initial_path, grid)
             except OSError as exc:
                 raise ConfigError(f"initial data file {self.initial_path}: "
                                   f"{exc.strerror or exc}") from None
             except ValueError as exc:
                 raise ConfigError(f"initial data file {self.initial_path}: {exc}") from None
+            if not np.any(u0.values):
+                raise ConfigError(f"initial data file {self.initial_path}: every value is zero")
 
     @property
     def model(self):
@@ -274,6 +280,24 @@ def parse_scenario(text) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # runner
+
+def _finite(x):
+    """x with every non-finite float, at any depth, replaced by None."""
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    if isinstance(x, (float, np.floating)) and not math.isfinite(x):
+        return None
+    return x
+
+
+def strict_json(obj):
+    """obj as indented JSON text with sorted keys.  RFC 8259 has no NaN or
+    Infinity, so a non-finite float is written as null."""
+    return json.dumps(_finite(obj), sort_keys=True, indent=2, default=float,
+                      allow_nan=False)
+
 
 def _fmt(x):
     if isinstance(x, float):
@@ -421,8 +445,7 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
         "pass": not failures,
     }
     with open(os.path.join(out_dir, f"{tag}_summary.json"), "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=2, default=float)
-        fh.write("\n")
+        fh.write(strict_json(summary) + "\n")
     return ExitReport(verdicts=verdicts, thresholds=thresholds,
                       exit_code=0 if not failures else 1, failures=failures)
 

@@ -129,6 +129,25 @@ def test_zpp_soliton_virial_nullity(gs32_desk, kern2_desk, params32):
     assert abs(zpp) <= 1e-5 * scale
 
 
+def test_quadratic_term_a_by_parseval(gs32_desk, kern2_desk, params32):
+    # for a = r^2, term_a = -4(1/2 - 1/p) int Lap(a) h g dx with Lap(a) = 6
+    # is -24(1/2 - 1/p) P: z'' from P alone matches the h-based sum on the
+    # ground state and on a rough random field
+    grid = kern2_desk.grid
+    w = quadratic_weight(grid)
+    p, gamma = params32.p, params32.gamma
+    rng = np.random.default_rng(18)
+    rough = RadialField(grid, rng.random(grid.n) * np.exp(-grid.nodes / 8.0))
+    for u in (gs32_desk.Q, rough):
+        st = FieldState(u, kern2_desk, p)
+        term_a = -4.0 * (0.5 - 1.0 / p) * float(np.sum(grid.weights * w.lap_a * st.h * st.g))
+        assert abs(-24.0 * (0.5 - 1.0 / p) * st.P - term_a) <= 1e-12 * abs(term_a)
+        term_c = 8.0 * float(np.sum(grid.weights * np.abs(st.du) ** 2))
+        term_d = -(4.0 * (3.0 - gamma) / p) * st.P
+        zpp = morawetz_zpp(u, w, zero_potential(), kern2_desk, params32)
+        assert abs(zpp - (term_a + term_c + term_d)) <= 1e-12 * abs(term_a)
+
+
 def test_pair_term_quadratic_limit(grid_mid, kern2_mid, gs32_mid, params32):
     # with R beyond the support, the truncated weight acts as r^2 and the
     # symmetrized pair term reduces to 2 P(u)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from scipy.integrate import quad
 from scipy.special import erf, gamma as gamma_fn
 
@@ -167,7 +168,23 @@ def test_fused_potential_and_derivative(grid_mid):
         h_ref, hp_ref = sine_series_reference(kern._symbol * spec, kern._k, grid_mid.nodes)
         assert weighted_rel_err(grid_mid, h, h_ref) <= 1e-13, gamma
         assert weighted_rel_err(grid_mid, hp, hp_ref) <= 3e-13, gamma
-        assert np.array_equal(kern.apply(g), h_ref)
+        assert weighted_rel_err(grid_mid, kern.apply(g), h_ref) <= 1e-14, gamma
+
+
+@pytest.mark.parametrize("grid_name", ("grid_small", "grid_mid", "grid_desk", "n1000"))
+def test_split_spectrum_matches_padded_dst(grid_name, request):
+    # the two half-length transforms against the zero-padded DST-I of
+    # length 2n+1 they replace, also on an odd-sized grid (n = 1000)
+    grid = RadialGrid(40.0, 1000) if grid_name == "n1000" else request.getfixturevalue(grid_name)
+    rng = np.random.default_rng(17)
+    g = rng.random(grid.n) * np.exp(-grid.nodes / 8.0)
+    C_ref = sfft.dst(grid.nodes * g, type=1, n=2 * grid.n + 1, norm="ortho")
+    for gamma in PARSEVAL_GAMMAS:
+        kern = build_kernel(gamma, grid)
+        spec = kern.spectrum(g)
+        assert np.max(np.abs(spec - C_ref)) <= 1e-15 * np.max(np.abs(C_ref)), gamma
+        h_ref = sine_series_reference(kern._symbol * C_ref, kern._k, grid.nodes)[0]
+        assert weighted_rel_err(grid, kern.apply(g), h_ref) <= 1e-14, gamma
 
 
 def test_potential_energy_scaling(gs32_mid, kern2_mid, params32):

@@ -65,12 +65,15 @@ FROM_FILE = MINIMAL.replace("kind = gaussian", "kind = file\npath = {path}")
 
 
 def field_files(tmp_path):
-    """A good field file on the MINIMAL grid, and two bad copies of it."""
-    buf = io.StringIO()
-    save_field_csv(RadialGrid(24.0, 383).field_from(lambda r: np.exp(-r**2)), buf)
+    """A good field file on the MINIMAL grid, two bad copies of it and an
+    all-zero file."""
+    grid = RadialGrid(24.0, 383)
+    buf, zero = io.StringIO(), io.StringIO()
+    save_field_csv(grid.field_from(lambda r: np.exp(-r**2)), buf)
+    save_field_csv(grid.field_from(np.zeros_like), zero)
     rows = buf.getvalue().splitlines(keepends=True)
     files = {"good": rows, "nan": rows[:11] + ["1.0,nan,0.0\n"] + rows[12:],
-             "short": rows[:-1]}
+             "short": rows[:-1], "zero": zero.getvalue().splitlines(keepends=True)}
     for name, text in files.items():
         (tmp_path / f"{name}.csv").write_text("".join(text))
     return {name: tmp_path / f"{name}.csv" for name in files}
@@ -159,6 +162,12 @@ def test_parse_rejects_bad_choice(key, line, bad):
                  id="monitor_eps-zero"),
     pytest.param(FROM_FILE.format(path="{nan}"), None, id="file-nan"),
     pytest.param(FROM_FILE.format(path="{short}"), None, id="file-truncated"),
+    # zero initial data: every relative drift divides by M(0) = 0
+    pytest.param(MINIMAL.replace("amplitude = 0.5", "amplitude = 0"), None,
+                 id="initial_amplitude-zero"),
+    pytest.param(MINIMAL.replace("kind = gaussian", "kind = ground_state\nc = 0"), None,
+                 id="initial_c-zero"),
+    pytest.param(FROM_FILE.format(path="{zero}"), None, id="file-zero"),
 ])
 def test_parse_rejects_before_build(monkeypatch, tmp_path, text, line):
     def forbidden(*args, **kwargs):
@@ -259,8 +268,13 @@ def test_conservation_verdict_not_vacuous(tmp_path):
     assert cons["available"] is False and cons["pass"] is False
     assert np.isnan(cons["mass_drift"]) and np.isnan(cons["energy_drift"])
     assert rep.exit_code == 1 and rep.failures == ["conservation"]
-    summary = json.loads((tmp_path / "v_summary.json").read_text())
+    # strict JSON: the unmeasured drifts are written as null, not as NaN
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    summary = json.loads((tmp_path / "v_summary.json").read_text(), parse_constant=reject)
     assert summary["verdicts"]["conservation"]["available"] is False
+    assert summary["verdicts"]["conservation"]["mass_drift"] is None
     assert summary["pass"] is False
 
 
