@@ -5,10 +5,8 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import scenario as scn
-from .exponents import ModelParams, identity_report, scattering_pairs
+from .exponents import ModelParams, ab_exponents, identity_report, scattering_pairs
 from .grid import RadialGrid, save_field_csv
 from .groundstate import pohozaev_check, solve_ground_state, threshold_functions
 from .potentials import PotentialSpec, audit_hypotheses
@@ -37,13 +35,22 @@ def _parse_potential_arg(text):
         raise SystemExit(f"bad potential {text!r}: {exc}")
 
 
+def _model_params(args):
+    """Intercritical ModelParams of --p, --gamma and --eps; else exit with one line."""
+    try:
+        params = ModelParams(args.p, args.gamma, args.eps)
+        ab_exponents(params)
+        return params
+    except ValueError as exc:
+        raise SystemExit(f"--p {args.p:g} --gamma {args.gamma:g}: {exc}") from None
+
+
 def cmd_exponents(args):
-    params = ModelParams(args.p, args.gamma, args.eps)
+    params = _model_params(args)
     es = scattering_pairs(params)
     rep = identity_report(params)
     payload = {"params": {"p": args.p, "gamma": args.gamma, "eps": args.eps},
-               "exponents": {k: (v if np.isfinite(v) else "inf")
-                             for k, v in es.as_dict().items()},
+               "exponents": es.as_dict(),
                "identities": rep,
                "all_pass": all(v["pass"] for v in rep.values())}
     if args.json:
@@ -77,7 +84,7 @@ def cmd_kato(args):
 
 
 def cmd_ground_state(args):
-    params = ModelParams(args.p, args.gamma, args.eps)
+    params = _model_params(args)
     grid = RadialGrid(args.r_max, args.n)
     kern = build_kernel(args.gamma, grid)
     gs = solve_ground_state(params, grid, kern, tol=args.tol)
@@ -115,16 +122,11 @@ def _load_scenario(path):
 
 
 def cmd_evolve(args):
+    """``evolve`` and ``morawetz``; the latter adds the Morawetz request."""
     s = _load_scenario(args.config)
-    rep = scn.run_scenario(s, out_dir=args.output_dir, tag=args.tag)
-    print(scn.strict_json({"verdicts": rep.verdicts, "failures": rep.failures}))
-    return rep.exit_code
-
-
-def cmd_morawetz(args):
-    s = _load_scenario(args.config)
-    requests = s.requests if "morawetz" in s.requests else s.requests + ("morawetz",)
-    s = replace(s, requests=requests, morawetz_R=s.morawetz_R or (10.0,))
+    if args.cmd == "morawetz":
+        requests = s.requests if "morawetz" in s.requests else s.requests + ("morawetz",)
+        s = replace(s, requests=requests, morawetz_R=s.morawetz_R or (10.0,))
     rep = scn.run_scenario(s, out_dir=args.output_dir, tag=args.tag)
     print(scn.strict_json({"verdicts": rep.verdicts, "failures": rep.failures}))
     return rep.exit_code
@@ -179,7 +181,7 @@ def main(argv=None):
     p5 = sub.add_parser("morawetz", help="run a scenario with Morawetz averages")
     p5.add_argument("--config", required=True)
     p5.add_argument("--tag", default="morawetz")
-    p5.set_defaults(fn=cmd_morawetz)
+    p5.set_defaults(fn=cmd_evolve)
 
     p6 = sub.add_parser("sweep", help="parameter sweep over a scenario template")
     p6.add_argument("--config", required=True)

@@ -18,7 +18,8 @@ r or multiplication by it runs.  A step runs 2 length-n complex DSTs
 (each one two-column real transform, a real FFT of 2 x 2(n+1) points)
 plus the 4 half-length transforms of the Riesz apply (real FFTs of
 2 x (2(n+1) + (n+1)) points).  A sample reads u and u' off c by one FFT
-without changing the state.
+without changing the state; each diagnostic linear in |u|^2 is one dot
+product with a row built once per run.
 
 The optional sponge multiplies u by D = exp(-dt sigma(r)) between the
 phase substep and the closing half-step, sigma(r) = strength
@@ -33,12 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import ModelParams, scattering_pairs
-from .grid import (FieldState, RadialField, RadialGrid, dst1, dst_coeffs, from_dst_coeffs,
-                   l2_norm_sq, lp_norm, mass_in_ball)
+from .grid import FieldState, RadialField, RadialGrid, dst1, dst_coeffs, from_dst_coeffs
 from .morawetz import (DiagnosticsSeries, morawetz_z_from_state, morawetz_zpp_from_state,
                        quadratic_weight, radial_cutoff)
 from .potentials import PotentialSpec, energy_from_state
-from .riesz import RieszKernel, potential_energy
+from .riesz import RieszKernel
 
 BOUNDARY_WARNING = "boundary amplitude exceeds 1e-6 of max|u| with sponge off"
 
@@ -133,7 +133,6 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
     """Run the splitting integrator, sampling diagnostics every sample_every steps."""
     grid = u0.grid
     stepper = Stepper(grid, V, kern, params, cfg.dt, sponge=cfg.sponge)
-    dVr = V.dV(grid.nodes)
     try:
         es = scattering_pairs(params)
         rbar, sigma_c = es.r_bar, es.sigma_c
@@ -141,62 +140,62 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
         rbar, sigma_c = None, None
 
     weights = list(cfg.weights) if cfg.weights else [quadratic_weight(grid)]
-    eta = {R: radial_cutoff(grid, R) for R in cfg.ball_radii}
-    chi = {R: radial_cutoff(grid, R) for R in cfg.chi_radii}
+    # each |u|^2-linear diagnostic is one dot product with a row built here
+    w = grid.weights
+    wV = w * stepper.Vr
+    w_dV_ap = [wgt.weighted[1] * V.dV(grid.nodes) for wgt in weights]
+    w_ball = [np.where(grid.nodes <= R, w, 0.0) for R in cfg.ball_radii]
+    w_eta = [w * radial_cutoff(grid, R) for R in cfg.ball_radii]
+    chi_p = [radial_cutoff(grid, R) ** params.p for R in cfg.chi_radii]
 
     n_steps = int(round(cfg.t_end / cfg.dt))
-    rows = []
+    n_samples = 1 + -(-n_steps // cfg.sample_every)
+    names = ("t", "M", "E", "E0", "P", "grad_sq", "lambda_sq", "exported_mass",
+             "threshold_track", "lr_norm_rbar")
+    table = np.empty((len(names) + 3 * len(weights) + 2 * len(w_ball) + len(chi_p), n_samples))
     fields = [] if cfg.store_fields else None
 
     c = dst_coeffs(u0)
     exported = 0.0
 
-    def sample(tcur):
+    def sample(j, tcur):
         # the Riesz and spectral parts of every diagnostic read one state
-        st = FieldState.from_coeffs(grid, c, kern, params.p)
-        f = st.u
-        M = l2_norm_sq(f)
-        E, E0, lam = energy_from_state(st, stepper.Vr)
-        rows.append({
-            "t": tcur, "M": M, "E": E, "E0": E0, "P": st.P, "grad_sq": st.grad_sq,
-            "lambda_sq": lam, "exported_mass": exported,
-            "threshold_track": st.P * M**sigma_c if sigma_c is not None else np.nan,
-            "lr_norm_rbar": lp_norm(f, rbar) if rbar is not None else np.nan,
-            "extra_chains": {wgt.label(): (*morawetz_z_from_state(st, wgt),
-                                           morawetz_zpp_from_state(st, wgt, dVr))
-                             for wgt in weights},
-            "eta_mass": {R: float(np.sum(grid.weights * e * st.usq)) for R, e in eta.items()},
-            "mass_in_ball": {R: mass_in_ball(f, R) for R in cfg.ball_radii},
-            "p_chi": {R: potential_energy(kern, f * cut, params.p)
-                      for R, cut in chi.items()},
-        })
+        st = FieldState.from_coeffs(grid, c, kern, params.p, chi_p)
+        M = float(np.dot(w, st.usq))
+        E, E0, lam = energy_from_state(st, wV)
+        table[:, j] = (
+            tcur, M, E, E0, st.P, st.grad_sq, lam, exported,
+            st.P * M**sigma_c if sigma_c is not None else np.nan,
+            np.dot(w, st.usq ** (0.5 * rbar)) ** (1.0 / rbar) if rbar is not None else np.nan,
+            *[x for wgt, row in zip(weights, w_dV_ap)
+              for x in (*morawetz_z_from_state(st, wgt), morawetz_zpp_from_state(st, wgt, row))],
+            *[np.dot(row, st.usq) for row in w_ball + w_eta], *st.pairings[1:])
         if fields is not None:
-            fields.append(f)
+            fields.append(st.u)
 
-    sample(0.0)
+    sample(0, 0.0)
     for k in range(1, n_steps + 1):
         c, absorbed = stepper.step_values(c)
         exported += absorbed
         if not np.all(np.isfinite(c.view(float))):
             raise EvolutionBlowup(k * cfg.dt)
         if k % cfg.sample_every == 0 or k == n_steps:
-            sample(k * cfg.dt)
+            sample(-(-k // cfg.sample_every), k * cfg.dt)
 
     fin = from_dst_coeffs(grid, c)
-    u = fin.values
-    bwarn = False
-    if stepper.damp is None:
-        tail = float(np.max(np.abs(u[int(0.95 * grid.n):])))
-        if tail > 1e-6 * max(float(np.max(np.abs(u))), 1e-300):
-            bwarn = True
-            warnings.warn(BOUNDARY_WARNING)
+    a = np.abs(fin.values)
+    bwarn = bool(stepper.damp is None
+                 and a[int(0.95 * grid.n):].max() > 1e-6 * max(a.max(), 1e-300))
+    if bwarn:
+        warnings.warn(BOUNDARY_WARNING)
 
-    maps = ("extra_chains", "mass_in_ball", "eta_mass", "p_chi")
-    data = {k: np.array([r[k] for r in rows]) for k in rows[0] if k not in maps}
-    data.update({k: {key: np.array([r[k][key] for r in rows]) for key in rows[0][k]}
-                 for k in maps})
-    data["extra_chains"] = {lbl: tuple(a.T) for lbl, a in data["extra_chains"].items()}
+    rows = iter(table)
+    data = dict(zip(names, rows))
+    data["extra_chains"] = {wgt.label(): (next(rows), next(rows), next(rows)) for wgt in weights}
     data["z"], data["zp"], data["zpp"] = data["extra_chains"][weights[0].label()]
+    for key, radii in (("mass_in_ball", cfg.ball_radii), ("eta_mass", cfg.ball_radii),
+                       ("p_chi", cfg.chi_radii)):
+        data[key] = {R: next(rows) for R in radii}
     series = DiagnosticsSeries(**data)
     return Trajectory(diagnostics=series, fields=fields, final=fin, boundary_warning=bwarn)
 

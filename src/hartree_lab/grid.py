@@ -11,8 +11,8 @@ series of v = r*u and ``grad_norm_sq_spectral`` is Parseval in the sine
 basis.  The solver and every diagnostic read these.
 
 A complex DST-I runs as one two-column real transform (``dst1``); u and
-u' come from the sine coefficients of r*u by one real FFT
-(``sine_series_and_derivative``).
+u' come from the sine coefficients of r*u by one real FFT of the rows
+(re, im) (``sine_series_and_derivative``).
 """
 
 import io
@@ -51,12 +51,10 @@ class RadialGrid:
                 f"quadrature weights deviate from ball volume by >1% (n={self.n} too small)"
             )
         kk = np.pi * np.arange(1, self.n + 1) / self.r_max
-        for name, val in (("dr", dr), ("nodes", nodes), ("weights", weights),
-                          ("wavenumbers", kk)):
+        for name, val in (("nodes", nodes), ("weights", weights), ("wavenumbers", kk)):
+            val.setflags(write=False)
             object.__setattr__(self, name, val)
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
-        self.wavenumbers.setflags(write=False)
+        object.__setattr__(self, "dr", dr)
 
     def field_from(self, fn):
         """Sample a callable of radius into a RadialField."""
@@ -69,11 +67,9 @@ class RadialField:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values)
+        self.values = np.asarray(self.values, dtype=complex)
         if self.values.shape != (self.grid.n,):
             raise ValueError("field length must equal grid.n")
-        if not np.iscomplexobj(self.values):
-            self.values = self.values.astype(complex)
 
     def __mul__(self, c):
         return RadialField(self.grid, self.values * c)
@@ -114,20 +110,11 @@ def mass_in_ball(f: RadialField, R: float) -> float:
 # ---------------------------------------------------------------------------
 # sine-spectral machinery on v = r*u
 
-def _columns(x):
-    """A length-m array as an (m, 2) real array of (re, im) rows."""
-    return np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2)
-
-
-def _complex(y):
-    """Inverse of ``_columns``."""
-    return np.ascontiguousarray(y).view(complex).reshape(-1)
-
-
 def dst1(x: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I of a complex x, its own inverse: one real transform
     of the two columns (re, im), the values of transforming them apart."""
-    return _complex(sfft.dst(_columns(x), type=1, norm="ortho", axis=0))
+    cols = np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2)
+    return sfft.dst(cols, type=1, norm="ortho", axis=0).view(complex).reshape(-1)
 
 
 def dst_coeffs(f: RadialField) -> np.ndarray:
@@ -150,33 +137,34 @@ def sine_series_and_derivative(coeffs, k, nodes):
     to X_j = sum b_m cos(pi m j/(M+1)) + i sum a_m sin(pi m j/(M+1)); with
     a = sqrt(2/(M+1)) c and b = lam a k, v = Im X and v' = Re X / lam.
     lam = |a|/|a k| puts both sums on one round-off level.  A complex c
-    runs as two real columns, so a real-valued c gives a real result.
+    runs as two real rows (re, im), so a real-valued c gives a real result.
     """
     M = coeffs.shape[0]
-    a = (0.5 * np.sqrt(2.0 / (M + 1))) * coeffs  # the halves in x carried by a and b
-    ak = a * k
-    nk = np.vdot(ak, ak).real
-    lam = np.sqrt(np.vdot(a, a).real / nk) if nk > 0 else 1.0
-    b = lam * ak
     cplx = np.iscomplexobj(coeffs)
-    if cplx:
-        a, b = _columns(a), _columns(b)
-    x = np.zeros((2 * M + 2,) + a.shape[1:])
-    x[1 : M + 1] = b - a
-    x[: M + 1 : -1] = b + a
-    X = sfft.rfft(x, axis=0)[1 : nodes.shape[0] + 1]
-    r = nodes[:, None] if cplx else nodes
-    f = X.imag / r
-    fp = (X.real / lam - f) / r
-    return (_complex(f), _complex(fp)) if cplx else (f, fp)
+    rows = np.stack((coeffs.real, coeffs.imag)) if cplx else coeffs
+    a = (0.5 * np.sqrt(2.0 / (M + 1))) * rows  # the halves in x carried by a and b
+    ak = a * k
+    nk = np.vdot(ak, ak)
+    lam = np.sqrt(np.vdot(a, a) / nk) if nk > 0 else 1.0
+    b = np.multiply(ak, lam, out=ak)
+    x = np.zeros(a.shape[:-1] + (2 * M + 2,))
+    np.subtract(b, a, out=x[..., 1 : M + 1])
+    np.add(b, a, out=x[..., : M + 1 : -1])
+    X = sfft.rfft(x)[..., 1 : nodes.shape[0] + 1]
+    rinv = 1.0 / nodes
+    f = X.imag * rinv
+    fp = (X.real / lam - f) * rinv
+    if not cplx:
+        return f, fp
+    u, du = np.empty((2, nodes.shape[0]), dtype=complex)
+    u.real, u.imag = f
+    du.real, du.imag = fp
+    return u, du
 
 
 def grad_norm_sq_spectral(f: RadialField) -> float:
-    """Gradient norm via Parseval: 4*pi*dr*sum(k_m^2 |v_hat_m|^2).
-
-    Exact for the sine interpolant of v = r*u; spectrally accurate for
-    smooth decaying profiles.
-    """
+    """Gradient norm by Parseval, 4*pi*dr*sum(k_m^2 |v_hat_m|^2): exact for
+    the sine interpolant of v = r*u."""
     return FieldState(f).grad_sq
 
 
@@ -189,11 +177,11 @@ class FieldState:
     """What diagnostics read off one field u, each computed once on first
     use: |u|^2, the sine coefficients c of r*u, u', the Parseval gradient
     norm and, given a Riesz kernel and p >= 2, g = |u|^p, the padded sine
-    spectrum of r*g, P = int h g (by Parseval) and h = I_gamma*g with h'.
-    ``FieldState.from_coeffs`` starts from c instead of u; u and u' then
-    come from one transform."""
+    spectra of r*g and r*chi*g for each row chi of chi_p, their pairings
+    (P, P(chi_R u), ..) if chi = chi_R^p with chi_R >= 0, and h = I_gamma*g
+    with h'.  ``from_coeffs`` starts from c; u and u' then take one FFT."""
 
-    def __init__(self, u: RadialField, kern=None, p: float | None = None):
+    def __init__(self, u: RadialField, kern=None, p: float | None = None, chi_p=()):
         if kern is not None:
             _check_same_grid(kern.grid, u.grid)
             if p is None or p < 2:
@@ -202,22 +190,20 @@ class FieldState:
         self.grid = u.grid
         self.kern = kern
         self.p = p
+        self.chi_p = chi_p
 
     @classmethod
     def from_coeffs(cls, grid: RadialGrid, coeffs: np.ndarray, kern=None,
-                    p: float | None = None):
+                    p: float | None = None, chi_p=()):
         u, du = sine_series_and_derivative(coeffs, grid.wavenumbers, grid.nodes)
-        st = cls(RadialField(grid, u), kern, p)
+        st = cls(RadialField(grid, u), kern, p, chi_p)
         st.coeffs, st.du = coeffs, du  # fill the cached properties
         return st
 
     @cached_property
-    def absu(self):
-        return np.abs(self.u.values)
-
-    @cached_property
     def usq(self):
-        return self.absu**2
+        v = self.u.values
+        return v.real**2 + v.imag**2
 
     @cached_property
     def coeffs(self):
@@ -230,24 +216,28 @@ class FieldState:
 
     @cached_property
     def grad_sq(self):
-        g = self.grid
-        return float(FOUR_PI * g.dr * np.sum(g.wavenumbers**2 * np.abs(self.coeffs) ** 2))
+        g, c = self.grid, self.coeffs
+        return float(FOUR_PI * g.dr * np.dot(g.wavenumbers**2, c.real**2 + c.imag**2))
 
     @cached_property
     def g(self):
-        return self.absu**self.p
+        return self.usq ** (0.5 * self.p)
 
     @cached_property
-    def spectrum(self):
-        return self.kern.spectrum(self.g)
+    def spectra(self):
+        return self.kern.spectrum(np.vstack((self.g, *(c * self.g for c in self.chi_p))))
 
     @cached_property
+    def pairings(self):
+        return self.kern.pairing(self.spectra)
+
+    @property
     def P(self):
-        return self.kern.pairing(self.spectrum)
+        return float(self.pairings[0])
 
     @cached_property
     def h_hp(self):
-        return self.kern.potential_and_derivative(self.spectrum)
+        return self.kern.potential_and_derivative(self.spectra[0])
 
     @property
     def h(self):

@@ -19,6 +19,7 @@ with it, the globally quadratic weight (S = 2P) reduces z'' to
 """
 
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,12 @@ class MorawetzWeight:
     def label(self):
         return "quadratic" if self.R is None else f"truncated_R{self.R:g}"
 
+    @cached_property
+    def weighted(self):
+        """Quadrature weights times (a, a', a'', Lap a, Bilap a), built once."""
+        w = self.grid.weights
+        return tuple(w * x for x in (self.a, self.ap, self.app, self.lap_a, self.bilap_a))
+
 
 def quadratic_weight(grid: RadialGrid) -> MorawetzWeight:
     r = grid.nodes
@@ -139,8 +146,7 @@ def build_weight(R: float, grid: RadialGrid) -> MorawetzWeight:
 def nonlocal_pair_term(st: FieldState, weight: MorawetzWeight) -> float:
     """S = int int (grad a(x)-grad a(y)).(x-y) |x-y|^(gamma-5) g g
          = 2/(gamma-3) int g a'(r) h'(r) dx, from the state's g and h'."""
-    w = st.grid.weights
-    return 2.0 / (st.kern.gamma - 3.0) * float(np.sum(w * st.g * weight.ap * st.hp))
+    return 2.0 / (st.kern.gamma - 3.0) * float(np.dot(weight.weighted[1], st.g * st.hp))
 
 
 def morawetz_z(u: RadialField, weight: MorawetzWeight):
@@ -149,35 +155,35 @@ def morawetz_z(u: RadialField, weight: MorawetzWeight):
 
 
 def morawetz_z_from_state(st: FieldState, weight: MorawetzWeight):
-    w = st.grid.weights
-    z = float(np.sum(w * weight.a * st.usq))
-    zp = float(2.0 * np.sum(w * weight.ap * np.imag(st.du * np.conj(st.u.values))))
-    return z, zp
+    wa, wap = weight.weighted[:2]
+    u, du = st.u.values, st.du
+    zp = 2.0 * np.dot(wap, du.imag * u.real - du.real * u.imag)  # Im(u' conj u)
+    return float(np.dot(wa, st.usq)), float(zp)
 
 
 def morawetz_zpp(u: RadialField, weight: MorawetzWeight, V: PotentialSpec,
                  kern: RieszKernel, params: ModelParams) -> float:
     """Second time derivative of z from the four-term identity."""
-    return morawetz_zpp_from_state(FieldState(u, kern, params.p), weight, V.dV(u.grid.nodes))
+    return morawetz_zpp_from_state(FieldState(u, kern, params.p), weight,
+                                   weight.weighted[1] * V.dV(u.grid.nodes))
 
 
 def morawetz_zpp_from_state(st: FieldState, weight: MorawetzWeight,
-                            dVr: np.ndarray) -> float:
-    """``morawetz_zpp`` from a state with a kernel and p; dVr = V' on the nodes."""
+                            w_dV_ap: np.ndarray) -> float:
+    """``morawetz_zpp`` from a state with a kernel and p; w_dV_ap = weights * V' a'."""
     p = st.p
-    gamma = st.kern.gamma
-    w = st.grid.weights
+    _, _, wapp, wlap, wbilap = weight.weighted
     if weight.quadratic:
         # Lap a = 6 and S = 2P: both terms by Parseval, no h
         term_a = -24.0 * (0.5 - 1.0 / p) * st.P
         S = 2.0 * st.P
     else:
-        term_a = -4.0 * (0.5 - 1.0 / p) * float(np.sum(w * weight.lap_a * st.h * st.g))
+        term_a = -4.0 * (0.5 - 1.0 / p) * float(np.dot(wlap, st.h * st.g))
         S = nonlocal_pair_term(st, weight)
-    term_b = -float(np.sum(w * weight.bilap_a * st.usq))
-    term_c = 4.0 * float(np.sum(w * weight.app * np.abs(st.du) ** 2))
-    term_d = -(2.0 * (3.0 - gamma) / p) * S
-    term_v = -2.0 * float(np.sum(w * dVr * weight.ap * st.usq))
+    term_b = -float(np.dot(wbilap, st.usq))
+    term_c = 4.0 * float(np.dot(wapp, st.du.real**2 + st.du.imag**2))
+    term_d = -(2.0 * (3.0 - st.kern.gamma) / p) * S
+    term_v = -2.0 * float(np.dot(w_dV_ap, st.usq))
     return term_a + term_b + term_c + term_d + term_v
 
 

@@ -204,13 +204,11 @@ def energy(u: RadialField, V: PotentialSpec, kern: RieszKernel, p: float):
     E = E0 + (1/2) int V |u|^2,  E0 = (1/2)|grad u|^2 - P(u)/(2p),
     lambda_norm_sq = |grad u|^2 + int V |u|^2.
     """
-    return energy_from_state(FieldState(u, kern, p), V(u.grid.nodes))
+    return energy_from_state(FieldState(u, kern, p), u.grid.weights * V(u.grid.nodes))
 
 
-def energy_from_state(st: FieldState, Vr: np.ndarray):
-    """``energy`` from a state with a kernel and p; Vr = V on the nodes."""
-    vterm = float(np.sum(st.grid.weights * Vr * st.usq))
+def energy_from_state(st: FieldState, wV: np.ndarray):
+    """``energy`` from a state with a kernel and p; wV = quadrature weights * V."""
+    vterm = float(np.dot(wV, st.usq))
     E0 = 0.5 * st.grad_sq - st.P / (2.0 * st.p)
-    E = E0 + 0.5 * vterm
-    lam = st.grad_sq + vterm
-    return E, E0, lam
+    return E0 + 0.5 * vterm, E0, st.grad_sq + vterm

@@ -93,30 +93,31 @@ class RieszKernel:
         self._half_even = 0.5 * self._symbol[1::2]
 
     def _halves(self, g):
-        """(e, o) = (DST-I_n, DST-III_(n+1)) of r*g, orthonormal: sqrt(2) C
-        on the even and on the odd modes."""
+        """(e, o) = (DST-I_n, DST-III_(n+1)) of r*g (rows of it), orthonormal:
+        sqrt(2) C on the even and on the odd modes."""
         g = np.asarray(g, dtype=float)
-        if g.shape != (self.grid.n,):
+        if g.shape[-1:] != (self.grid.n,):
             raise ValueError("grid mismatch")
         v = self.grid.nodes * g
         return (sfft.dst(v, type=1, norm="ortho"),
                 sfft.dst(v, type=3, n=self.grid.n + 1, norm="ortho"))
 
     def spectrum(self, g: np.ndarray) -> np.ndarray:
-        """C: the orthonormal DST-I coefficients of the zero-padded r*g."""
+        """C: the orthonormal DST-I coefficients of the zero-padded r*g (rows)."""
         e, o = self._halves(g)
-        spec = np.empty(self._N)
-        spec[0::2] = o
-        spec[1::2] = e
-        spec *= np.sqrt(0.5)
+        spec = np.empty(e.shape[:-1] + (self._N,))
+        np.multiply(o, np.sqrt(0.5), out=spec[..., 0::2])
+        np.multiply(e, np.sqrt(0.5), out=spec[..., 1::2])
         return spec
 
     def pairing(self, spec: np.ndarray) -> float:
-        """int (I_gamma*g) g dx = 4*pi*dr*sum K_m C_m^2 from C = ``spectrum(g)``.
+        """int (I_gamma*g) g dx = 4*pi*dr*sum K_m C_m^2 from C = ``spectrum(g)`` (rows).
 
         K_m < 0 for some m when gamma > 2, so nothing here divides by it.
         """
-        return float(FOUR_PI * self.grid.dr * np.sum(self._symbol * spec**2))
+        out = np.array([np.dot(c * c, self._symbol) for c in np.atleast_2d(spec)])
+        out *= FOUR_PI * self.grid.dr
+        return float(out[0]) if spec.ndim == 1 else out
 
     def potential_and_derivative(self, spec: np.ndarray):
         """(h, h') on the grid, h = I_gamma*g, from C = ``spectrum(g)``."""

@@ -144,6 +144,8 @@ class Scenario:
             grid = RadialGrid(self.grid_r_max, self.grid_n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if round(self.t_end / self.dt) == 0:  # evolve would sample t = 0 alone
+            raise ConfigError(f"t_end = {self.t_end:g} runs no step of dt = {self.dt:g}")
         req = self.requests
         radii_read = (  # (key, radii the run reads, open upper bound)
             ("ball_radii", self.ball_radii, False),

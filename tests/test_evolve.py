@@ -4,10 +4,13 @@ import scipy.fft as sfft
 
 from hartree_lab.evolve import (EvolutionBlowup, EvolveConfig, SpongeConfig,
                                 Stepper, conservation_report, evolve)
-from hartree_lab.exponents import ModelParams
-from hartree_lab.grid import dst_coeffs, from_dst_coeffs, l2_norm_sq
-from hartree_lab.potentials import gaussian_potential, zero_potential
-from hartree_lab.riesz import build_kernel
+from hartree_lab.exponents import ModelParams, scattering_pairs
+from hartree_lab.grid import (RadialField, dst_coeffs, from_dst_coeffs, grad_norm_sq_spectral,
+                              l2_norm_sq, lp_norm, mass_in_ball)
+from hartree_lab.morawetz import (build_weight, cutoff_field, morawetz_z, morawetz_zpp,
+                                  quadratic_weight, radial_cutoff)
+from hartree_lab.potentials import energy, gaussian_potential, zero_potential
+from hartree_lab.riesz import build_kernel, potential_energy
 from oracles import free_gaussian
 
 
@@ -99,6 +102,45 @@ def test_zero_t_end_single_sample(gs32_mid, kern2_mid, params32):
     cfg = EvolveConfig(dt=1e-3, t_end=0.0, sample_every=10)
     traj = evolve(gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
     assert len(traj.diagnostics.t) == 1 and traj.diagnostics.t[0] == 0.0
+
+
+def test_sample_matches_one_shot_wrappers(grid_mid, kern2_mid, params32):
+    # one sample of a rough complex state, every column against the one-shot
+    # function that computes it from the sampled field alone
+    grid, kern, p = grid_mid, kern2_mid, params32.p
+    rng = np.random.default_rng(21)
+    noise = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+    chirp = np.exp(-grid.nodes**2 / 8 + 0.7j * grid.nodes**2)
+    V = gaussian_potential(0.3, 1.5)
+    weights = (quadratic_weight(grid), build_weight(15.0, grid))
+    cfg = EvolveConfig(t_end=0.0, ball_radii=(5.0, 10.0), chi_radii=(6.0, 12.0),
+                       weights=weights, store_fields=True)
+    traj = evolve(RadialField(grid, chirp * (1 + 0.3 * noise)), V, kern, params32, cfg)
+    d, u = traj.diagnostics, traj.fields[0]
+
+    def close(got, want):
+        assert abs(got[0] - want) <= 1e-13 * abs(want), (got[0], want)
+
+    es = scattering_pairs(params32)
+    M, P = l2_norm_sq(u), potential_energy(kern, u, p)
+    close(d.M, M)
+    close(d.P, P)
+    close(d.grad_sq, grad_norm_sq_spectral(u))
+    for got, want in zip((d.E, d.E0, d.lambda_sq), energy(u, V, kern, p)):
+        close(got, want)
+    close(d.threshold_track, P * M**es.sigma_c)
+    close(d.lr_norm_rbar, lp_norm(u, es.r_bar))
+    for wgt in weights:
+        z, zp, zpp = d.extra_chains[wgt.label()]
+        close(z, morawetz_z(u, wgt)[0])
+        close(zp, morawetz_z(u, wgt)[1])
+        close(zpp, morawetz_zpp(u, wgt, V, kern, params32))
+    for R in cfg.ball_radii:
+        close(d.mass_in_ball[R], mass_in_ball(u, R))
+        close(d.eta_mass[R], l2_norm_sq(RadialField(grid, np.sqrt(radial_cutoff(grid, R))
+                                                    * u.values)))
+    for R in cfg.chi_radii:
+        close(d.p_chi[R], potential_energy(kern, cutoff_field(u, R), p))
 
 
 def test_conservation_window(gs32_mid, kern2_mid, params32):

@@ -245,3 +245,15 @@ def test_grid_mismatch_rejected(grid_small, grid_mid):
     kern = build_kernel(2.0, grid_small)
     with pytest.raises(ValueError):
         kern.apply(np.zeros(grid_mid.n))
+
+
+def test_stacked_rows_match_single_rows(grid_mid, kern2_mid):
+    # a sample transforms g and every chi_R^p g in one call
+    rng = np.random.default_rng(22)
+    g = np.abs(rng.standard_normal((3, grid_mid.n))) * np.exp(-grid_mid.nodes / 5)
+    spec = kern2_mid.spectrum(g)
+    pairs = kern2_mid.pairing(spec)
+    assert spec.shape == (3, 2 * grid_mid.n + 1) and pairs.shape == (3,)
+    for row, s, P in zip(g, spec, pairs):
+        assert np.array_equal(s, kern2_mid.spectrum(row))
+        assert P == kern2_mid.pairing(kern2_mid.spectrum(row))

@@ -168,6 +168,11 @@ def test_parse_rejects_bad_choice(key, line, bad):
     pytest.param(MINIMAL.replace("kind = gaussian", "kind = ground_state\nc = 0"), None,
                  id="initial_c-zero"),
     pytest.param(FROM_FILE.format(path="{zero}"), None, id="file-zero"),
+    # no step runs, so one sample at t = 0 reaches the verdicts, which need two
+    pytest.param(MINIMAL + "[evolve]\nt_end = 0.0\n", None, id="t_end-zero"),
+    pytest.param(MINIMAL + "[evolve]\nt_end = 0.0004\ndt = 1e-3\n"
+                 "[diagnostics]\nrequests = morawetz\nmorawetz_R = 10\n", None,
+                 id="t_end-under-half-step"),
 ])
 def test_parse_rejects_before_build(monkeypatch, tmp_path, text, line):
     def forbidden(*args, **kwargs):
@@ -355,10 +360,36 @@ def test_sweep_rejects_fractional_grid_size(tmp_path):
 def test_cli_exponents_json(capsys):
     rc = cli_main(["exponents", "--p", "3", "--gamma", "2", "--json"])
     out = capsys.readouterr().out
-    payload = json.loads(out)
+
+    def reject(name):
+        raise AssertionError(f"non-JSON constant {name}")
+
+    payload = json.loads(out, parse_constant=reject)
     assert rc == 0
     assert payload["all_pass"]
     assert payload["exponents"]["s_c"] == pytest.approx(0.5, abs=2e-3)
+    # k is infinite at (3, 2): written as null, like every other JSON output
+    assert payload["exponents"]["k"] is None
+
+
+@pytest.mark.parametrize("argv, msg", [
+    pytest.param(["exponents", "--p", "3", "--gamma", "3.5"], "gamma in (0,3) required",
+                 id="exponents-gamma"),
+    pytest.param(["exponents", "--p", "2", "--gamma", "2"], "not intercritical",
+                 id="exponents-mass-critical"),
+    pytest.param(["ground-state", "--p", "3", "--gamma", "3.5"], "gamma in (0,3) required",
+                 id="ground-state-gamma"),
+    pytest.param(["ground-state", "--p", "2", "--gamma", "2"], "not intercritical",
+                 id="ground-state-mass-critical"),
+])
+def test_cli_bad_model_is_one_line(tmp_path, capsys, argv, msg):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--output-dir", str(tmp_path / "out"), *argv])
+    # a string code exits with status 1 and prints the string alone
+    assert isinstance(exc.value.code, str)
+    assert msg in exc.value.code and "\n" not in exc.value.code
+    assert capsys.readouterr().err == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_kato(capsys):
