@@ -8,7 +8,8 @@ from dataclasses import replace
 from . import scenario as scn
 from .exponents import ModelParams, ab_exponents, identity_report, scattering_pairs
 from .grid import RadialGrid, save_field_csv
-from .groundstate import pohozaev_check, solve_ground_state, threshold_functions
+from .groundstate import (GroundStateError, pohozaev_check, solve_ground_state,
+                          threshold_functions)
 from .potentials import PotentialSpec, audit_hypotheses
 from .riesz import build_kernel
 
@@ -45,6 +46,14 @@ def _model_params(args):
         raise SystemExit(f"--p {args.p:g} --gamma {args.gamma:g}: {exc}") from None
 
 
+def _grid(args):
+    """RadialGrid of --r-max and --n; else exit with one line."""
+    try:
+        return RadialGrid(args.r_max, args.n)
+    except ValueError as exc:
+        raise SystemExit(f"--r-max {args.r_max:g} --n {args.n}: {exc}") from None
+
+
 def cmd_exponents(args):
     params = _model_params(args)
     es = scattering_pairs(params)
@@ -65,7 +74,7 @@ def cmd_exponents(args):
 
 def cmd_kato(args):
     V = _parse_potential_arg(args.potential)
-    grid = RadialGrid(args.r_max, args.n)
+    grid = _grid(args)
     audit = audit_hypotheses(V, grid)
     payload = {
         "kato_norm": audit.kato_norm,
@@ -85,7 +94,9 @@ def cmd_kato(args):
 
 def cmd_ground_state(args):
     params = _model_params(args)
-    grid = RadialGrid(args.r_max, args.n)
+    if not args.tol > 0:
+        raise SystemExit(f"--tol {args.tol:g}: a positive residual tolerance required")
+    grid = _grid(args)
     kern = build_kernel(args.gamma, grid)
     gs = solve_ground_state(params, grid, kern, tol=args.tol)
     os.makedirs(args.output_dir, exist_ok=True)
@@ -190,7 +201,10 @@ def main(argv=None):
     p6.set_defaults(fn=cmd_sweep)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except GroundStateError as exc:
+        raise SystemExit(f"ground state: {exc}") from None
 
 
 if __name__ == "__main__":

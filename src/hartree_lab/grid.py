@@ -39,8 +39,8 @@ class RadialGrid:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)):
             raise ValueError(f"grid size n must be an integer, got {self.n!r}")
-        if self.r_max <= 0 or self.n < 1:
-            raise ValueError("need r_max > 0 and n >= 1")
+        if not 0 < self.r_max < np.inf or self.n < 1:
+            raise ValueError("need a finite r_max > 0 and n >= 1")
         dr = self.r_max / (self.n + 1)
         nodes = dr * np.arange(1, self.n + 1)
         weights = FOUR_PI * nodes**2 * dr

@@ -381,6 +381,19 @@ def test_cli_exponents_json(capsys):
                  id="ground-state-gamma"),
     pytest.param(["ground-state", "--p", "2", "--gamma", "2"], "not intercritical",
                  id="ground-state-mass-critical"),
+    # a bad grid or tolerance, rejected before anything is built, and a failed solve
+    pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--n", "16"], "n=16 too small",
+                 id="ground-state-coarse-grid"),
+    pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--n", "0"], "n >= 1",
+                 id="ground-state-empty-grid"),
+    pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--r-max", "nan"], "finite r_max",
+                 id="ground-state-nan-radius"),
+    pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--tol", "0"], "--tol 0",
+                 id="ground-state-zero-tol"),
+    pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--r-max", "2"],
+                 "ground state: no convergence", id="ground-state-small-domain"),
+    pytest.param(["kato", "--potential", "gaussian:amplitude=1", "--n", "16"], "n=16 too small",
+                 id="kato-coarse-grid"),
 ])
 def test_cli_bad_model_is_one_line(tmp_path, capsys, argv, msg):
     with pytest.raises(SystemExit) as exc:
