@@ -56,7 +56,11 @@ def _grid(args):
 
 def cmd_exponents(args):
     params = _model_params(args)
-    es = scattering_pairs(params)
+    try:  # the pairs need eps small enough at (p, gamma)
+        es = scattering_pairs(params)
+    except ValueError as exc:
+        raise SystemExit(f"--eps {args.eps:g} at --p {args.p:g} --gamma {args.gamma:g}: "
+                         f"{exc}") from None
     rep = identity_report(params)
     payload = {"params": {"p": args.p, "gamma": args.gamma, "eps": args.eps},
                "exponents": es.as_dict(),

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import ModelParams, scattering_pairs
+from .exponents import ModelParams, ab_exponents, scattering_pairs
 from .grid import FieldState, RadialField, RadialGrid, dst1, dst_coeffs, from_dst_coeffs
 from .morawetz import (DiagnosticsSeries, morawetz_z_from_state, morawetz_zpp_from_state,
                        quadratic_weight, radial_cutoff)
@@ -133,11 +133,12 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
     """Run the splitting integrator, sampling diagnostics every sample_every steps."""
     grid = u0.grid
     stepper = Stepper(grid, V, kern, params, cfg.dt, sponge=cfg.sponge)
-    try:
-        es = scattering_pairs(params)
-        rbar, sigma_c = es.r_bar, es.sigma_c
+    sigma_c = rbar = None
+    try:  # sigma_c needs (p, gamma) intercritical, r_bar also a small enough eps
+        sigma_c = ab_exponents(params)[2]
+        rbar = scattering_pairs(params).r_bar
     except ValueError:
-        rbar, sigma_c = None, None
+        pass
 
     weights = list(cfg.weights) if cfg.weights else [quadratic_weight(grid)]
     # each |u|^2-linear diagnostic is one dot product with a row built here
@@ -161,7 +162,7 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
     def sample(j, tcur):
         # the Riesz and spectral parts of every diagnostic read one state
         st = FieldState.from_coeffs(grid, c, kern, params.p, chi_p)
-        M = float(np.dot(w, st.usq))
+        M = st.mass
         E, E0, lam = energy_from_state(st, wV)
         table[:, j] = (
             tcur, M, E, E0, st.P, st.grad_sq, lam, exported,

@@ -175,11 +175,12 @@ def laplacian(f: RadialField) -> RadialField:
 
 class FieldState:
     """What diagnostics read off one field u, each computed once on first
-    use: |u|^2, the sine coefficients c of r*u, u', the Parseval gradient
-    norm and, given a Riesz kernel and p >= 2, g = |u|^p, the padded sine
-    spectra of r*g and r*chi*g for each row chi of chi_p, their pairings
-    (P, P(chi_R u), ..) if chi = chi_R^p with chi_R >= 0, and h = I_gamma*g
-    with h'.  ``from_coeffs`` starts from c; u and u' then take one FFT."""
+    use: |u|^2 and the mass, the sine coefficients c of r*u, u', the
+    Parseval gradient norm and, given a Riesz kernel and p >= 2, g = |u|^p,
+    the padded sine spectra of r*g and r*chi*g for each row chi of chi_p,
+    their pairings (P, P(chi_R u), ..) if chi = chi_R^p with chi_R >= 0,
+    and h = I_gamma*g with h'.  ``from_coeffs`` starts from c; u and u'
+    then take one FFT."""
 
     def __init__(self, u: RadialField, kern=None, p: float | None = None, chi_p=()):
         if kern is not None:
@@ -204,6 +205,10 @@ class FieldState:
     def usq(self):
         v = self.u.values
         return v.real**2 + v.imag**2
+
+    @property
+    def mass(self):
+        return float(np.dot(self.grid.weights, self.usq))
 
     @cached_property
     def coeffs(self):

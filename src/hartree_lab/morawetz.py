@@ -24,11 +24,10 @@ from functools import cached_property
 import numpy as np
 
 from .exponents import ModelParams, ab_exponents
-from .grid import (FieldState, RadialField, RadialGrid, grad_norm_sq_spectral,
-                   l2_norm_sq)
+from .grid import FieldState, RadialField, RadialGrid
 from .groundstate import GroundStateResult
 from .potentials import PotentialSpec
-from .riesz import RieszKernel, potential_energy
+from .riesz import RieszKernel
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +226,8 @@ def coercivity_check(u: RadialField, gs: GroundStateResult, R: float,
     params = gs.params
     p = params.p
     A, B, sigma_c = ab_exponents(params)
-    Pu = potential_energy(kern, u, p)
-    Mu = l2_norm_sq(u)
-    ratio = (Pu * Mu**sigma_c) / gs.thresholds["PQ_MQ_sigma"]
+    st = FieldState(u, kern, p)
+    ratio = st.P * st.mass**sigma_c / gs.thresholds["PQ_MQ_sigma"]
     if ratio >= 1.0:
         return {"hypothesis_satisfied": False, "ratio": float(ratio)}
     delta = 1.0 - ratio
@@ -240,10 +238,9 @@ def coercivity_check(u: RadialField, gs: GroundStateResult, R: float,
     # delta' = (B/2p)((1-delta)^{-(B-2)/B} - 1), written via the ratio so
     # tiny fields (delta -> 1) do not underflow
     delta_p = (B / (2 * p)) * (ratio ** (-(B - 2) / B) - 1.0)
-    chi_u = cutoff_field(u, R)
-    Pchi = potential_energy(kern, chi_u, p)
-    gchi = grad_norm_sq_spectral(chi_u)
-    lhs = gchi - (B / (2 * p)) * Pchi
+    chi = FieldState(cutoff_field(u, R), kern, p)
+    Pchi = chi.P
+    lhs = chi.grad_sq - (B / (2 * p)) * Pchi
     rhs = delta_p * Pchi
     # on the scaling family u = c Q the chain of inequalities saturates
     # exactly, so the check carries a small discretization allowance

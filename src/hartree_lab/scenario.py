@@ -375,14 +375,9 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
     failures = []
     thresholds = {}
     if gs is not None:
-        A, B, sigma_c = ab_exponents(s.model)
-        thresholds = {
-            "PQ_MQ_sigma": gs.thresholds["PQ_MQ_sigma"],
-            "ME_threshold": gs.thresholds["ME_threshold"],
-            "grad_mass_threshold": gs.thresholds["grad_mass_threshold"],
-            "sup_track": float(np.nanmax(series.threshold_track)),
-            "track_initial": float(series.threshold_track[0]),
-        }
+        thresholds = {**gs.thresholds,
+                      "sup_track": float(np.nanmax(series.threshold_track)),
+                      "track_initial": float(series.threshold_track[0])}
     if "conservation" in s.requests:
         rep = conservation_report(traj)
         available = rep["samples_pre_export"] >= 2
@@ -396,6 +391,7 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
             "pass": bool(ok),
         }
     if "thresholds" in s.requests:
+        sigma_c = ab_exponents(s.model)[2]
         lam0 = float(series.lambda_sq[0])
         m0 = float(series.M[0])
         E_init = float(series.E[0])

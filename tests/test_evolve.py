@@ -4,7 +4,7 @@ import scipy.fft as sfft
 
 from hartree_lab.evolve import (EvolutionBlowup, EvolveConfig, SpongeConfig,
                                 Stepper, conservation_report, evolve)
-from hartree_lab.exponents import scattering_pairs
+from hartree_lab.exponents import ModelParams, ab_exponents, scattering_pairs
 from hartree_lab.grid import (RadialField, dst_coeffs, from_dst_coeffs, grad_norm_sq_spectral,
                               l2_norm_sq, lp_norm, mass_in_ball)
 from hartree_lab.morawetz import (build_weight, cutoff_field, morawetz_z, morawetz_zpp,
@@ -141,6 +141,21 @@ def test_sample_matches_one_shot_wrappers(grid_mid, kern2_mid, params32):
                                                     * u.values)))
     for R in cfg.chi_radii:
         close(d.p_chi[R], potential_energy(kern, cutoff_field(u, R), p))
+
+
+def test_threshold_track_without_scattering_pairs(grid_mid, kern2_mid):
+    # eps = 0.05 is too large for the scattering pairs at (2.35, 2), but
+    # sigma_c depends on (p, gamma) alone: the track is still P M^sigma_c
+    params = ModelParams(2.35, 2.0, 0.05)
+    with pytest.raises(ValueError):
+        scattering_pairs(params)
+    u0 = grid_mid.field_from(lambda r: np.exp(-r**2 / 2))
+    traj = evolve(u0, zero_potential(), kern2_mid, params,
+                  EvolveConfig(t_end=0.0, store_fields=True))
+    d, u = traj.diagnostics, traj.fields[0]
+    want = potential_energy(kern2_mid, u, params.p) * l2_norm_sq(u) ** ab_exponents(params)[2]
+    assert abs(d.threshold_track[0] - want) <= 1e-13 * want
+    assert np.isnan(d.lr_norm_rbar[0])
 
 
 def test_conservation_window(gs32_mid, kern2_mid, params32):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,29 @@ def test_positivity_and_monotonicity(gs32_mid):
     mx = q.max()
     assert q.min() > -1e-12 * mx
     assert np.max(np.diff(q)) <= 1e-12 * mx
-    gs32_mid.certify(tol_pohozaev=1e-5)
+    gs32_mid.certify()
+
+
+def _bent(gs, r, dq):
+    """The replacement Q of gs, raised by dq max(Q) at the node nearest r."""
+    q = gs.Q.values.real.copy()
+    q[np.argmin(np.abs(gs.Q.grid.nodes - r))] += dq * q.max()
+    return {"Q": RadialField(gs.Q.grid, q)}
+
+
+@pytest.mark.parametrize("change, msg", [
+    pytest.param(lambda gs: _bent(gs, 40.0, 1e-6), "not decayed", id="boundary-decay"),
+    pytest.param(lambda gs: _bent(gs, 20.0, -1e-6), "not positive", id="negative-dip"),
+    pytest.param(lambda gs: _bent(gs, 10.0, 1e-3), "not radially nonincreasing", id="bump"),
+    pytest.param(lambda gs: {"P": gs.P * (1 + 1e-3)}, "sharp-constant formulas disagree",
+                 id="perturbed-P"),
+    pytest.param(lambda gs: {"E0": gs.E0 * (1 + 1e-5)}, "Pohozaev", id="perturbed-E0"),
+])
+def test_certify_rejects(gs32_mid, change, msg):
+    # one field of a certified result altered: each branch names its failure
+    bad = dataclasses.replace(gs32_mid, **change(gs32_mid))
+    with pytest.raises(GroundStateError, match=msg):
+        bad.certify()
 
 
 def test_pohozaev_hand_ratios(gs32_mid):
@@ -170,8 +194,7 @@ def scan_kernels():
 @pytest.mark.parametrize("p, gamma", SCAN)
 def test_solver_convergence_scan(scan_kernels, p, gamma):
     kern = scan_kernels[gamma]
-    gs = solve_ground_state(ModelParams(p, gamma), kern.grid, kern)
-    assert gs.certify()
+    gs = solve_ground_state(ModelParams(p, gamma), kern.grid, kern)  # certifies or raises
     assert gs.iterations <= SCAN_MAX_ITER
 
 

@@ -392,6 +392,12 @@ def test_cli_exponents_json(capsys):
                  id="ground-state-zero-tol"),
     pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--r-max", "2"],
                  "ground state: no convergence", id="ground-state-small-domain"),
+    # a solve that converges on a grid too coarse for it fails certification
+    pytest.param(["ground-state", "--p", "3.5", "--gamma", "1", "--r-max", "30", "--n", "1023"],
+                 "ground state: Pohozaev defects too large", id="ground-state-uncertified"),
+    # an eps too large for the scattering pairs at (p, gamma)
+    pytest.param(["exponents", "--p", "2.05", "--gamma", "1.1", "--eps", "0.05"],
+                 "--eps 0.05 at --p 2.05 --gamma 1.1: theta", id="exponents-large-eps"),
     pytest.param(["kato", "--potential", "gaussian:amplitude=1", "--n", "16"], "n=16 too small",
                  id="kato-coarse-grid"),
 ])
