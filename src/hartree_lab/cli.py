@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 
 from . import scenario as scn
+from .evolve import EvolutionBlowup
 from .exponents import ModelParams, ab_exponents, identity_report, scattering_pairs
 from .grid import RadialGrid, save_field_csv
 from .groundstate import (GroundStateError, pohozaev_check, solve_ground_state,
@@ -209,6 +210,8 @@ def main(argv=None):
         return args.fn(args)
     except GroundStateError as exc:
         raise SystemExit(f"ground state: {exc}") from None
+    except EvolutionBlowup as exc:
+        raise SystemExit(f"evolve: {exc}") from None
 
 
 if __name__ == "__main__":

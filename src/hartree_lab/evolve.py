@@ -131,6 +131,8 @@ class Stepper:
 def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
            params: ModelParams, cfg: EvolveConfig) -> Trajectory:
     """Run the splitting integrator, sampling diagnostics every sample_every steps."""
+    if kern.gamma != params.gamma:
+        raise ValueError("kernel gamma does not match params")
     grid = u0.grid
     stepper = Stepper(grid, V, kern, params, cfg.dt, sponge=cfg.sponge)
     sigma_c = rbar = None
@@ -219,8 +221,8 @@ def conservation_report(traj: Trajectory) -> dict:
         edrift = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-300))
     budget = d.M + d.exported_mass
     return {
+        "samples_pre_export": int(np.sum(pre)),
         "mass_drift": mdrift,
         "energy_drift": edrift,
-        "samples_pre_export": int(np.sum(pre)),
         "mass_budget_drift": float(np.max(np.abs(budget - budget[0])) / budget[0]),
     }

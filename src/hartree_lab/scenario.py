@@ -39,10 +39,10 @@ the fully resolved scenario; identical documents produce byte-identical
 outputs.
 """
 
+import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import get_args, get_origin
 
@@ -140,7 +140,8 @@ class Scenario:
                     raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {v!r}")
         try:
             # the model, potential, evolve and grid types check their own fields
-            self.model, self.potential, self.evolve_config
+            self.model, self.potential
+            cfg = self.evolve_config
             grid = RadialGrid(self.grid_r_max, self.grid_n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -160,6 +161,13 @@ class Scenario:
                 if not (0 < R < self.grid_r_max if open_top else 0 < R <= self.grid_r_max):
                     raise ConfigError(f"{name} = {R:g} outside (0, r_max{top} = "
                                       f"(0, {self.grid_r_max:g}{top}")
+        # columns and verdict keys name a radius by f"{R:g}"; the run merges exact repeats
+        balls = "ball_radii, monitor_R" if "monitor" in req else "ball_radii"
+        for name, radii in ((balls, cfg.ball_radii), ("morawetz_R", cfg.chi_radii)):
+            radii = sorted(set(radii))
+            if len({f"{R:g}" for R in radii}) < len(radii):
+                raise ConfigError(f"{name} = {', '.join(map(repr, radii))}: "
+                                  f"two radii share a column label")
         if self.initial_kind == "gaussian" and not self.initial_width > 0:
             raise ConfigError(f"initial_width = {self.initial_width:g} must be > 0")
         # zero initial data has M(0) = 0, which every relative drift divides by
@@ -301,12 +309,6 @@ def strict_json(obj):
                       allow_nan=False)
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def write_diagnostics_csv(path, series, scenario_dict):
     balls = sorted(series.mass_in_ball)
     columns = [(name, getattr(series, name)) for name in
@@ -320,8 +322,8 @@ def write_diagnostics_csv(path, series, scenario_dict):
         fh.write(f"# hartree-lab-diagnostics,{OUTPUT_FORMAT_VERSION}\n")
         fh.write("# scenario: " + json.dumps(scenario_dict, sort_keys=True) + "\n")
         fh.write(",".join(name for name, _ in columns) + "\n")
-        for row in zip(*(values for _, values in columns)):
-            fh.write(",".join(_fmt(float(x)) for x in row) + "\n")
+        for row in np.column_stack([values for _, values in columns]).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _identity_defects(series):
@@ -372,7 +374,6 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
     series = traj.diagnostics
 
     verdicts = {}
-    failures = []
     thresholds = {}
     if gs is not None:
         thresholds = {**gs.thresholds,
@@ -381,15 +382,9 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
     if "conservation" in s.requests:
         rep = conservation_report(traj)
         available = rep["samples_pre_export"] >= 2
-        ok = available and rep["mass_drift"] <= 1e-10 and rep["energy_drift"] <= 1e-4
         verdicts["conservation"] = {
-            "available": available,
-            "samples_pre_export": rep["samples_pre_export"],
-            "mass_drift": rep["mass_drift"],
-            "energy_drift": rep["energy_drift"],
-            "mass_budget_drift": rep["mass_budget_drift"],
-            "pass": bool(ok),
-        }
+            "available": available, **rep,
+            "pass": available and rep["mass_drift"] <= 1e-10 and rep["energy_drift"] <= 1e-4}
     if "thresholds" in s.requests:
         sigma_c = ab_exponents(s.model)[2]
         lam0 = float(series.lambda_sq[0])
@@ -407,25 +402,18 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
             "track_below_threshold": bool(track_ok),
             "pass": bool(cond1 and cond2 and cond_sup and track_ok),
         }
-        cc = coercivity_check(traj.final, gs, s.coercivity_R, kern=kern)
-        verdicts["coercivity_final"] = {k: v for k, v in cc.items()}
+        verdicts["coercivity_final"] = coercivity_check(traj.final, gs, s.coercivity_R,
+                                                        kern=kern)
     if "monitor" in s.requests:
         mon = scattering_monitor(series, s.monitor_R, s.monitor_eps)
-        want = s.monitor_expect == "pass"
         got = mon["crossed"] and mon["rate_bound_pass"]
-        verdicts["monitor"] = dict(mon)
-        verdicts["monitor"]["expected"] = s.monitor_expect
-        verdicts["monitor"]["pass"] = bool(got == want)
+        verdicts["monitor"] = {**mon, "expected": s.monitor_expect,
+                               "pass": got == (s.monitor_expect == "pass")}
     if "morawetz" in s.requests:
-        rep = {}
-        for R in s.morawetz_R:
-            rep[f"R{R:g}"] = morawetz_average(series, gs, R, s.t_end)
-        rep["identity_defects"] = _identity_defects(series)
-        verdicts["morawetz"] = rep
-
-    for name, v in verdicts.items():
-        if isinstance(v, dict) and v.get("pass") is False:
-            failures.append(name)
+        verdicts["morawetz"] = {f"R{R:g}": morawetz_average(series, gs, R, s.t_end)
+                                for R in s.morawetz_R}
+        verdicts["morawetz"]["identity_defects"] = _identity_defects(series)
+    failures = [name for name, v in verdicts.items() if v.get("pass") is False]
 
     scn = s.resolved()
     csv_path = os.path.join(out_dir, f"{tag}_diagnostics.csv")
@@ -455,11 +443,12 @@ SWEEP_AXES = {"c": "initial_c", "p": "p", "gamma": "gamma", "R": "monitor_R",
 
 
 def sweep(s: Scenario, axis, values, out_dir="./out"):
-    """Run independent scenarios concurrently; per-run failures isolated.
+    """Run the scenarios one after another, in the order of values.
 
-    Each run writes under its tag; values whose tags collide (duplicates,
-    or floats equal to 6 significant digits) are rejected before any run.
-    A swept value passes the same checks as a parsed one.
+    A failing run becomes a row with its error, and the runs after it
+    still run.  Each run writes under its tag; values whose tags collide
+    (duplicates, or floats equal to 6 significant digits) are rejected
+    before any run.  A swept value passes the same checks as a parsed one.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}")
@@ -468,42 +457,23 @@ def sweep(s: Scenario, axis, values, out_dir="./out"):
     if len(set(tags)) < len(tags):
         raise ValueError(f"sweep values {values} share output tags {tags}")
     os.makedirs(out_dir, exist_ok=True)
-    max_workers = min(4, os.cpu_count() or 1)
-
-    def one(value, tag):
+    rows = []
+    for value, tag in zip(values, tags):
         try:
             rep = run_scenario(replace(s, **{SWEEP_AXES[axis]: value}),
                                out_dir=os.path.join(out_dir, tag), tag=tag)
-            return value, rep, None
-        except Exception as exc:  # isolated: a failing run never kills siblings
-            return value, None, repr(exc)
-
-    results = []
-    with ThreadPoolExecutor(max_workers=max_workers) as ex:
-        for res in ex.map(one, values, tags):
-            results.append(res)
-
-    rows = []
-    for value, rep, err in results:
-        if err is not None:
-            rows.append({"axis": axis, "value": value, "error": err})
-            continue
-        row = {"axis": axis, "value": value, "exit_code": rep.exit_code}
-        row.update({f"threshold_{k}": v for k, v in rep.thresholds.items()})
-        cons = rep.verdicts.get("conservation", {})
-        row.update({f"conservation_{k}": v for k, v in cons.items() if k != "pass"})
-        rows.append(row)
-    # aggregate CSV with a stable column order
-    cols = []
-    for row in rows:
-        for k in row:
-            if k not in cols:
-                cols.append(k)
+            cons = rep.verdicts.get("conservation", {})
+            rows.append({"axis": axis, "value": value, "exit_code": rep.exit_code,
+                         **{f"threshold_{k}": v for k, v in rep.thresholds.items()},
+                         **{f"conservation_{k}": v for k, v in cons.items() if k != "pass"}})
+        except Exception as exc:  # isolated: the runs after it still run
+            rows.append({"axis": axis, "value": value, "error": repr(exc)})
+    # columns in first-seen order; csv quotes a field that holds a comma
+    cols = list(dict.fromkeys(k for row in rows for k in row))
     agg = os.path.join(out_dir, f"sweep_{axis}.csv")
-    with open(agg, "w") as fh:
+    with open(agg, "w", newline="") as fh:
         fh.write(f"# hartree-lab-sweep,{OUTPUT_FORMAT_VERSION}\n")
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(c, "")) for c in cols) + "\n")
-    ok = all(r.get("error") is None and r.get("exit_code", 1) == 0 for r in rows) if rows else True
-    return {"rows": rows, "csv": agg, "pass": ok}
+        writer = csv.DictWriter(fh, cols, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return {"rows": rows, "csv": agg, "pass": all(r.get("exit_code") == 0 for r in rows)}

@@ -163,11 +163,12 @@ def test_acceptance_4_conservation(gs32_desk, kern2_desk, params32):
     dt-halving factor in [3.5, 4.5]."""
     t0 = time.time()
     drifts = {}
-    for dt in (1e-3, 5e-4):
-        cfg = EvolveConfig(dt=dt, t_end=5.0, sample_every=max(1, int(0.05 / dt)))
-        traj = evolve(0.8 * gs32_desk.Q, V_GAUSS, kern2_desk, params32, cfg)
-        rep = conservation_report(traj)
-        drifts[dt] = rep
+    # with the sponge off, the dispersed tail reaches the wall by t = 5
+    with pytest.warns(UserWarning, match="boundary amplitude"):
+        for dt in (1e-3, 5e-4):
+            cfg = EvolveConfig(dt=dt, t_end=5.0, sample_every=max(1, int(0.05 / dt)))
+            traj = evolve(0.8 * gs32_desk.Q, V_GAUSS, kern2_desk, params32, cfg)
+            drifts[dt] = conservation_report(traj)
     mass = drifts[1e-3]["mass_drift"]
     ener = drifts[1e-3]["energy_drift"]
     factor = drifts[1e-3]["energy_drift"] / drifts[5e-4]["energy_drift"]

@@ -222,6 +222,13 @@ def test_blowup_detection(grid_small, params32):
     assert exc.value.t == cfg.dt
 
 
+def test_rejects_kernel_of_another_gamma(grid_small, params32):
+    u0 = grid_small.field_from(lambda r: np.exp(-r**2))
+    cfg = EvolveConfig(dt=1e-2, t_end=0.1, sample_every=10)
+    with pytest.raises(ValueError, match="kernel gamma does not match params"):
+        evolve(u0, zero_potential(), build_kernel(1.5, grid_small), params32, cfg)
+
+
 def test_boundary_warning(grid_small, params32):
     kern = build_kernel(2.0, grid_small)
     # fast-dispersing packet hits the wall with the sponge off

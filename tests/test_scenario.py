@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import json
@@ -173,6 +174,14 @@ def test_parse_rejects_bad_choice(key, line, bad):
     pytest.param(MINIMAL + "[evolve]\nt_end = 0.0004\ndt = 1e-3\n"
                  "[diagnostics]\nrequests = morawetz\nmorawetz_R = 10\n", None,
                  id="t_end-under-half-step"),
+    # radii that print the same under :g would name two columns alike;
+    # the monitor's radius joins the ball radii
+    pytest.param(MINIMAL + "[diagnostics]\nball_radii = 5, 5.0000001\n", None,
+                 id="ball_radii-same-label"),
+    pytest.param(MINIMAL + "[diagnostics]\nrequests = monitor\nmonitor_R = 5.0000001\n"
+                 "ball_radii = 5\n", None, id="monitor_R-same-label-as-ball"),
+    pytest.param(MINIMAL + "[diagnostics]\nrequests = morawetz\nmorawetz_R = 10, 10.0000001\n",
+                 None, id="morawetz_R-same-label"),
 ])
 def test_parse_rejects_before_build(monkeypatch, tmp_path, text, line):
     def forbidden(*args, **kwargs):
@@ -319,6 +328,27 @@ def test_sweep_threshold_column(tmp_path):
         if base is None:
             base = track0 / scale
         assert track0 / scale == pytest.approx(base, rel=1e-12)
+
+
+def test_sweep_csv_reads_back(tmp_path):
+    s = parse_scenario(SCATTER.replace("t_end = 6.0", "t_end = 0.1")
+                       .replace("requests = conservation, thresholds, monitor",
+                                "requests = thresholds, monitor"))
+    # R = 30 lies beyond r_max = 24: a ConfigError whose message holds a comma
+    values = [8.0, 30.0, 4.0, 12.0]
+    rep = sweep(s, "R", values, out_dir=str(tmp_path))
+    with open(rep["csv"], newline="") as fh:
+        header, *rows = csv.reader(line for line in fh if not line.startswith("#"))
+    assert all(len(row) == len(header) for row in rows)
+    assert [float(row[header.index("value")]) for row in rows] == values
+    error = header.index("error")
+    assert "," in rep["rows"][1]["error"]
+    for row, returned in zip(rows, rep["rows"]):
+        assert row[error] == returned.get("error", "")
+        if not row[error]:
+            for name, cell in zip(header, row):
+                if name.startswith("threshold_"):
+                    float(cell)
 
 
 def test_sweep_empty(tmp_path):
@@ -474,6 +504,16 @@ def test_cli_missing_config_is_one_line(tmp_path, capsys, cmd, extra):
     assert exc.value.code == "/nonexistent.ini: No such file or directory"
     assert capsys.readouterr().err == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_blowup_is_one_line(tmp_path):
+    # finite data whose |u|^p overflows in the first phase substep
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(MINIMAL.replace("amplitude = 0.5", "amplitude = 1e200"))
+    with pytest.raises(SystemExit) as exc, \
+            pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        cli_main(["--output-dir", str(tmp_path / "out"), "evolve", "--config", str(cfg)])
+    assert exc.value.code == "evolve: non-finite field detected at t = 0.001"
 
 
 def test_cli_sweep_rejects_fractional_n(tmp_path):
