@@ -19,7 +19,8 @@ r or multiplication by it runs.  A step runs 2 length-n complex DSTs
 plus the 4 half-length transforms of the Riesz apply (real FFTs of
 2 x (2(n+1) + (n+1)) points).  A sample reads u and u' off c by one FFT
 without changing the state; each diagnostic linear in |u|^2 is one dot
-product with a row built once per run.
+product with a row built once per run.  A sample fills one column of a
+table whose rows are the diagnostics CSV's columns (``column_labels``).
 
 The optional sponge multiplies u by D = exp(-dt sigma(r)) between the
 phase substep and the closing half-step, sigma(r) = strength
@@ -35,7 +36,7 @@ import numpy as np
 
 from .exponents import ModelParams, ab_exponents, scattering_pairs
 from .grid import FieldState, RadialField, RadialGrid, dst1, dst_coeffs, from_dst_coeffs
-from .morawetz import (DiagnosticsSeries, morawetz_z_from_state, morawetz_zpp_from_state,
+from .morawetz import (build_weight, morawetz_z_from_state, morawetz_zpp_from_state,
                        quadratic_weight, radial_cutoff)
 from .potentials import PotentialSpec, energy_from_state
 from .riesz import RieszKernel
@@ -68,7 +69,7 @@ class EvolveConfig:
     sample_every: int = 50
     sponge: SpongeConfig | None = None   # None: no absorbing layer
     store_fields: bool = False        # keep field snapshots at sample times
-    weights: tuple = ()               # extra MorawetzWeight chains to record
+    weight_R: float | None = None     # truncated Morawetz weight radius; None: quadratic
     ball_radii: tuple = (10.0,)       # mass_in_ball / eta-mass radii
     chi_radii: tuple = ()             # P(chi_R u) radii for Morawetz averages
 
@@ -77,6 +78,28 @@ class EvolveConfig:
             raise ValueError("dt > 0 and t_end >= 0 required")
         if self.sample_every < 1:
             raise ValueError("sample_every >= 1")
+
+
+def column_labels(cfg: EvolveConfig) -> tuple:
+    """The diagnostics columns, in the order a sample writes them: the
+    labels of the rows of the table that ``evolve`` fills."""
+    return ("t", "M", "E", "E0", "P", "grad_sq", "lambda_sq", "z", "zp", "zpp",
+            *[f"mass_in_ball_{R:g}" for R in cfg.ball_radii],
+            "exported_mass", "threshold_track", "lr_norm_rbar",
+            *[f"eta_mass_{R:g}" for R in cfg.ball_radii],
+            *[f"p_chi_{R:g}" for R in cfg.chi_radii])
+
+
+@dataclass
+class DiagnosticsSeries:
+    """The sampled series: row k of table is the column labels[k]."""
+    labels: tuple
+    table: np.ndarray
+
+    def __getitem__(self, label):
+        if label not in self.labels:
+            raise ValueError(f"series lacks the column {label}")
+        return self.table[self.labels.index(label)]
 
 
 @dataclass
@@ -142,37 +165,36 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
     except ValueError:
         pass
 
-    weights = list(cfg.weights) if cfg.weights else [quadratic_weight(grid)]
+    weight = quadratic_weight(grid) if cfg.weight_R is None else build_weight(cfg.weight_R, grid)
     # each |u|^2-linear diagnostic is one dot product with a row built here
     w = grid.weights
     wV = w * stepper.Vr
-    w_dV_ap = [wgt.weighted[1] * V.dV(grid.nodes) for wgt in weights]
+    w_dV_ap = weight.weighted[1] * V.dV(grid.nodes)
     w_ball = [np.where(grid.nodes <= R, w, 0.0) for R in cfg.ball_radii]
     w_eta = [w * radial_cutoff(grid, R) for R in cfg.ball_radii]
     chi_p = [radial_cutoff(grid, R) ** params.p for R in cfg.chi_radii]
 
     n_steps = int(round(cfg.t_end / cfg.dt))
-    n_samples = 1 + -(-n_steps // cfg.sample_every)
-    names = ("t", "M", "E", "E0", "P", "grad_sq", "lambda_sq", "exported_mass",
-             "threshold_track", "lr_norm_rbar")
-    table = np.empty((len(names) + 3 * len(weights) + 2 * len(w_ball) + len(chi_p), n_samples))
+    labels = column_labels(cfg)
+    table = np.empty((len(labels), 1 + -(-n_steps // cfg.sample_every)))
     fields = [] if cfg.store_fields else None
 
     c = dst_coeffs(u0)
     exported = 0.0
 
     def sample(j, tcur):
-        # the Riesz and spectral parts of every diagnostic read one state
+        # the Riesz and spectral parts of every diagnostic read one state;
+        # the values run in the order of column_labels
         st = FieldState.from_coeffs(grid, c, kern, params.p, chi_p)
         M = st.mass
         E, E0, lam = energy_from_state(st, wV)
         table[:, j] = (
-            tcur, M, E, E0, st.P, st.grad_sq, lam, exported,
+            tcur, M, E, E0, st.P, st.grad_sq, lam,
+            *morawetz_z_from_state(st, weight), morawetz_zpp_from_state(st, weight, w_dV_ap),
+            *[np.dot(row, st.usq) for row in w_ball], exported,
             st.P * M**sigma_c if sigma_c is not None else np.nan,
             np.dot(w, st.usq ** (0.5 * rbar)) ** (1.0 / rbar) if rbar is not None else np.nan,
-            *[x for wgt, row in zip(weights, w_dV_ap)
-              for x in (*morawetz_z_from_state(st, wgt), morawetz_zpp_from_state(st, wgt, row))],
-            *[np.dot(row, st.usq) for row in w_ball + w_eta], *st.pairings[1:])
+            *[np.dot(row, st.usq) for row in w_eta], *st.pairings[1:])
         if fields is not None:
             fields.append(st.u)
 
@@ -192,15 +214,8 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
     if bwarn:
         warnings.warn(BOUNDARY_WARNING)
 
-    rows = iter(table)
-    data = dict(zip(names, rows))
-    data["extra_chains"] = {wgt.label(): (next(rows), next(rows), next(rows)) for wgt in weights}
-    data["z"], data["zp"], data["zpp"] = data["extra_chains"][weights[0].label()]
-    for key, radii in (("mass_in_ball", cfg.ball_radii), ("eta_mass", cfg.ball_radii),
-                       ("p_chi", cfg.chi_radii)):
-        data[key] = {R: next(rows) for R in radii}
-    series = DiagnosticsSeries(**data)
-    return Trajectory(diagnostics=series, fields=fields, final=fin, boundary_warning=bwarn)
+    return Trajectory(diagnostics=DiagnosticsSeries(labels, table), fields=fields,
+                      final=fin, boundary_warning=bwarn)
 
 
 def conservation_report(traj: Trajectory) -> dict:
@@ -210,16 +225,17 @@ def conservation_report(traj: Trajectory) -> dict:
     a single sample cannot drift, so it measures nothing.
     """
     d = traj.diagnostics
-    if len(d.t) < 2:
+    if len(d["t"]) < 2:
         raise ValueError("need at least two samples")
-    pre = d.exported_mass <= 1e-12 * max(d.M[0], 1e-300)
-    M = d.M[pre]
-    E = d.E[pre]
+    M_all, exported = d["M"], d["exported_mass"]
+    pre = exported <= 1e-12 * max(M_all[0], 1e-300)
+    M = M_all[pre]
+    E = d["E"][pre]
     mdrift = edrift = np.nan
     if len(M) >= 2:
         mdrift = float(np.max(np.abs(M - M[0])) / abs(M[0]))
         edrift = float(np.max(np.abs(E - E[0])) / max(abs(E[0]), 1e-300))
-    budget = d.M + d.exported_mass
+    budget = M_all + exported
     return {
         "samples_pre_export": int(np.sum(pre)),
         "mass_drift": mdrift,

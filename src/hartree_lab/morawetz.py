@@ -18,7 +18,7 @@ with it, the globally quadratic weight (S = 2P) reduces z'' to
     8 |grad u|^2 - (4B/p) P(u) - 4 int r V'(r) |u|^2.
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -77,9 +77,6 @@ class MorawetzWeight:
     @property
     def quadratic(self):
         return self.R is None
-
-    def label(self):
-        return "quadratic" if self.R is None else f"truncated_R{self.R:g}"
 
     @cached_property
     def weighted(self):
@@ -187,33 +184,6 @@ def morawetz_zpp_from_state(st: FieldState, weight: MorawetzWeight,
 
 
 # ---------------------------------------------------------------------------
-# diagnostics series
-
-@dataclass
-class DiagnosticsSeries:
-    t: np.ndarray
-    M: np.ndarray
-    E: np.ndarray
-    E0: np.ndarray
-    P: np.ndarray
-    grad_sq: np.ndarray
-    lambda_sq: np.ndarray
-    z: np.ndarray
-    zp: np.ndarray
-    zpp: np.ndarray
-    mass_in_ball: dict
-    eta_mass: dict
-    p_chi: dict
-    exported_mass: np.ndarray
-    threshold_track: np.ndarray
-    lr_norm_rbar: np.ndarray
-    extra_chains: dict = dfield(default_factory=dict)  # label -> (z, zp, zpp)
-
-    def h1_sq(self):
-        return self.M + self.grad_sq
-
-
-# ---------------------------------------------------------------------------
 # coercivity (localized)
 
 def coercivity_check(u: RadialField, gs: GroundStateResult, R: float,
@@ -260,15 +230,13 @@ def coercivity_check(u: RadialField, gs: GroundStateResult, R: float,
 # ---------------------------------------------------------------------------
 # Morawetz averages (time-averaged localized potential energy) and monitors
 
-def morawetz_average(series: DiagnosticsSeries, gs: GroundStateResult,
-                     R: float, T: float) -> dict:
-    """(1/T) int_0^T P(chi_R u) dt against the R/T + R^(-(N-1)B/N) shape."""
-    if R not in series.p_chi:
-        raise ValueError(f"series lacks P(chi_R u) for R={R}")
+def morawetz_average(series, gs: GroundStateResult, R: float, T: float) -> dict:
+    """(1/T) int_0^T P(chi_R u) dt against the R/T + R^(-(N-1)B/N) shape,
+    from the series' p_chi_R column."""
     _, B, _ = ab_exponents(gs.params)
-    sel = series.t <= T + 1e-12
-    t = series.t[sel]
-    pc = series.p_chi[R][sel]
+    sel = series["t"] <= T + 1e-12
+    t = series["t"][sel]
+    pc = series[f"p_chi_{R:g}"][sel]
     if len(t) < 2:
         raise ValueError("need at least two samples within [0, T]")
     avg = float(np.trapezoid(pc, t) / (t[-1] - t[0]))
@@ -286,7 +254,7 @@ def morawetz_average(series: DiagnosticsSeries, gs: GroundStateResult,
     }
 
 
-def scattering_monitor(series: DiagnosticsSeries, R: float, eps: float) -> dict:
+def scattering_monitor(series, R: float, eps: float) -> dict:
     """Localized-mass monitor for the scattering criterion.
 
     Reports the minimum of the sharp-ball mass over sampled times and
@@ -294,19 +262,15 @@ def scattering_monitor(series: DiagnosticsSeries, R: float, eps: float) -> dict:
     eta_R-localized mass (the object whose time derivative the identity
     2 Im int grad(eta_R).grad(u) conj(u) controls by C/R).
     """
-    if R not in series.mass_in_ball:
-        raise ValueError(f"series lacks mass_in_ball for R={R}")
-    mb = series.mass_in_ball[R]
-    em = series.eta_mass[R]
-    t = series.t
+    mb = series[f"mass_in_ball_{R:g}"]
+    em = series[f"eta_mass_{R:g}"]
+    t = series["t"]
+    if len(t) < 2:
+        raise ValueError("need at least two samples")
     min_mass = float(np.min(mb))
     crossed = bool(min_mass <= eps**2)
-    sup_h1 = float(np.max(series.h1_sq()))
-    if len(t) >= 3:
-        dm = np.gradient(em, t)
-        max_rate = float(np.max(np.abs(dm)))
-    else:
-        max_rate = 0.0
+    sup_h1 = float(np.max(series["M"] + series["grad_sq"]))  # sup of the H^1 norm squared
+    max_rate = float(np.max(np.abs(np.gradient(em, t))))
     c_est = max_rate * R
     return {
         "min_mass_in_ball": min_mass,

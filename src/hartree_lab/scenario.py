@@ -48,12 +48,12 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .evolve import BOUNDARY_WARNING, EvolveConfig, SpongeConfig, conservation_report, evolve
+from .evolve import (BOUNDARY_WARNING, EvolveConfig, SpongeConfig, column_labels,
+                     conservation_report, evolve)
 from .exponents import ModelParams, ab_exponents
-from .grid import RadialGrid, load_field_csv, save_field_csv
+from .grid import RadialGrid, l2_norm_sq, load_field_csv, save_field_csv
 from .groundstate import solve_ground_state
-from .morawetz import (build_weight, coercivity_check, morawetz_average,
-                       quadratic_weight, scattering_monitor)
+from .morawetz import coercivity_check, morawetz_average, scattering_monitor
 from .potentials import PotentialSpec
 from .riesz import build_kernel
 
@@ -162,30 +162,40 @@ class Scenario:
                     raise ConfigError(f"{name} = {R:g} outside (0, r_max{top} = "
                                       f"(0, {self.grid_r_max:g}{top}")
         # columns and verdict keys name a radius by f"{R:g}"; the run merges exact repeats
-        balls = "ball_radii, monitor_R" if "monitor" in req else "ball_radii"
-        for name, radii in ((balls, cfg.ball_radii), ("morawetz_R", cfg.chi_radii)):
-            radii = sorted(set(radii))
-            if len({f"{R:g}" for R in radii}) < len(radii):
-                raise ConfigError(f"{name} = {', '.join(map(repr, radii))}: "
-                                  f"two radii share a column label")
-        if self.initial_kind == "gaussian" and not self.initial_width > 0:
-            raise ConfigError(f"initial_width = {self.initial_width:g} must be > 0")
-        # zero initial data has M(0) = 0, which every relative drift divides by
-        for kind, name in (("gaussian", "initial_amplitude"), ("ground_state", "initial_c")):
-            if self.initial_kind == kind and getattr(self, name) == 0:
-                raise ConfigError(f"{name} = 0 gives zero initial data")
+        labels = column_labels(cfg)
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigError(f"two radii share the diagnostics column {label}")
         if "monitor" in req and not self.monitor_eps > 0:
             raise ConfigError(f"monitor_eps = {self.monitor_eps:g} must be > 0")
-        if self.initial_kind == "file":
-            try:  # read here, so that a bad file fails before anything is built
-                u0 = load_field_csv(self.initial_path, grid)
+        if self.initial_kind == "gaussian" and not self.initial_width > 0:
+            raise ConfigError(f"initial_width = {self.initial_width:g} must be > 0")
+        # every relative drift divides by M(0), so it must be finite and nonzero
+        if self.initial_kind == "ground_state":
+            if self.initial_c == 0:
+                raise ConfigError("initial_c = 0 gives zero initial data")
+        else:  # M(Q) is not known before the solve, so only these kinds are checked
+            where = ("initial data" if self.initial_kind == "gaussian"
+                     else f"initial data file {self.initial_path}")
+            try:  # built here, so that bad data fails before anything else is
+                u0 = self.initial_field(grid)
             except OSError as exc:
-                raise ConfigError(f"initial data file {self.initial_path}: "
-                                  f"{exc.strerror or exc}") from None
+                raise ConfigError(f"{where}: {exc.strerror or exc}") from None
             except ValueError as exc:
-                raise ConfigError(f"initial data file {self.initial_path}: {exc}") from None
-            if not np.any(u0.values):
-                raise ConfigError(f"initial data file {self.initial_path}: every value is zero")
+                raise ConfigError(f"{where}: {exc}") from None
+            with np.errstate(over="ignore"):
+                M0 = l2_norm_sq(u0)
+            if not 0 < M0 < math.inf:
+                raise ConfigError(f"{where}: mass M(0) = {M0:g} is not in (0, inf)")
+
+    def initial_field(self, grid, gs=None):
+        """u(0) on the grid; the ground_state kind scales the solved gs.Q."""
+        if self.initial_kind == "ground_state":
+            return self.initial_c * gs.Q
+        if self.initial_kind == "gaussian":
+            return grid.field_from(
+                lambda r: self.initial_amplitude * np.exp(-((r / self.initial_width) ** 2) / 2))
+        return load_field_csv(self.initial_path, grid)
 
     @property
     def model(self):
@@ -199,8 +209,8 @@ class Scenario:
 
     @property
     def evolve_config(self):
-        """Everything of the EvolveConfig but the Morawetz weights and the
-        per-sample field snapshots (``store_fields`` writes ``traj.final``)."""
+        """Everything of the EvolveConfig but the per-sample field snapshots
+        (``store_fields`` writes ``traj.final``)."""
         ball = set(self.ball_radii)
         if "monitor" in self.requests:
             ball.add(self.monitor_R)
@@ -208,8 +218,9 @@ class Scenario:
             dt=self.dt, t_end=self.t_end, sample_every=self.sample_every,
             sponge=SpongeConfig(self.sponge_start, self.sponge_strength,
                                 self.sponge_power) if self.sponge else None,
+            weight_R=self.weight_R if self.weight == "truncated" else None,
             ball_radii=tuple(sorted(ball)),
-            chi_radii=self.morawetz_R if "morawetz" in self.requests else ())
+            chi_radii=tuple(sorted(set(self.morawetz_R if "morawetz" in self.requests else ()))))
 
     def resolved(self):
         """Plain-dict form embedded in outputs for provenance: every key."""
@@ -310,33 +321,26 @@ def strict_json(obj):
 
 
 def write_diagnostics_csv(path, series, scenario_dict):
-    balls = sorted(series.mass_in_ball)
-    columns = [(name, getattr(series, name)) for name in
-               ("t", "M", "E", "E0", "P", "grad_sq", "lambda_sq", "z", "zp", "zpp")]
-    columns += [(f"mass_in_ball_{R:g}", series.mass_in_ball[R]) for R in balls]
-    columns += [(name, getattr(series, name)) for name in
-                ("exported_mass", "threshold_track", "lr_norm_rbar")]
-    columns += [(f"eta_mass_{R:g}", series.eta_mass[R]) for R in balls]
-    columns += [(f"p_chi_{R:g}", series.p_chi[R]) for R in sorted(series.p_chi)]
+    """The series as a CSV: its labels are the header, one row per sample."""
     with open(path, "w") as fh:
         fh.write(f"# hartree-lab-diagnostics,{OUTPUT_FORMAT_VERSION}\n")
         fh.write("# scenario: " + json.dumps(scenario_dict, sort_keys=True) + "\n")
-        fh.write(",".join(name for name, _ in columns) + "\n")
-        for row in np.column_stack([values for _, values in columns]).tolist():
+        fh.write(",".join(series.labels) + "\n")
+        for row in series.table.T.tolist():
             fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _identity_defects(series):
     """Defect norms of the d/dt z = z' and d/dt z' = z'' chain on the
     sampled series, with the constants C = defect / dt_sample^2."""
-    t = series.t
-    if len(t) < 3 or np.any(~np.isfinite(series.zpp)):
+    t, z, zp, zpp = (series[k] for k in ("t", "z", "zp", "zpp"))
+    if len(t) < 3 or np.any(~np.isfinite(zpp)):
         return {"available": False}
     dts = float(np.max(np.diff(t)))
-    dz = (series.z[2:] - series.z[:-2]) / (t[2:] - t[:-2])
-    dzp = (series.zp[2:] - series.zp[:-2]) / (t[2:] - t[:-2])
-    d1 = float(np.max(np.abs(dz - series.zp[1:-1])))
-    d2 = float(np.max(np.abs(dzp - series.zpp[1:-1])))
+    dz = (z[2:] - z[:-2]) / (t[2:] - t[:-2])
+    dzp = (zp[2:] - zp[:-2]) / (t[2:] - t[:-2])
+    d1 = float(np.max(np.abs(dz - zp[1:-1])))
+    d2 = float(np.max(np.abs(dzp - zpp[1:-1])))
     return {"available": True, "sample_spacing": dts,
             "dz_minus_zp": d1, "dzp_minus_zpp": d2,
             "C_dz": d1 / dts**2, "C_dzp": d2 / dts**2}
@@ -360,25 +364,15 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
                 or "monitor" in s.requests)
     gs = solve_ground_state(s.model, grid, kern) if needs_gs else None
 
-    if s.initial_kind == "ground_state":
-        u0 = s.initial_c * gs.Q
-    elif s.initial_kind == "gaussian":
-        u0 = grid.field_from(
-            lambda r: s.initial_amplitude * np.exp(-((r / s.initial_width) ** 2) / 2))
-    else:
-        u0 = load_field_csv(s.initial_path, grid)
-
-    weight = quadratic_weight(grid) if s.weight == "quadratic" else build_weight(s.weight_R, grid)
-    cfg = replace(s.evolve_config, weights=(weight,))
-    traj = evolve(u0, s.potential, kern, s.model, cfg)
+    traj = evolve(s.initial_field(grid, gs), s.potential, kern, s.model, s.evolve_config)
     series = traj.diagnostics
 
     verdicts = {}
     thresholds = {}
     if gs is not None:
         thresholds = {**gs.thresholds,
-                      "sup_track": float(np.nanmax(series.threshold_track)),
-                      "track_initial": float(series.threshold_track[0])}
+                      "sup_track": float(np.nanmax(series["threshold_track"])),
+                      "track_initial": float(series["threshold_track"][0])}
     if "conservation" in s.requests:
         rep = conservation_report(traj)
         available = rep["samples_pre_export"] >= 2
@@ -387,12 +381,11 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
             "pass": available and rep["mass_drift"] <= 1e-10 and rep["energy_drift"] <= 1e-4}
     if "thresholds" in s.requests:
         sigma_c = ab_exponents(s.model)[2]
-        lam0 = float(series.lambda_sq[0])
-        m0 = float(series.M[0])
-        E_init = float(series.E[0])
-        cond1 = m0**sigma_c * E_init < thresholds["ME_threshold"]
+        M, lam = series["M"], series["lambda_sq"]
+        m0, lam0 = float(M[0]), float(lam[0])
+        cond1 = m0**sigma_c * float(series["E"][0]) < thresholds["ME_threshold"]
         cond2 = np.sqrt(m0) ** sigma_c * np.sqrt(lam0) < thresholds["grad_mass_threshold"]
-        sup_lam = float(np.max(np.sqrt(series.M) ** sigma_c * np.sqrt(series.lambda_sq)))
+        sup_lam = float(np.max(np.sqrt(M) ** sigma_c * np.sqrt(lam)))
         cond_sup = sup_lam < thresholds["grad_mass_threshold"]
         track_ok = thresholds["sup_track"] < thresholds["PQ_MQ_sigma"]
         verdicts["thresholds"] = {

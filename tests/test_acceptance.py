@@ -19,9 +19,8 @@ from hartree_lab.grid import (RadialField, RadialGrid, grad_norm_sq_spectral,
                               l2_norm_sq, mass_in_ball)
 from hartree_lab.groundstate import (pohozaev_check, sharp_constant_defect,
                                      solve_ground_state, threshold_functions)
-from hartree_lab.morawetz import (build_weight, coercivity_check, cutoff_field,
-                                  morawetz_zpp, quadratic_weight,
-                                  scattering_monitor)
+from hartree_lab.morawetz import (coercivity_check, cutoff_field, morawetz_zpp,
+                                  quadratic_weight, scattering_monitor)
 from hartree_lab.potentials import (audit_hypotheses, gaussian_potential,
                                     kato_norm, softpower_potential,
                                     table_potential, zero_potential)
@@ -185,18 +184,15 @@ def test_acceptance_5_identity_chain(gs32_desk, kern2_desk, params32):
     """d/dt z = z' and d/dt z' = z'' at measured order in [1.8, 2.2] for
     the quadratic and the truncated weight."""
     t0 = time.time()
-    grid = gs32_desk.Q.grid
-    qw = quadratic_weight(grid)
-    tw = build_weight(15.0, grid)
 
     def defects(dt):
-        cfg = EvolveConfig(dt=dt, t_end=1.2, sample_every=1,
-                           weights=(qw, tw), ball_radii=())
-        traj = evolve(0.8 * gs32_desk.Q, V_GAUSS, kern2_desk, params32, cfg)
-        d = traj.diagnostics
+        # one run per weight: the trajectory does not depend on the weight
         out = {}
-        for lbl, (z, zp, zpp) in d.extra_chains.items():
-            t = d.t
+        for lbl, weight_R in (("quadratic", None), ("truncated_R15", 15.0)):
+            cfg = EvolveConfig(dt=dt, t_end=1.2, sample_every=1,
+                               weight_R=weight_R, ball_radii=())
+            d = evolve(0.8 * gs32_desk.Q, V_GAUSS, kern2_desk, params32, cfg).diagnostics
+            t, z, zp, zpp = (d[k] for k in ("t", "z", "zp", "zpp"))
             dz = (z[2:] - z[:-2]) / (t[2:] - t[:-2])
             dzp = (zp[2:] - zp[:-2]) / (t[2:] - t[:-2])
             out[lbl] = (np.max(np.abs(dz - zp[1:-1])),
@@ -245,7 +241,7 @@ def test_acceptance_6_soliton_controls(grid_desk, kern2_desk):
     assert abs(zpp) <= 1e-5 * scale
 
     # localized mass is constant: the non-scattering control
-    mb = traj.diagnostics.mass_in_ball[10.0]
+    mb = traj.diagnostics["mass_in_ball_10"]
     mdrift = np.max(np.abs(mb - mb[0])) / mb[0]
     assert mdrift <= 1e-4
     dt = time.time() - t0
@@ -263,10 +259,10 @@ def test_acceptance_7_threshold_dichotomy(scatter_runs, gs32_desk, kern2_desk,
     worst_track, worst_frac, worst_cc = 0.0, 0.0, None
     for (c, vname), traj in scatter_runs.items():
         d = traj.diagnostics
-        sup_track = float(np.nanmax(d.threshold_track))
+        sup_track = float(np.nanmax(d["threshold_track"]))
         assert sup_track < PQMQ, (c, vname)
         worst_track = max(worst_track, sup_track / PQMQ)
-        mb = d.mass_in_ball[10.0]
+        mb = d["mass_in_ball_10"]
         frac = mb[-1] / mb[0]
         assert frac <= 0.20, (c, vname, frac)
         worst_frac = max(worst_frac, frac)
@@ -292,10 +288,11 @@ def test_acceptance_8_corollary_chain(scatter_runs, gs32_desk, params32,
     GM_thr = gs32_desk.thresholds["grad_mass_threshold"]
     for (c, vname), traj in scatter_runs.items():
         d = traj.diagnostics
-        cond1 = d.M[0] ** sigma * d.E[0] < ME_thr
-        cond2 = np.sqrt(d.M[0]) ** sigma * np.sqrt(d.lambda_sq[0]) < GM_thr
+        M, lam = d["M"], d["lambda_sq"]
+        cond1 = M[0] ** sigma * d["E"][0] < ME_thr
+        cond2 = np.sqrt(M[0]) ** sigma * np.sqrt(lam[0]) < GM_thr
         assert cond1 and cond2, (c, vname)
-        series = np.sqrt(d.M) ** sigma * np.sqrt(d.lambda_sq)
+        series = np.sqrt(M) ** sigma * np.sqrt(lam)
         assert np.max(series) < GM_thr, (c, vname)
 
     # threshold-function identities on the certification grid

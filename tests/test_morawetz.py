@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hartree_lab.evolve import EvolveConfig, SpongeConfig, evolve
+from hartree_lab.evolve import DiagnosticsSeries, EvolveConfig, SpongeConfig, evolve
 from hartree_lab.exponents import ModelParams, ab_exponents
 from hartree_lab.grid import (FieldState, RadialField, RadialGrid,
                               grad_norm_sq_spectral, l2_norm_sq)
@@ -206,22 +206,19 @@ def test_zpp_potential_term_sign(gs32_mid, kern2_mid, params32):
 def test_identity_chain_orders(gs32_mid, kern2_mid, params32):
     # d/dt z = z' and d/dt z' = z'' at second order in the sampling step,
     # for both weights (smoke-scale version of the acceptance criterion)
-    grid = gs32_mid.Q.grid
-    qw = quadratic_weight(grid)
-    tw = build_weight(15.0, grid)
     V = gaussian_potential(0.2, 2.0)
 
     def defects(dt):
-        cfg = EvolveConfig(dt=dt, t_end=0.6, sample_every=1,
-                           weights=(qw, tw), ball_radii=())
-        traj = evolve(0.8 * gs32_mid.Q, V, kern2_mid, params32, cfg)
-        d = traj.diagnostics
+        # one run per weight: the trajectory does not depend on the weight
         out = {}
-        for lbl, (z, zp, zpp) in d.extra_chains.items():
-            t = d.t
+        for weight_R in (None, 15.0):
+            cfg = EvolveConfig(dt=dt, t_end=0.6, sample_every=1,
+                               weight_R=weight_R, ball_radii=())
+            d = evolve(0.8 * gs32_mid.Q, V, kern2_mid, params32, cfg).diagnostics
+            t, z, zp, zpp = (d[k] for k in ("t", "z", "zp", "zpp"))
             dz = (z[2:] - z[:-2]) / (t[2:] - t[:-2])
             dzp = (zp[2:] - zp[:-2]) / (t[2:] - t[:-2])
-            out[lbl] = (np.max(np.abs(dz - zp[1:-1])),
+            out[weight_R] = (np.max(np.abs(dz - zp[1:-1])),
                         np.max(np.abs(dzp - zpp[1:-1])))
         return out
 
@@ -246,16 +243,8 @@ def test_coercivity_check_paths(gs32_mid, kern2_mid):
 
 
 def test_morawetz_average_zero_field(grid_small, params32):
-    from hartree_lab.morawetz import DiagnosticsSeries
     n = 5
-    t = np.linspace(0, 1, n)
-    zeros = np.zeros(n)
-    series = DiagnosticsSeries(t=t, M=zeros, E=zeros, E0=zeros, P=zeros,
-                               grad_sq=zeros, lambda_sq=zeros, z=zeros,
-                               zp=zeros, zpp=zeros, mass_in_ball={},
-                               eta_mass={}, p_chi={5.0: zeros},
-                               exported_mass=zeros, threshold_track=zeros,
-                               lr_norm_rbar=zeros)
+    series = DiagnosticsSeries(("t", "p_chi_5"), np.stack([np.linspace(0, 1, n), np.zeros(n)]))
 
     class FakeGS:
         params = params32
@@ -272,6 +261,23 @@ def test_scattering_monitor_decay_and_control(gs32_mid, kern2_mid, params32):
     mon = scattering_monitor(traj.diagnostics, 10.0, 0.5)
     assert mon["final_mass_in_ball"] < 0.5 * mon["initial_mass_in_ball"]
     assert mon["rate_bound_pass"]
+
+
+def test_scattering_monitor_rate_on_two_samples(grid_small, params32):
+    # two samples still measure a rate: np.gradient is the one-sided
+    # difference |delta eta-mass| / delta t, not an unmeasured zero
+    kern = build_kernel(2.0, grid_small)
+    u0 = grid_small.field_from(lambda r: 0.5 * np.exp(-r**2 / 2))
+    cfg = EvolveConfig(dt=1e-3, t_end=0.2, sample_every=200, ball_radii=(10.0,))
+    d = evolve(u0, zero_potential(), kern, params32, cfg).diagnostics
+    t, em = d["t"], d["eta_mass_10"]
+    assert len(t) == 2
+    rate = scattering_monitor(d, 10.0, 0.5)["max_rate_eta_mass"]
+    assert rate > 0.0
+    assert rate == pytest.approx(abs(em[1] - em[0]) / (t[1] - t[0]), rel=1e-12)
+    one = DiagnosticsSeries(d.labels, d.table[:, :1])
+    with pytest.raises(ValueError, match="two samples"):
+        scattering_monitor(one, 10.0, 0.5)
 
 
 def test_morawetz_average_trend(gs32_mid, kern2_mid, params32):
@@ -310,8 +316,8 @@ def test_localized_mass_derivative_identity(gs32_mid, kern2_mid, params32):
     etap = np.where((x > 0.5) & (x < 1.0), -np.pi * np.sin(2 * np.pi * (x - 0.5)) / R, 0.0)
     cfg = EvolveConfig(dt=5e-3, t_end=0.5, sample_every=1, ball_radii=(R,), store_fields=True)
     traj = evolve(0.8 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
-    t = traj.diagnostics.t
-    em = traj.diagnostics.eta_mass[R]
+    t = traj.diagnostics["t"]
+    em = traj.diagnostics[f"eta_mass_{R:g}"]
     flux = []
     for f in traj.fields:
         du = FieldState(f).du

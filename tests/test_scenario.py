@@ -66,15 +66,17 @@ FROM_FILE = MINIMAL.replace("kind = gaussian", "kind = file\npath = {path}")
 
 
 def field_files(tmp_path):
-    """A good field file on the MINIMAL grid, two bad copies of it and an
-    all-zero file."""
+    """A good field file on the MINIMAL grid, two bad copies of it, an
+    all-zero file and a finite file whose mass overflows."""
     grid = RadialGrid(24.0, 383)
-    buf, zero = io.StringIO(), io.StringIO()
+    buf, zero, huge = io.StringIO(), io.StringIO(), io.StringIO()
     save_field_csv(grid.field_from(lambda r: np.exp(-r**2)), buf)
     save_field_csv(grid.field_from(np.zeros_like), zero)
+    save_field_csv(grid.field_from(lambda r: 1e200 * np.exp(-r**2)), huge)
     rows = buf.getvalue().splitlines(keepends=True)
     files = {"good": rows, "nan": rows[:11] + ["1.0,nan,0.0\n"] + rows[12:],
-             "short": rows[:-1], "zero": zero.getvalue().splitlines(keepends=True)}
+             "short": rows[:-1], "zero": zero.getvalue().splitlines(keepends=True),
+             "huge": huge.getvalue().splitlines(keepends=True)}
     for name, text in files.items():
         (tmp_path / f"{name}.csv").write_text("".join(text))
     return {name: tmp_path / f"{name}.csv" for name in files}
@@ -169,6 +171,10 @@ def test_parse_rejects_bad_choice(key, line, bad):
     pytest.param(MINIMAL.replace("kind = gaussian", "kind = ground_state\nc = 0"), None,
                  id="initial_c-zero"),
     pytest.param(FROM_FILE.format(path="{zero}"), None, id="file-zero"),
+    # finite data whose mass M(0) overflows
+    pytest.param(MINIMAL.replace("amplitude = 0.5", "amplitude = 1e200"), None,
+                 id="initial_amplitude-mass-overflow"),
+    pytest.param(FROM_FILE.format(path="{huge}"), None, id="file-mass-overflow"),
     # no step runs, so one sample at t = 0 reaches the verdicts, which need two
     pytest.param(MINIMAL + "[evolve]\nt_end = 0.0\n", None, id="t_end-zero"),
     pytest.param(MINIMAL + "[evolve]\nt_end = 0.0004\ndt = 1e-3\n"
@@ -237,6 +243,24 @@ def test_run_scenario_scattering(tmp_path):
     header = csv[2].split(",")
     assert header[:10] == ["t", "M", "E", "E0", "P", "grad_sq", "lambda_sq",
                            "z", "zp", "zpp"]
+
+
+def test_diagnostics_header_pinned(tmp_path):
+    # the monitor's radius joins the ball radii in sorted order, and an exact
+    # repeat among the Morawetz radii is one column
+    text = (SCATTER.replace("t_end = 6.0", "t_end = 0.1")
+            .replace("requests = conservation, thresholds, monitor",
+                     "requests = conservation, monitor, morawetz")
+            .replace("monitor_R = 6.0", "monitor_R = 10\nball_radii = 12, 5\n"
+                     "morawetz_R = 12, 6, 6"))
+    run_scenario(parse_scenario(text), out_dir=str(tmp_path), tag="h")
+    rows = list(csv.reader((tmp_path / "h_diagnostics.csv").read_text().splitlines()[2:]))
+    assert rows[0] == ["t", "M", "E", "E0", "P", "grad_sq", "lambda_sq", "z", "zp", "zpp",
+                       "mass_in_ball_5", "mass_in_ball_10", "mass_in_ball_12",
+                       "exported_mass", "threshold_track", "lr_norm_rbar",
+                       "eta_mass_5", "eta_mass_10", "eta_mass_12", "p_chi_6", "p_chi_12"]
+    assert len(rows) > 2
+    assert all(len(row) == 21 for row in rows)
 
 
 def test_run_scenario_deterministic(tmp_path):
@@ -507,9 +531,9 @@ def test_cli_missing_config_is_one_line(tmp_path, capsys, cmd, extra):
 
 
 def test_cli_blowup_is_one_line(tmp_path):
-    # finite data whose |u|^p overflows in the first phase substep
+    # finite data of finite mass whose |u|^p overflows in the first phase substep
     cfg = tmp_path / "huge.ini"
-    cfg.write_text(MINIMAL.replace("amplitude = 0.5", "amplitude = 1e200"))
+    cfg.write_text(MINIMAL.replace("amplitude = 0.5", "amplitude = 1e110"))
     with pytest.raises(SystemExit) as exc, \
             pytest.warns(RuntimeWarning, match="overflow|invalid value"):
         cli_main(["--output-dir", str(tmp_path / "out"), "evolve", "--config", str(cfg)])
