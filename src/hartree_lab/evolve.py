@@ -17,9 +17,11 @@ the real |v|/r and the rotation multiplies v, so no complex division by
 r or multiplication by it runs.  A step runs 2 length-n complex DSTs
 (each one two-column real transform, a real FFT of 2 x 2(n+1) points)
 plus the 4 half-length transforms of the Riesz apply (real FFTs of
-2 x (2(n+1) + (n+1)) points).  A sample reads u and u' off c by one FFT
-without changing the state; each diagnostic linear in |u|^2 is one dot
-product with a row built once per run.  A sample fills one column of a
+2 x (2(n+1) + (n+1)) points).  A sample reads u and u' as real rows
+(re, im) off c by one FFT without changing the state, and builds the
+complex field only to store it; each diagnostic is one function of that
+``FieldState``, and each one linear in |u|^2 is one dot product with a
+row built once per run.  A sample fills one column of a
 table whose rows are the diagnostics CSV's columns (``column_labels``).
 
 The optional sponge multiplies u by D = exp(-dt sigma(r)) between the
@@ -36,9 +38,8 @@ import numpy as np
 
 from .exponents import ModelParams, ab_exponents, scattering_pairs
 from .grid import FieldState, RadialField, RadialGrid, dst1, dst_coeffs, from_dst_coeffs
-from .morawetz import (build_weight, morawetz_z_from_state, morawetz_zpp_from_state,
-                       quadratic_weight, radial_cutoff)
-from .potentials import PotentialSpec, energy_from_state
+from .morawetz import build_weight, morawetz_z, morawetz_zpp, quadratic_weight, radial_cutoff
+from .potentials import PotentialSpec, energy
 from .riesz import RieszKernel
 
 BOUNDARY_WARNING = "boundary amplitude exceeds 1e-6 of max|u| with sponge off"
@@ -187,10 +188,10 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
         # the values run in the order of column_labels
         st = FieldState.from_coeffs(grid, c, kern, params.p, chi_p)
         M = st.mass
-        E, E0, lam = energy_from_state(st, wV)
+        E, E0, lam = energy(st, wV)
         table[:, j] = (
             tcur, M, E, E0, st.P, st.grad_sq, lam,
-            *morawetz_z_from_state(st, weight), morawetz_zpp_from_state(st, weight, w_dV_ap),
+            *morawetz_z(st, weight), morawetz_zpp(st, weight, w_dV_ap),
             *[np.dot(row, st.usq) for row in w_ball], exported,
             st.P * M**sigma_c if sigma_c is not None else np.nan,
             np.dot(w, st.usq ** (0.5 * rbar)) ** (1.0 / rbar) if rbar is not None else np.nan,

@@ -7,12 +7,15 @@ which makes the radial Laplacian exactly diagonal in the DST-I basis.
 Quadrature weights are w_i = 4*pi*r_i^2*dr.
 
 Derivatives and the gradient norm are spectral: u' comes from the sine
-series of v = r*u and ``grad_norm_sq_spectral`` is Parseval in the sine
-basis.  The solver and every diagnostic read these.
+series of v = r*u and the gradient norm is Parseval in the sine basis.
+``l2_norm_sq``, ``lp_norm`` and ``mass_in_ball`` are direct quadratures
+of a field, the references the diagnostics are checked against.
 
-A complex DST-I runs as one two-column real transform (``dst1``); u and
-u' come from the sine coefficients of r*u by one real FFT of the rows
-(re, im) (``sine_series_and_derivative``).
+A complex DST-I runs as one two-column real transform (``dst1``).  A
+``FieldState`` holds u and u' as real rows (re, im), read off a row view
+of the sine coefficients of r*u by one real FFT
+(``sine_series_and_derivative``); the complex field is built only when a
+caller asks for it.
 """
 
 import io
@@ -110,11 +113,15 @@ def mass_in_ball(f: RadialField, R: float) -> float:
 # ---------------------------------------------------------------------------
 # sine-spectral machinery on v = r*u
 
+def _pairs(x: np.ndarray) -> np.ndarray:
+    """A complex vector as its (n, 2) real view of columns (re, im)."""
+    return np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2)
+
+
 def dst1(x: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I of a complex x, its own inverse: one real transform
     of the two columns (re, im), the values of transforming them apart."""
-    cols = np.ascontiguousarray(x, dtype=complex).view(float).reshape(-1, 2)
-    return sfft.dst(cols, type=1, norm="ortho", axis=0).view(complex).reshape(-1)
+    return sfft.dst(_pairs(x), type=1, norm="ortho", axis=0).view(complex).reshape(-1)
 
 
 def dst_coeffs(f: RadialField) -> np.ndarray:
@@ -130,19 +137,16 @@ def from_dst_coeffs(grid: RadialGrid, coeffs: np.ndarray) -> RadialField:
 def sine_series_and_derivative(coeffs, k, nodes):
     """(f, f') on the n nodes for f = v/r, f' = (v' - f)/r, where
     v = sum_m c_m sin(k_m r) over M >= n modes, k_m = m*pi/((M+1)*dr), and
-    c are orthonormal DST-I coefficients.
+    c are real orthonormal DST-I coefficients, one series per row.
 
     One real FFT over the period L = 2(M+1) (Cooley, Lewis & Welch, J.
     Sound Vib. 12, 1970) takes x_m = (b_m - a_m)/2, x_(L-m) = (b_m + a_m)/2
     to X_j = sum b_m cos(pi m j/(M+1)) + i sum a_m sin(pi m j/(M+1)); with
     a = sqrt(2/(M+1)) c and b = lam a k, v = Im X and v' = Re X / lam.
-    lam = |a|/|a k| puts both sums on one round-off level.  A complex c
-    runs as two real rows (re, im), so a real-valued c gives a real result.
+    lam = |a|/|a k| over all rows puts both sums on one round-off level.
     """
-    M = coeffs.shape[0]
-    cplx = np.iscomplexobj(coeffs)
-    rows = np.stack((coeffs.real, coeffs.imag)) if cplx else coeffs
-    a = (0.5 * np.sqrt(2.0 / (M + 1))) * rows  # the halves in x carried by a and b
+    M = coeffs.shape[-1]
+    a = (0.5 * np.sqrt(2.0 / (M + 1))) * coeffs  # the halves in x carried by a and b
     ak = a * k
     nk = np.vdot(ak, ak)
     lam = np.sqrt(np.vdot(a, a) / nk) if nk > 0 else 1.0
@@ -153,19 +157,7 @@ def sine_series_and_derivative(coeffs, k, nodes):
     X = sfft.rfft(x)[..., 1 : nodes.shape[0] + 1]
     rinv = 1.0 / nodes
     f = X.imag * rinv
-    fp = (X.real / lam - f) * rinv
-    if not cplx:
-        return f, fp
-    u, du = np.empty((2, nodes.shape[0]), dtype=complex)
-    u.real, u.imag = f
-    du.real, du.imag = fp
-    return u, du
-
-
-def grad_norm_sq_spectral(f: RadialField) -> float:
-    """Gradient norm by Parseval, 4*pi*dr*sum(k_m^2 |v_hat_m|^2): exact for
-    the sine interpolant of v = r*u."""
-    return FieldState(f).grad_sq
+    return f, (X.real / lam - f) * rinv
 
 
 def laplacian(f: RadialField) -> RadialField:
@@ -175,36 +167,45 @@ def laplacian(f: RadialField) -> RadialField:
 
 class FieldState:
     """What diagnostics read off one field u, each computed once on first
-    use: |u|^2 and the mass, the sine coefficients c of r*u, u', the
-    Parseval gradient norm and, given a Riesz kernel and p >= 2, g = |u|^p,
-    the padded sine spectra of r*g and r*chi*g for each row chi of chi_p,
-    their pairings (P, P(chi_R u), ..) if chi = chi_R^p with chi_R >= 0,
-    and h = I_gamma*g with h'.  ``from_coeffs`` starts from c; u and u'
-    then take one FFT."""
+    use: u and u' as real rows (re, im), |u|^2 and the mass, the sine
+    coefficients c of r*u, the Parseval gradient norm and, given a Riesz
+    kernel and p >= 2, g = |u|^p, the padded sine spectra of r*g and r*chi*g
+    for each row chi of chi_p, their pairings (P, P(chi_R u), ..) if
+    chi = chi_R^p with chi_R >= 0, and h = I_gamma*g with h'.
+    ``from_coeffs`` starts from c: one FFT of its row view gives u and u',
+    and the complex field u is built only if a caller asks for it."""
 
     def __init__(self, u: RadialField, kern=None, p: float | None = None, chi_p=()):
-        if kern is not None:
-            _check_same_grid(kern.grid, u.grid)
-            if p is None or p < 2:
-                raise ValueError("p >= 2 required")
-        self.u = u
-        self.grid = u.grid
-        self.kern = kern
-        self.p = p
-        self.chi_p = chi_p
+        self._bind(u.grid, kern, p, chi_p)
+        self.u, self.u_rows = u, _pairs(u.values).T
 
     @classmethod
     def from_coeffs(cls, grid: RadialGrid, coeffs: np.ndarray, kern=None,
                     p: float | None = None, chi_p=()):
-        u, du = sine_series_and_derivative(coeffs, grid.wavenumbers, grid.nodes)
-        st = cls(RadialField(grid, u), kern, p, chi_p)
-        st.coeffs, st.du = coeffs, du  # fill the cached properties
+        st = cls.__new__(cls)
+        st._bind(grid, kern, p, chi_p)
+        st.coeffs = coeffs
+        st.u_rows, st.du_rows = sine_series_and_derivative(
+            _pairs(coeffs).T, grid.wavenumbers, grid.nodes)
         return st
+
+    def _bind(self, grid, kern, p, chi_p):
+        if kern is not None:
+            _check_same_grid(kern.grid, grid)
+            if p is None or p < 2:
+                raise ValueError("p >= 2 required")
+        self.grid, self.kern, self.p, self.chi_p = grid, kern, p, chi_p
+
+    @cached_property
+    def u(self):
+        u = np.empty(self.grid.n, dtype=complex)
+        u.real, u.imag = self.u_rows
+        return RadialField(self.grid, u)
 
     @cached_property
     def usq(self):
-        v = self.u.values
-        return v.real**2 + v.imag**2
+        re, im = self.u_rows
+        return re**2 + im**2
 
     @property
     def mass(self):
@@ -215,12 +216,13 @@ class FieldState:
         return dst_coeffs(self.u)
 
     @cached_property
-    def du(self):
+    def du_rows(self):
         g = self.grid
-        return sine_series_and_derivative(self.coeffs, g.wavenumbers, g.nodes)[1]
+        return sine_series_and_derivative(_pairs(self.coeffs).T, g.wavenumbers, g.nodes)[1]
 
     @cached_property
     def grad_sq(self):
+        """4*pi*dr*sum(k_m^2 |c_m|^2): exact for the sine interpolant of r*u."""
         g, c = self.grid, self.coeffs
         return float(FOUR_PI * g.dr * np.dot(g.wavenumbers**2, c.real**2 + c.imag**2))
 

@@ -82,11 +82,17 @@ class GroundStateResult:
             raise GroundStateError(f"Pohozaev defects too large: {rep}")
 
 
+def _hartree_term(kern: RieszKernel, q: np.ndarray, p: float) -> np.ndarray:
+    """(I_gamma*|q|^p)|q|^{p-2} q from one |q| and one power, as in the step."""
+    a = np.abs(q)
+    ap2 = a ** (p - 2)
+    return kern.apply(ap2 * a * a) * ap2 * q
+
+
 def elliptic_residual(Q: RadialField, kern: RieszKernel, p: float) -> float:
     """sup|-Q + Lap Q + (I_gamma*|Q|^p)|Q|^{p-2}Q| / sup|Q|, discrete operators."""
     q = Q.values.real
-    nl = kern.apply(np.abs(q) ** p) * np.abs(q) ** (p - 2) * q
-    res = -q + laplacian(Q).values.real + nl
+    res = -q + laplacian(Q).values.real + _hartree_term(kern, q, p)
     return float(np.max(np.abs(res)) / np.max(np.abs(q)))
 
 
@@ -102,8 +108,7 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid, kern: RieszKernel,
     Q = np.exp(-r**2)
     q, q_prev, f_prev = _dst(r * Q), None, None
     for it in range(1, MAX_ITER + 1):
-        N = kern.apply(np.abs(Q) ** p) * np.abs(Q) ** (p - 2) * Q
-        Nh = _dst(r * N)
+        Nh = _dst(r * _hartree_term(kern, Q, p))
         num = float(np.dot(ksq1 * q, q))
         den = float(np.dot(q, Nh))
         if den <= 0 or not np.isfinite(den):

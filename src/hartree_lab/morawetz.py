@@ -7,8 +7,10 @@ bounded: a'' ramps from 2 to 0 through a quintic smoothstep, which keeps
 a'' >= 0 exactly and lands a' on the constant R at the band's outer edge.
 
 z(t) = int a |u|^2, z' = 2 Im int a'(r) u_r conj(u), and z'' is assembled
-from its four terms, all read off one ``FieldState``.  The nonlocal term
-needs S = int int (grad a(x) - grad a(y)).(x-y) |x-y|^(gamma-5) g(x) g(y),
+from its four terms.  ``morawetz_z`` and ``morawetz_zpp`` take one
+``FieldState`` and read u and u' off its real rows (re, im).  The
+nonlocal term needs
+S = int int (grad a(x) - grad a(y)).(x-y) |x-y|^(gamma-5) g(x) g(y),
 g = |u|^p; as (x-y)|x-y|^(gamma-5) = grad_x |x-y|^(gamma-3)/(gamma-3), the
 symmetric integrand halves to S = 2/(gamma-3) int g a'(r) h'(r) dx with
 h = I_gamma*g, an O(n) sum over the spectral h'.  The overall sign
@@ -23,10 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .exponents import ModelParams, ab_exponents
+from .exponents import ab_exponents
 from .grid import FieldState, RadialField, RadialGrid
 from .groundstate import GroundStateResult
-from .potentials import PotentialSpec
 from .riesz import RieszKernel
 
 
@@ -145,28 +146,17 @@ def nonlocal_pair_term(st: FieldState, weight: MorawetzWeight) -> float:
     return 2.0 / (st.kern.gamma - 3.0) * float(np.dot(weight.weighted[1], st.g * st.hp))
 
 
-def morawetz_z(u: RadialField, weight: MorawetzWeight):
+def morawetz_z(st: FieldState, weight: MorawetzWeight):
     """(z, z') = (int a|u|^2, 2 Im int a' u_r conj(u))."""
-    return morawetz_z_from_state(FieldState(u), weight)
-
-
-def morawetz_z_from_state(st: FieldState, weight: MorawetzWeight):
     wa, wap = weight.weighted[:2]
-    u, du = st.u.values, st.du
-    zp = 2.0 * np.dot(wap, du.imag * u.real - du.real * u.imag)  # Im(u' conj u)
+    (re, im), (dre, dim) = st.u_rows, st.du_rows
+    zp = 2.0 * np.dot(wap, dim * re - dre * im)  # Im(u' conj u)
     return float(np.dot(wa, st.usq)), float(zp)
 
 
-def morawetz_zpp(u: RadialField, weight: MorawetzWeight, V: PotentialSpec,
-                 kern: RieszKernel, params: ModelParams) -> float:
-    """Second time derivative of z from the four-term identity."""
-    return morawetz_zpp_from_state(FieldState(u, kern, params.p), weight,
-                                   weight.weighted[1] * V.dV(u.grid.nodes))
-
-
-def morawetz_zpp_from_state(st: FieldState, weight: MorawetzWeight,
-                            w_dV_ap: np.ndarray) -> float:
-    """``morawetz_zpp`` from a state with a kernel and p; w_dV_ap = weights * V' a'."""
+def morawetz_zpp(st: FieldState, weight: MorawetzWeight, w_dV_ap: np.ndarray) -> float:
+    """Second time derivative of z from the four-term identity, for a state
+    with a kernel and p; w_dV_ap = quadrature weights * V' a'."""
     p = st.p
     _, _, wapp, wlap, wbilap = weight.weighted
     if weight.quadratic:
@@ -176,8 +166,9 @@ def morawetz_zpp_from_state(st: FieldState, weight: MorawetzWeight,
     else:
         term_a = -4.0 * (0.5 - 1.0 / p) * float(np.dot(wlap, st.h * st.g))
         S = nonlocal_pair_term(st, weight)
+    dre, dim = st.du_rows
     term_b = -float(np.dot(wbilap, st.usq))
-    term_c = 4.0 * float(np.dot(wapp, st.du.real**2 + st.du.imag**2))
+    term_c = 4.0 * float(np.dot(wapp, dre**2 + dim**2))
     term_d = -(2.0 * (3.0 - st.kern.gamma) / p) * S
     term_v = -2.0 * float(np.dot(w_dV_ap, st.usq))
     return term_a + term_b + term_c + term_d + term_v

@@ -5,15 +5,16 @@ core^power)-style with a smooth core), and tabulated values.  Positive
 amplitude means repulsive (V >= 0).  Audits check the standing
 assumptions: Kato + L^{3/2} membership, the negative-part Kato smallness
 against 4*pi, V >= 0, x.grad V <= 0 pointwise, and x.grad V in L^r for
-requested exponents.  Failures are reported, never raised.
+requested exponents.  Failures are reported, never raised.  ``energy``
+reads E, E0 and the Lambda norm off a ``FieldState``, with V given as the
+quadrature row w*V built once per run.
 """
 
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .grid import FOUR_PI, FieldState, RadialField, RadialGrid
-from .riesz import RieszKernel
+from .grid import FOUR_PI, FieldState, RadialGrid
 
 SIGN_TOL = 1e-12
 KATO_PROBES = 64                   # log-spaced probe radii for the Kato sup
@@ -198,17 +199,13 @@ def audit_hypotheses(V: PotentialSpec, grid: RadialGrid):
 # ---------------------------------------------------------------------------
 # V-dependent energies
 
-def energy(u: RadialField, V: PotentialSpec, kern: RieszKernel, p: float):
-    """(E, E0, lambda_norm_sq) for the Hamiltonian with potential V.
+def energy(st: FieldState, wV: np.ndarray):
+    """(E, E0, lambda_norm_sq) of the state for the Hamiltonian with potential
+    V; st carries a kernel and p, wV = quadrature weights * V.
 
     E = E0 + (1/2) int V |u|^2,  E0 = (1/2)|grad u|^2 - P(u)/(2p),
     lambda_norm_sq = |grad u|^2 + int V |u|^2.
     """
-    return energy_from_state(FieldState(u, kern, p), u.grid.weights * V(u.grid.nodes))
-
-
-def energy_from_state(st: FieldState, wV: np.ndarray):
-    """``energy`` from a state with a kernel and p; wV = quadrature weights * V."""
     vterm = float(np.dot(wV, st.usq))
     E0 = 0.5 * st.grad_sq - st.P / (2.0 * st.p)
     return E0 + 0.5 * vterm, E0, st.grad_sq + vterm

@@ -43,7 +43,7 @@ import numpy as np
 import scipy.fft as sfft
 from numpy.polynomial.legendre import leggauss
 
-from .grid import FOUR_PI, FieldState, RadialField, RadialGrid, sine_series_and_derivative
+from .grid import FOUR_PI, RadialGrid, sine_series_and_derivative
 
 SERIES_TERMS = 40  # first-panel power series: round-off for gamma in (0, 3)
 PANEL_NODES = 30   # Gauss-Legendre nodes per later half-period panel
@@ -111,13 +111,15 @@ class RieszKernel:
         return spec
 
     def pairing(self, spec: np.ndarray) -> float:
-        """int (I_gamma*g) g dx = 4*pi*dr*sum K_m C_m^2 from C = ``spectrum(g)`` (rows).
+        """int (I_gamma*g) g dx = 4*pi*dr*sum K_m C_m^2 from C = ``spectrum(g)``,
+        one sum per row of C in a single reduction.  Unlike a BLAS
+        matrix-vector product, which rounds a row differently with the number
+        of rows, the row sums do not depend on what is stacked with them.
 
         K_m < 0 for some m when gamma > 2, so nothing here divides by it.
         """
-        out = np.array([np.dot(c * c, self._symbol) for c in np.atleast_2d(spec)])
-        out *= FOUR_PI * self.grid.dr
-        return float(out[0]) if spec.ndim == 1 else out
+        out = (FOUR_PI * self.grid.dr) * np.sum(spec * spec * self._symbol, axis=-1)
+        return float(out) if spec.ndim == 1 else out
 
     def potential_and_derivative(self, spec: np.ndarray):
         """(h, h') on the grid, h = I_gamma*g, from C = ``spectrum(g)``."""
@@ -140,7 +142,3 @@ class RieszKernel:
 def build_kernel(gamma, grid: RadialGrid) -> RieszKernel:
     return RieszKernel(gamma, grid)
 
-
-def potential_energy(kern: RieszKernel, u: RadialField, p: float) -> float:
-    """P(u) = int (I_gamma * |u|^p) |u|^p dx."""
-    return FieldState(u, kern, p).P

@@ -15,8 +15,7 @@ import pytest
 from hartree_lab.evolve import EvolveConfig, SpongeConfig, conservation_report, evolve
 from hartree_lab.exponents import (ModelParams, ab_exponents, critical_exponent,
                                    is_l2_admissible, scattering_pairs)
-from hartree_lab.grid import (RadialField, RadialGrid, grad_norm_sq_spectral,
-                              l2_norm_sq, mass_in_ball)
+from hartree_lab.grid import FieldState, RadialField, RadialGrid, l2_norm_sq
 from hartree_lab.groundstate import (pohozaev_check, sharp_constant_defect,
                                      solve_ground_state, threshold_functions)
 from hartree_lab.morawetz import (coercivity_check, cutoff_field, morawetz_zpp,
@@ -24,7 +23,7 @@ from hartree_lab.morawetz import (coercivity_check, cutoff_field, morawetz_zpp,
 from hartree_lab.potentials import (audit_hypotheses, gaussian_potential,
                                     kato_norm, softpower_potential,
                                     table_potential, zero_potential)
-from hartree_lab.riesz import build_kernel, potential_energy
+from hartree_lab.riesz import build_kernel
 from oracles import mc_riesz_potential, newton_ball_potential, random_smooth_field
 
 V_GAUSS = gaussian_potential(0.2, 2.0)
@@ -147,8 +146,8 @@ def test_acceptance_3_ground_state_certification(cert_grid, p, gamma):
     rng = np.random.default_rng(int(1000 * p + 10 * gamma))
     for _ in range(100):
         u = RadialField(cert_grid, random_smooth_field(cert_grid, rng).astype(complex))
-        P = potential_energy(kern, u, p)
-        bound = gs.C_op * l2_norm_sq(u) ** (A / 2) * grad_norm_sq_spectral(u) ** (B / 2)
+        P = FieldState(u, kern, p).P
+        bound = gs.C_op * l2_norm_sq(u) ** (A / 2) * FieldState(u).grad_sq ** (B / 2)
         assert P < bound
     dt = time.time() - t0
     assert dt < 60.0
@@ -235,8 +234,9 @@ def test_acceptance_6_soliton_controls(grid_desk, kern2_desk):
     assert drift <= 1e-5
 
     # quadratic-weight virial of the soliton vanishes
-    zpp = morawetz_zpp(gs.Q, quadratic_weight(grid_desk), zero_potential(),
-                       kern2_desk, params)
+    qw = quadratic_weight(grid_desk)
+    zpp = morawetz_zpp(FieldState(gs.Q, kern2_desk, params.p), qw,
+                       qw.weighted[1] * zero_potential().dV(grid_desk.nodes))
     scale = 8 * gs.grad_norm_sq
     assert abs(zpp) <= 1e-5 * scale
 

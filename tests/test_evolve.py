@@ -5,12 +5,12 @@ import scipy.fft as sfft
 from hartree_lab.evolve import (EvolutionBlowup, EvolveConfig, SpongeConfig,
                                 Stepper, conservation_report, evolve)
 from hartree_lab.exponents import ModelParams, ab_exponents, scattering_pairs
-from hartree_lab.grid import (RadialField, dst_coeffs, from_dst_coeffs, grad_norm_sq_spectral,
-                              l2_norm_sq, lp_norm, mass_in_ball)
+from hartree_lab.grid import (FieldState, RadialField, dst_coeffs, from_dst_coeffs, l2_norm_sq,
+                              lp_norm, mass_in_ball)
 from hartree_lab.morawetz import (build_weight, cutoff_field, morawetz_z, morawetz_zpp,
                                   quadratic_weight, radial_cutoff)
 from hartree_lab.potentials import energy, gaussian_potential, zero_potential
-from hartree_lab.riesz import build_kernel, potential_energy
+from hartree_lab.riesz import build_kernel
 from oracles import free_gaussian
 
 
@@ -105,8 +105,9 @@ def test_zero_t_end_single_sample(gs32_mid, kern2_mid, params32):
 
 
 def test_sample_matches_one_shot_wrappers(grid_mid, kern2_mid, params32):
-    # one sample of a rough complex state, every column against the one-shot
-    # function that computes it from the sampled field alone
+    # one sample of a rough complex state, every column against a reference
+    # computed from the sampled field alone: a FieldState built from that
+    # field, or a direct quadrature (l2_norm_sq, lp_norm, mass_in_ball)
     grid, kern, p = grid_mid, kern2_mid, params32.p
     rng = np.random.default_rng(21)
     noise = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
@@ -123,16 +124,17 @@ def test_sample_matches_one_shot_wrappers(grid_mid, kern2_mid, params32):
                            weight_R=weight_R, store_fields=True)
         traj = evolve(u0, V, kern, params32, cfg)
         d, u = traj.diagnostics, traj.fields[0]
-        close(d["z"], morawetz_z(u, wgt)[0])
-        close(d["zp"], morawetz_z(u, wgt)[1])
-        close(d["zpp"], morawetz_zpp(u, wgt, V, kern, params32))
+        st = FieldState(u, kern, p)
+        close(d["z"], morawetz_z(st, wgt)[0])
+        close(d["zp"], morawetz_z(st, wgt)[1])
+        close(d["zpp"], morawetz_zpp(st, wgt, wgt.weighted[1] * V.dV(grid.nodes)))
 
     es = scattering_pairs(params32)
-    M, P = l2_norm_sq(u), potential_energy(kern, u, p)
+    M, P = l2_norm_sq(u), st.P
     close(d["M"], M)
     close(d["P"], P)
-    close(d["grad_sq"], grad_norm_sq_spectral(u))
-    for name, want in zip(("E", "E0", "lambda_sq"), energy(u, V, kern, p)):
+    close(d["grad_sq"], st.grad_sq)
+    for name, want in zip(("E", "E0", "lambda_sq"), energy(st, grid.weights * V(grid.nodes))):
         close(d[name], want)
     close(d["threshold_track"], P * M**es.sigma_c)
     close(d["lr_norm_rbar"], lp_norm(u, es.r_bar))
@@ -141,7 +143,35 @@ def test_sample_matches_one_shot_wrappers(grid_mid, kern2_mid, params32):
         close(d[f"eta_mass_{R:g}"], l2_norm_sq(RadialField(grid, np.sqrt(radial_cutoff(grid, R))
                                                            * u.values)))
     for R in cfg.chi_radii:
-        close(d[f"p_chi_{R:g}"], potential_energy(kern, cutoff_field(u, R), p))
+        close(d[f"p_chi_{R:g}"], FieldState(cutoff_field(u, R), kern, p).P)
+
+
+@pytest.mark.parametrize("weight_R, per_sample", ((None, 3), (15.0, 4)))
+def test_transform_budget(grid_small, params32, monkeypatch, weight_R, per_sample):
+    # scipy.fft calls: 6 per step (two complex DST-I and the four half-length
+    # transforms of the Riesz apply) and, per sample, one rfft for (u, u'),
+    # one DST-I/DST-III pair for the stacked Riesz spectra and, with the
+    # truncated weight, one rfft for (h, h'): each sample evaluates the
+    # field once, whatever the chi_R and ball radii
+    kern = build_kernel(2.0, grid_small)
+    u0 = grid_small.field_from(lambda r: 0.5 * np.exp(-r**2 / 2))
+    V = gaussian_potential(0.3, 1.5)
+    calls = []
+    for name in ("dst", "rfft"):
+        fn = getattr(sfft, name)
+        monkeypatch.setattr(sfft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+
+    def count(n_steps, sample_every):
+        cfg = EvolveConfig(dt=1e-3, t_end=n_steps * 1e-3, sample_every=sample_every,
+                           weight_R=weight_R, ball_radii=(5.0, 10.0), chi_radii=(6.0, 12.0))
+        calls.clear()
+        evolve(u0, V, kern, params32, cfg)
+        return len(calls)
+
+    # two samples each (t = 0 and the end), 3 steps apart
+    assert count(6, 6) - count(3, 3) == 3 * 6
+    # 7 samples against 2 over the same 6 steps
+    assert count(6, 1) - count(6, 6) == 5 * per_sample
 
 
 def test_threshold_track_without_scattering_pairs(grid_mid, kern2_mid):
@@ -154,7 +184,7 @@ def test_threshold_track_without_scattering_pairs(grid_mid, kern2_mid):
     traj = evolve(u0, zero_potential(), kern2_mid, params,
                   EvolveConfig(t_end=0.0, store_fields=True))
     d, u = traj.diagnostics, traj.fields[0]
-    want = potential_energy(kern2_mid, u, params.p) * l2_norm_sq(u) ** ab_exponents(params)[2]
+    want = FieldState(u, kern2_mid, params.p).P * l2_norm_sq(u) ** ab_exponents(params)[2]
     assert abs(d["threshold_track"][0] - want) <= 1e-13 * want
     assert np.isnan(d["lr_norm_rbar"][0])
 

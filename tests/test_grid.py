@@ -5,15 +5,19 @@ import pytest
 import scipy.fft as sfft
 
 from hartree_lab.grid import (FOUR_PI, FieldState, RadialField, RadialGrid,
-                              dst1, dst_coeffs, grad_norm_sq_spectral, l2_norm_sq,
-                              laplacian, load_field_csv, lp_norm, mass_in_ball,
-                              save_field_csv)
+                              dst1, dst_coeffs, l2_norm_sq, laplacian, load_field_csv,
+                              lp_norm, mass_in_ball, save_field_csv)
 from oracles import (quad_1d, random_smooth_field, sine_series_reference,
                      weighted_rel_err)
 
 
 def gaussian_field(grid, a=0.5):
     return grid.field_from(lambda r: np.exp(-a * r**2))
+
+
+def joined(rows):
+    """The complex vector whose real rows (re, im) a FieldState holds."""
+    return rows[0] + 1j * rows[1]
 
 
 def test_grid_construction():
@@ -48,8 +52,8 @@ def test_grad_norm_gaussian():
     g = RadialGrid(12.0, 2047)
     f = g.field_from(lambda r: np.exp(-r**2 / 2))
     exact = 1.5 * np.pi**1.5  # int |grad e^{-r^2/2}|^2 = int r^2 e^{-r^2}
-    assert grad_norm_sq_spectral(f) == pytest.approx(exact, rel=1e-12)
-    assert grad_norm_sq_spectral(RadialField(g, np.zeros(g.n))) == 0.0
+    assert FieldState(f).grad_sq == pytest.approx(exact, rel=1e-12)
+    assert FieldState(RadialField(g, np.zeros(g.n))).grad_sq == 0.0
 
 
 def test_grad_scaling_law():
@@ -58,8 +62,8 @@ def test_grad_scaling_law():
     lam = 1.7
     f = g.field_from(lambda r: np.exp(-r**2 / 2))
     flam = g.field_from(lambda r: np.exp(-(lam * r) ** 2 / 2))
-    assert grad_norm_sq_spectral(flam) == pytest.approx(
-        grad_norm_sq_spectral(f) / lam, rel=1e-10)
+    assert FieldState(flam).grad_sq == pytest.approx(
+        FieldState(f).grad_sq / lam, rel=1e-10)
 
 
 def test_mass_in_ball():
@@ -141,12 +145,15 @@ def test_fused_value_and_derivative():
         c = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
         u_ref, du_ref = sine_series_reference(c, g.wavenumbers, g.nodes)
         st = FieldState.from_coeffs(g, c)
-        assert weighted_rel_err(g, st.u.values, u_ref) <= 1e-14
-        assert weighted_rel_err(g, st.du, du_ref) <= 1e-13
+        assert weighted_rel_err(g, joined(st.u_rows), u_ref) <= 1e-14
+        assert weighted_rel_err(g, joined(st.du_rows), du_ref) <= 1e-13
+        # the complex field on demand holds the rows bit for bit
+        assert np.array_equal(st.u.values, joined(st.u_rows))
         # starting from u instead of c: the same u' through the forward DST
-        assert weighted_rel_err(g, FieldState(RadialField(g, u_ref)).du, du_ref) <= 1e-13
+        from_u = FieldState(RadialField(g, u_ref))
+        assert weighted_rel_err(g, joined(from_u.du_rows), du_ref) <= 1e-13
     zero = FieldState.from_coeffs(g, np.zeros(g.n, dtype=complex))
-    assert not np.any(zero.u.values) and not np.any(zero.du)
+    assert not np.any(zero.u.values) and not np.any(zero.du_rows)
 
 
 def test_laplacian_eigenfunction():
@@ -161,7 +168,7 @@ def test_spectral_derivative():
     g = RadialGrid(12.0, 511)
     f = g.field_from(lambda r: np.exp(-r**2 / 2))
     exact = -g.nodes * np.exp(-g.nodes**2 / 2)
-    assert np.max(np.abs(FieldState(f).du - exact)) < 1e-11
+    assert np.max(np.abs(joined(FieldState(f).du_rows) - exact)) < 1e-11
 
 
 def test_radial_sobolev_linf_audit():
@@ -174,7 +181,7 @@ def test_radial_sobolev_linf_audit():
             v = random_smooth_field(g, rng)
             f = RadialField(g, v.astype(complex))
             num = np.max(g.nodes**s * np.abs(v))
-            ratios.append(num / np.sqrt(l2_norm_sq(f) + grad_norm_sq_spectral(f)))
+            ratios.append(num / np.sqrt(l2_norm_sq(f) + FieldState(f).grad_sq))
         assert max(ratios) < 3.0  # bounded; constant not pinned
 
 
@@ -191,7 +198,7 @@ def test_radial_sobolev_lp_tail_audit():
             sel = g.nodes >= R
             lhs = np.sum(g.weights[sel] * np.abs(v[sel]) ** (p + 1))
             l2 = np.sqrt(np.sum(g.weights[sel] * v[sel] ** 2))
-            gr = np.sqrt(grad_norm_sq_spectral(f))
+            gr = np.sqrt(FieldState(f).grad_sq)
             rhs = R ** (1 - p) * l2 ** ((p + 3) / 2) * gr ** ((p - 1) / 2)
             if rhs > 1e-14:
                 ratios.append(lhs / rhs)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from hartree_lab.exponents import ModelParams, ab_exponents
-from hartree_lab.grid import RadialField, RadialGrid, grad_norm_sq_spectral, l2_norm_sq
+from hartree_lab.grid import FieldState, RadialField, RadialGrid, l2_norm_sq
 from hartree_lab.groundstate import (GroundStateError, elliptic_residual,
                                      pohozaev_check, sharp_constant,
                                      sharp_constant_defect, solve_ground_state,
                                      threshold_functions)
 from hartree_lab.morawetz import cutoff_field
-from hartree_lab.riesz import build_kernel, potential_energy
+from hartree_lab.riesz import build_kernel
 from oracles import random_smooth_field
 
 
@@ -73,8 +73,8 @@ def test_pohozaev_sensitivity(gs32_mid, kern2_mid, params32):
     gs2 = copy.copy(gs)
     gs2.Q = Qp
     gs2.mass = l2_norm_sq(Qp)
-    gs2.grad_norm_sq = grad_norm_sq_spectral(Qp)
-    gs2.P = potential_energy(kern2_mid, Qp, params32.p)
+    gs2.grad_norm_sq = FieldState(Qp).grad_sq
+    gs2.P = FieldState(Qp, kern2_mid, params32.p).P
     gs2.E0 = 0.5 * gs2.grad_norm_sq - gs2.P / (2 * params32.p)
     rep = pohozaev_check(gs2)
     assert max(rep["E0_vs_grad"], rep["E0_vs_mass"], rep["P_vs_grad"]) > 1e-4
@@ -98,8 +98,8 @@ def test_gn_inequality_random_corpus(gs32_mid, kern2_mid, params32):
     rng = np.random.default_rng(31)
     for _ in range(100):
         u = RadialField(grid, random_smooth_field(grid, rng).astype(complex))
-        P = potential_energy(kern2_mid, u, params32.p)
-        bound = C * l2_norm_sq(u) ** (A / 2) * grad_norm_sq_spectral(u) ** (B / 2)
+        P = FieldState(u, kern2_mid, params32.p).P
+        bound = C * l2_norm_sq(u) ** (A / 2) * FieldState(u).grad_sq ** (B / 2)
         assert P < bound
 
 
@@ -120,13 +120,13 @@ def test_coercivity_scaling_family(gs32_mid, kern2_mid, params32):
     PQMQ = gs32_mid.thresholds["PQ_MQ_sigma"]
     for c in (0.5, 0.8, 0.95):
         u = c * gs32_mid.Q
-        Pu = potential_energy(kern2_mid, u, p)
+        Pu = FieldState(u, kern2_mid, p).P
         Mu = l2_norm_sq(u)
         assert Pu * Mu**sigma == pytest.approx(c ** (2 * p + 2 * sigma) * PQMQ,
                                                rel=1e-12)
         delta = 1 - c ** (2 * p + 2 * sigma)
         delta_p = (B / (2 * p)) * ((1 - delta) ** (-(B - 2) / B) - 1)
-        lhs = grad_norm_sq_spectral(u) - (B / (2 * p)) * Pu
+        lhs = FieldState(u).grad_sq - (B / (2 * p)) * Pu
         # equality is exact on the scaling family; allow discretization noise
         assert lhs >= delta_p * Pu - 1e-5 * abs(lhs)
 
@@ -141,9 +141,9 @@ def test_coercivity_on_balls(gs32_mid, kern2_mid, params32):
     u = c * gs32_mid.Q
     for R in (5.0, 10.0, 20.0):
         chi_u = cutoff_field(u, R)
-        Pchi = potential_energy(kern2_mid, chi_u, p)
-        assert Pchi <= potential_energy(kern2_mid, u, p) * (1 + 1e-12)
-        lhs = grad_norm_sq_spectral(chi_u) - (B / (2 * p)) * Pchi
+        Pchi = FieldState(chi_u, kern2_mid, p).P
+        assert Pchi <= FieldState(u, kern2_mid, p).P * (1 + 1e-12)
+        lhs = FieldState(chi_u).grad_sq - (B / (2 * p)) * Pchi
         assert lhs >= delta_p * Pchi - 1e-5 * abs(lhs)
 
 

@@ -3,16 +3,20 @@ import pytest
 
 from hartree_lab.evolve import DiagnosticsSeries, EvolveConfig, SpongeConfig, evolve
 from hartree_lab.exponents import ModelParams, ab_exponents
-from hartree_lab.grid import (FieldState, RadialField, RadialGrid,
-                              grad_norm_sq_spectral, l2_norm_sq)
+from hartree_lab.grid import FieldState, RadialField, RadialGrid
 from hartree_lab.morawetz import (MorawetzWeight, build_weight, coercivity_check,
                                   cutoff_field, morawetz_average, morawetz_z,
                                   morawetz_zpp, nonlocal_pair_term,
                                   quadratic_weight, radial_cutoff,
                                   scattering_monitor)
 from hartree_lab.potentials import gaussian_potential, zero_potential
-from hartree_lab.riesz import build_kernel, potential_energy
+from hartree_lab.riesz import build_kernel
 from oracles import quad_1d, random_smooth_field
+
+
+def zpp_of(u, w, V, kern, params):
+    """z'' of one field: its FieldState, with V as the row w a' V'."""
+    return morawetz_zpp(FieldState(u, kern, params.p), w, w.weighted[1] * V.dV(u.grid.nodes))
 
 
 def test_weight_plateau_values(grid_mid):
@@ -69,7 +73,7 @@ def test_cutoff_profile(grid_mid):
 
 def test_z_real_field_zero_zp(grid_mid, gs32_mid):
     w = build_weight(10.0, grid_mid)
-    z, zp = morawetz_z(gs32_mid.Q, w)
+    z, zp = morawetz_z(FieldState(gs32_mid.Q), w)
     assert z > 0
     assert zp == 0.0
 
@@ -78,9 +82,9 @@ def test_z_gauge_invariance(grid_mid, gs32_mid):
     w = quadratic_weight(grid_mid)
     u = RadialField(grid_mid, gs32_mid.Q.values * np.exp(0.3j)
                     * (1 + 0.1j * grid_mid.nodes / 40))
-    z1, zp1 = morawetz_z(u, w)
+    z1, zp1 = morawetz_z(FieldState(u), w)
     u2 = RadialField(grid_mid, u.values * np.exp(1j * 1.1))
-    z2, zp2 = morawetz_z(u2, w)
+    z2, zp2 = morawetz_z(FieldState(u2), w)
     assert z2 == pytest.approx(z1, rel=1e-12)
     assert zp2 == pytest.approx(zp1, rel=1e-12)
 
@@ -91,8 +95,8 @@ def test_z_scaling_law(grid_mid):
     lam = 1.4
     u = grid_mid.field_from(lambda r: np.exp(-r**2 / 2))
     ul = grid_mid.field_from(lambda r: np.exp(-(lam * r) ** 2 / 2))
-    z1, _ = morawetz_z(u, w)
-    z2, _ = morawetz_z(ul, w)
+    z1, _ = morawetz_z(FieldState(u), w)
+    z2, _ = morawetz_z(FieldState(ul), w)
     assert z2 == pytest.approx(z1 / lam**5, rel=1e-10)
 
 
@@ -104,7 +108,7 @@ def test_zpp_quadratic_reduction_gaussian(params32):
     kern = build_kernel(2.0, grid)
     u = grid.field_from(lambda r: np.exp(-r**2 / 2))
     w = quadratic_weight(grid)
-    zpp = morawetz_zpp(u, w, zero_potential(), kern, params32)
+    zpp = zpp_of(u, w, zero_potential(), kern, params32)
     _, B, _ = ab_exponents(params32)
     gsq = quad_1d(lambda s: 4 * np.pi * s**2 * (s * np.exp(-s**2 / 2)) ** 2, 0, 40)
     # P via the same two-sided quadrature oracle used in test_potentials
@@ -124,7 +128,7 @@ def test_zpp_quadratic_reduction_gaussian(params32):
 def test_zpp_soliton_virial_nullity(gs32_desk, kern2_desk, params32):
     grid = kern2_desk.grid
     w = quadratic_weight(grid)
-    zpp = morawetz_zpp(gs32_desk.Q, w, zero_potential(), kern2_desk, params32)
+    zpp = zpp_of(gs32_desk.Q, w, zero_potential(), kern2_desk, params32)
     scale = 8 * gs32_desk.grad_norm_sq
     assert abs(zpp) <= 1e-5 * scale
 
@@ -142,9 +146,10 @@ def test_quadratic_term_a_by_parseval(gs32_desk, kern2_desk, params32):
         st = FieldState(u, kern2_desk, p)
         term_a = -4.0 * (0.5 - 1.0 / p) * float(np.sum(grid.weights * w.lap_a * st.h * st.g))
         assert abs(-24.0 * (0.5 - 1.0 / p) * st.P - term_a) <= 1e-12 * abs(term_a)
-        term_c = 8.0 * float(np.sum(grid.weights * np.abs(st.du) ** 2))
+        dre, dim = st.du_rows
+        term_c = 8.0 * float(np.sum(grid.weights * np.abs(dre + 1j * dim) ** 2))
         term_d = -(4.0 * (3.0 - gamma) / p) * st.P
-        zpp = morawetz_zpp(u, w, zero_potential(), kern2_desk, params32)
+        zpp = zpp_of(u, w, zero_potential(), kern2_desk, params32)
         assert abs(zpp - (term_a + term_c + term_d)) <= 1e-12 * abs(term_a)
 
 
@@ -153,7 +158,7 @@ def test_pair_term_quadratic_limit(grid_mid, kern2_mid, gs32_mid, params32):
     # symmetrized pair term reduces to 2 P(u)
     w = build_weight(35.0, grid_mid)
     S = nonlocal_pair_term(FieldState(gs32_mid.Q, kern2_mid, params32.p), w)
-    P = potential_energy(kern2_mid, gs32_mid.Q, params32.p)
+    P = FieldState(gs32_mid.Q, kern2_mid, params32.p).P
     assert S == pytest.approx(2 * P, rel=1e-12)
 
 
@@ -198,8 +203,8 @@ def test_zpp_potential_term_sign(gs32_mid, kern2_mid, params32):
     grid = gs32_mid.Q.grid
     w = quadratic_weight(grid)
     V = gaussian_potential(0.4, 2.0)
-    zpp_v = morawetz_zpp(gs32_mid.Q, w, V, kern2_mid, params32)
-    zpp_0 = morawetz_zpp(gs32_mid.Q, w, zero_potential(), kern2_mid, params32)
+    zpp_v = zpp_of(gs32_mid.Q, w, V, kern2_mid, params32)
+    zpp_0 = zpp_of(gs32_mid.Q, w, zero_potential(), kern2_mid, params32)
     assert zpp_v - zpp_0 >= 0.0
 
 
@@ -320,9 +325,9 @@ def test_localized_mass_derivative_identity(gs32_mid, kern2_mid, params32):
     em = traj.diagnostics[f"eta_mass_{R:g}"]
     flux = []
     for f in traj.fields:
-        du = FieldState(f).du
+        dre, dim = FieldState(f).du_rows
         flux.append(2.0 * np.sum(grid.weights * etap
-                                 * np.imag(du * np.conj(f.values))))
+                                 * np.imag((dre + 1j * dim) * np.conj(f.values))))
     flux = np.array(flux)
     fd = (em[2:] - em[:-2]) / (t[2:] - t[:-2])
     defect = np.max(np.abs(fd - flux[1:-1]))

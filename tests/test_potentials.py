@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from hartree_lab.grid import FOUR_PI, RadialField, RadialGrid, grad_norm_sq_spectral
+from hartree_lab.grid import FOUR_PI, FieldState, RadialField, RadialGrid
 from hartree_lab.potentials import (PotentialSpec, audit_hypotheses, energy,
                                     gaussian_potential, kato_norm,
                                     softpower_potential, table_potential,
                                     zero_potential)
-from hartree_lab.riesz import build_kernel, potential_energy
+from hartree_lab.riesz import build_kernel
 from oracles import quad_1d, random_smooth_field
 
 
@@ -104,11 +104,12 @@ def test_l32_norm_two_ways(grid_mid):
 
 def test_energy_triple_zero_potential(gs32_mid, kern2_mid, params32):
     u = gs32_mid.Q
-    E, E0, lam = energy(u, zero_potential(), kern2_mid, params32.p)
+    wV = u.grid.weights * zero_potential()(u.grid.nodes)
+    E, E0, lam = energy(FieldState(u, kern2_mid, params32.p), wV)
     assert E == E0
-    assert lam == pytest.approx(grad_norm_sq_spectral(u), rel=1e-14)
+    assert lam == pytest.approx(FieldState(u).grad_sq, rel=1e-14)
     z = RadialField(u.grid, np.zeros(u.grid.n))
-    assert energy(z, zero_potential(), kern2_mid, params32.p) == (0.0, 0.0, 0.0)
+    assert energy(FieldState(z, kern2_mid, params32.p), wV) == (0.0, 0.0, 0.0)
 
 
 def test_energy_triple_against_quadrature():
@@ -118,7 +119,7 @@ def test_energy_triple_against_quadrature():
     kern = build_kernel(2.0, grid)
     u = grid.field_from(lambda r: np.exp(-r**2 / 2))
     V = gaussian_potential(0.4, 1.2)
-    E, E0, lam = energy(u, V, kern, 2.0)
+    E, E0, lam = energy(FieldState(u, kern, 2.0), grid.weights * V(grid.nodes))
     gsq = quad_1d(lambda s: FOUR_PI * s**2 * (s * np.exp(-s**2 / 2)) ** 2, 0, 30)
     vterm = quad_1d(lambda s: FOUR_PI * s**2 * 0.4 * np.exp(-(s / 1.2) ** 2)
                     * np.exp(-s**2), 0, 30)
@@ -132,8 +133,8 @@ def test_energy_triple_against_quadrature():
 
     Pq, _ = quad(lambda rr: FOUR_PI * rr**2 * np.exp(-rr**2) * inner(rr), 0, 30,
                  limit=200, epsabs=1e-11, epsrel=1e-10)
-    P = potential_energy(kern, u, 2.0)
-    assert grad_norm_sq_spectral(u) == pytest.approx(gsq, rel=1e-8)
+    P = FieldState(u, kern, 2.0).P
+    assert FieldState(u).grad_sq == pytest.approx(gsq, rel=1e-8)
     assert P == pytest.approx(Pq, rel=1e-8)
     assert lam == pytest.approx(gsq + vterm, rel=1e-8)
     assert E == pytest.approx(0.5 * gsq - P / 4 + 0.5 * vterm, rel=1e-8)
@@ -142,11 +143,12 @@ def test_energy_triple_against_quadrature():
 def test_lambda_dominates_grad_for_nonneg_V(grid_small):
     kern = build_kernel(2.0, grid_small)
     V = gaussian_potential(0.6, 1.0)
+    wV = grid_small.weights * V(grid_small.nodes)
     rng = np.random.default_rng(21)
     for _ in range(100):
         u = RadialField(grid_small, random_smooth_field(grid_small, rng).astype(complex))
-        _, _, lam = energy(u, V, kern, 2.0)
-        assert lam >= grad_norm_sq_spectral(u) - 1e-12
+        _, _, lam = energy(FieldState(u, kern, 2.0), wV)
+        assert lam >= FieldState(u).grad_sq - 1e-12
 
 
 def test_table_potential_interpolation():

@@ -4,8 +4,9 @@ import scipy.fft as sfft
 from scipy.integrate import quad
 from scipy.special import erf, gamma as gamma_fn
 
-from hartree_lab.grid import FOUR_PI, RadialField, RadialGrid, l2_norm_sq
-from hartree_lab.riesz import build_kernel, potential_energy
+from hartree_lab.grid import FOUR_PI, FieldState, RadialField, RadialGrid
+from hartree_lab.morawetz import radial_cutoff
+from hartree_lab.riesz import build_kernel
 from hartree_lab.grid import lp_norm
 from oracles import (kernel_value, mc_riesz_potential, newton_ball_potential,
                      random_smooth_field, sine_series_reference, weighted_rel_err)
@@ -189,11 +190,11 @@ def test_split_spectrum_matches_padded_dst(grid_name, request):
 
 def test_potential_energy_scaling(gs32_mid, kern2_mid, params32):
     u = gs32_mid.Q
-    P1 = potential_energy(kern2_mid, u, params32.p)
-    P2 = potential_energy(kern2_mid, 2.0 * u, params32.p)
+    P1 = FieldState(u, kern2_mid, params32.p).P
+    P2 = FieldState(2.0 * u, kern2_mid, params32.p).P
     assert P2 == pytest.approx(2 ** (2 * params32.p) * P1, rel=1e-12)
     zero = RadialField(u.grid, np.zeros(u.grid.n))
-    assert potential_energy(kern2_mid, zero, params32.p) == 0.0
+    assert FieldState(zero, kern2_mid, params32.p).P == 0.0
 
 
 def test_ball_self_energy(grid_mid):
@@ -203,7 +204,7 @@ def test_ball_self_energy(grid_mid):
     jmax = int(np.floor(1.0 / g.dr))
     r_eff = (jmax + 0.5) * g.dr
     ball = RadialField(g, (np.arange(1, g.n + 1) <= jmax).astype(complex))
-    P = potential_energy(kern, ball, 2.0)
+    P = FieldState(ball, kern, 2.0).P
     assert P == pytest.approx(32 * np.pi**2 / 15 * r_eff**5, rel=2e-3)
 
 
@@ -248,7 +249,8 @@ def test_grid_mismatch_rejected(grid_small, grid_mid):
 
 
 def test_stacked_rows_match_single_rows(grid_mid, kern2_mid):
-    # a sample transforms g and every chi_R^p g in one call
+    # a sample transforms g and every chi_R^p g in one call and pairs them
+    # in one reduction: each row equals its single-row call bit for bit
     rng = np.random.default_rng(22)
     g = np.abs(rng.standard_normal((3, grid_mid.n))) * np.exp(-grid_mid.nodes / 5)
     spec = kern2_mid.spectrum(g)
@@ -257,3 +259,13 @@ def test_stacked_rows_match_single_rows(grid_mid, kern2_mid):
     for row, s, P in zip(g, spec, pairs):
         assert np.array_equal(s, kern2_mid.spectrum(row))
         assert P == kern2_mid.pairing(kern2_mid.spectrum(row))
+    # against the apply: a stack (g, chi_R^p g, 0) pairs to sum w (I*row) row
+    # at every gamma, also where the symbol turns negative (gamma > 2)
+    chi_p = radial_cutoff(grid_mid, 10.0) ** 3
+    stack = np.vstack((g[0], chi_p * g[0], np.zeros(grid_mid.n)))
+    for gamma in PARSEVAL_GAMMAS:
+        kern = build_kernel(gamma, grid_mid)
+        pairs = kern.pairing(kern.spectrum(stack))
+        for row, P in zip(stack, pairs):
+            want = float(np.sum(grid_mid.weights * kern.apply(row) * row))
+            assert abs(P - want) <= 1e-13 * abs(want), gamma
