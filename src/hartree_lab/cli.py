@@ -79,21 +79,7 @@ def cmd_exponents(args):
 
 def cmd_kato(args):
     V = _parse_potential_arg(args.potential)
-    grid = _grid(args)
-    audit = audit_hypotheses(V, grid)
-    payload = {
-        "kato_norm": audit.kato_norm,
-        "kato_norm_negative_part": audit.kato_norm_negative_part,
-        "kato_max_probe": audit.kato_max_probe,
-        "l32_norm": audit.l32_norm,
-        "nonneg": audit.nonneg,
-        "x_grad_V_nonpositive": audit.radial_derivative_sign,
-        "x_grad_V_lr_norms": {str(k): v for k, v in audit.x_grad_V_lr_norms.items()},
-        "negative_part_below_4pi": audit.negative_part_below_4pi,
-        "checks": audit.checks,
-        "theorem_hypotheses_pass": audit.theorem_hypotheses_pass(),
-    }
-    print(scn.strict_json(payload))
+    print(scn.strict_json(audit_hypotheses(V, _grid(args)).record()))
     return 0
 
 

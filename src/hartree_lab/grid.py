@@ -160,41 +160,35 @@ def sine_series_and_derivative(coeffs, k, nodes):
     return f, (X.real / lam - f) * rinv
 
 
-def laplacian(f: RadialField) -> RadialField:
-    """Radial 3D Laplacian via sine diagonalization of v = r*u."""
-    return from_dst_coeffs(f.grid, -f.grid.wavenumbers**2 * dst_coeffs(f))
-
-
 class FieldState:
-    """What diagnostics read off one field u, each computed once on first
-    use: u and u' as real rows (re, im), |u|^2 and the mass, the sine
-    coefficients c of r*u, the Parseval gradient norm and, given a Riesz
-    kernel and p >= 2, g = |u|^p, the padded sine spectra of r*g and r*chi*g
-    for each row chi of chi_p, their pairings (P, P(chi_R u), ..) if
-    chi = chi_R^p with chi_R >= 0, and h = I_gamma*g with h'.
-    ``from_coeffs`` starts from c: one FFT of its row view gives u and u',
-    and the complex field u is built only if a caller asks for it."""
+    """What diagnostics read off one field u.  Every state starts from the
+    sine coefficients c of r*u: one FFT of their row view gives u and u' as
+    real rows (re, im).  ``FieldState(u, ..)`` passes c = DST(r*u) in,
+    ``from_coeffs`` takes c as it is.  The rest is computed once on first
+    use: |u|^2 and the mass, the Parseval gradient norm of c, the complex
+    field u and, given a Riesz kernel and p >= 2, g = |u|^p, the padded sine
+    spectra of r*g and r*chi*g for each row chi of chi_p, their pairings
+    (P, P(chi_R u), ..) if chi = chi_R^p with chi_R >= 0, and h = I_gamma*g
+    with h'."""
 
     def __init__(self, u: RadialField, kern=None, p: float | None = None, chi_p=()):
-        self._bind(u.grid, kern, p, chi_p)
-        self.u, self.u_rows = u, _pairs(u.values).T
+        self._load(u.grid, dst_coeffs(u), kern, p, chi_p)
 
     @classmethod
     def from_coeffs(cls, grid: RadialGrid, coeffs: np.ndarray, kern=None,
                     p: float | None = None, chi_p=()):
         st = cls.__new__(cls)
-        st._bind(grid, kern, p, chi_p)
-        st.coeffs = coeffs
-        st.u_rows, st.du_rows = sine_series_and_derivative(
-            _pairs(coeffs).T, grid.wavenumbers, grid.nodes)
+        st._load(grid, coeffs, kern, p, chi_p)
         return st
 
-    def _bind(self, grid, kern, p, chi_p):
+    def _load(self, grid, coeffs, kern, p, chi_p):
         if kern is not None:
             _check_same_grid(kern.grid, grid)
             if p is None or p < 2:
                 raise ValueError("p >= 2 required")
-        self.grid, self.kern, self.p, self.chi_p = grid, kern, p, chi_p
+        self.grid, self.coeffs, self.kern, self.p, self.chi_p = grid, coeffs, kern, p, chi_p
+        self.u_rows, self.du_rows = sine_series_and_derivative(
+            _pairs(coeffs).T, grid.wavenumbers, grid.nodes)
 
     @cached_property
     def u(self):
@@ -210,15 +204,6 @@ class FieldState:
     @property
     def mass(self):
         return float(np.dot(self.grid.weights, self.usq))
-
-    @cached_property
-    def coeffs(self):
-        return dst_coeffs(self.u)
-
-    @cached_property
-    def du_rows(self):
-        g = self.grid
-        return sine_series_and_derivative(_pairs(self.coeffs).T, g.wavenumbers, g.nodes)[1]
 
     @cached_property
     def grad_sq(self):

@@ -13,7 +13,8 @@ small by chance.  The seed is exp(-r^2).
 Every result is certified where it is solved: the residual against the
 caller's tol, then ``certify`` (decay at r_max, positivity and radial
 monotonicity up to a round-off floor, sharp-constant agreement, Pohozaev).
-Mass, |grad Q|^2 and P come from one FieldState, as in the diagnostics.
+The residual, mass, |grad Q|^2 and P come from one FieldState of q, as a
+diagnostics sample's come from one of its coefficients.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -22,7 +23,7 @@ import numpy as np
 import scipy.fft as sfft
 
 from .exponents import ModelParams, ab_exponents
-from .grid import FieldState, RadialField, RadialGrid, laplacian
+from .grid import FieldState, RadialField, RadialGrid
 from .riesz import RieszKernel
 
 POSITIVITY_FLOOR = 1e-12   # relative to max(Q): the true tail is below round-off
@@ -89,11 +90,19 @@ def _hartree_term(kern: RieszKernel, q: np.ndarray, p: float) -> np.ndarray:
     return kern.apply(ap2 * a * a) * ap2 * q
 
 
-def elliptic_residual(Q: RadialField, kern: RieszKernel, p: float) -> float:
-    """sup|-Q + Lap Q + (I_gamma*|Q|^p)|Q|^{p-2}Q| / sup|Q|, discrete operators."""
-    q = Q.values.real
-    res = -q + laplacian(Q).values.real + _hartree_term(kern, q, p)
-    return float(np.max(np.abs(res)) / np.max(np.abs(q)))
+def coeff_laplacian(grid: RadialGrid, q: np.ndarray) -> np.ndarray:
+    """Lap Q = DST(-k^2 q)/r of Q = DST(q)/r, read off its real sine
+    coefficients q rather than off a transform of Q, whose round-off k^2
+    would scale."""
+    return _dst(-grid.wavenumbers**2 * q) / grid.nodes
+
+
+def elliptic_residual(st: FieldState) -> float:
+    """sup|-Q + Lap Q + (I_gamma*|Q|^p)|Q|^{p-2}Q| / sup|Q| for the state of
+    Q's real sine coefficients q, Lap Q by ``coeff_laplacian``."""
+    Q = st.u_rows[0]
+    res = -Q + coeff_laplacian(st.grid, st.coeffs.real) + _hartree_term(st.kern, Q, st.p)
+    return float(np.max(np.abs(res)) / np.max(np.abs(Q)))
 
 
 def solve_ground_state(params: ModelParams, grid: RadialGrid, kern: RieszKernel,
@@ -125,15 +134,13 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid, kern: RieszKernel,
         Q = _dst(q) / r
         if step < 1e-14:
             break
-    field = RadialField(grid, Q)
-    res = elliptic_residual(field, kern, p)
+    st = FieldState.from_coeffs(grid, q, kern, p)
+    res = elliptic_residual(st)
     if res > tol:
         raise GroundStateError(
             f"no convergence after {it} iterations: residual {res} > {tol}")
-
-    st = FieldState(field, kern, p)
     gsq, P = st.grad_sq, st.P
-    gs = GroundStateResult(Q=field, residual=res, iterations=it, mass=st.mass,
+    gs = GroundStateResult(Q=RadialField(grid, Q), residual=res, iterations=it, mass=st.mass,
                            grad_norm_sq=gsq, P=P, E0=0.5 * gsq - P / (2 * p), params=params)
     gs.certify()
     return gs
@@ -177,31 +184,44 @@ def sharp_constant_defect(gs: GroundStateResult) -> float:
     return abs(c1 - c2) / c1
 
 
+def threshold_f(y, B: float):
+    """f(y) = (B y^2 - 2 y^B)/(B-2): g(x0 y)/g(x0), g rescaled to its peak."""
+    return (B * y**2 - 2 * y**B) / (B - 2)
+
+
 def threshold_functions(gs: GroundStateResult, tol: float = 1e-6) -> dict:
-    """Checks on g(x) = x^2/2 - (C/2p) x^B and f(y) = (B y^2 - 2 y^B)/(B-2).
+    """Checks on g(x) = x^2/2 - (C/2p) x^B and f = ``threshold_f``.
 
     Verifies the critical point x0 = |Q|^sigma |grad Q|, g(x0) equal to
-    M(Q)^sigma E0(Q) within tol, f(1) = 1, and monotonicity of f on (0,1).
+    M(Q)^sigma E0(Q) within tol, f(1) = 1, monotonicity of f on (0,1) and
+    f(y) = g(x0 y)/g(x0) there within tol, each f read off ``threshold_f``.
     """
     p = gs.params.p
     A, B, sigma_c = ab_exponents(gs.params)
     C = gs.C_op
+
+    def g(x):
+        return 0.5 * x**2 - C / (2 * p) * x**B
+
     x0 = np.sqrt(gs.mass) ** sigma_c * np.sqrt(gs.grad_norm_sq)
     target = gs.mass**sigma_c * gs.E0
-    g_defect = abs(0.5 * x0**2 - C / (2 * p) * x0**B - target) / abs(target)
+    g_defect = abs(g(x0) - target) / abs(target)
     gprime = x0 - C * B / (2 * p) * x0 ** (B - 1)
     gpp = 1 - C * B * (B - 1) / (2 * p) * x0 ** (B - 2)  # 2 - B at the ground state
     gprime_small = bool(abs(gprime) <= 1e-8 * abs(gpp) * x0)
     ys = np.linspace(1e-3, 1 - 1e-3, 101)
-    fvals = (B * ys**2 - 2 * ys**B) / (B - 2)
+    fvals = threshold_f(ys, B)
     f_increasing = bool(np.all(np.diff(fvals) > 0))
-    f_at_1 = (B - 2) / (B - 2)  # algebraically 1
+    f_at_1 = float(threshold_f(1.0, B))
+    f_g_defect = float(np.max(np.abs(fvals - g(x0 * ys) / g(x0))))
     return {
         "x0": float(x0),
         "gprime_x0": float(gprime),
         "gprime_small": gprime_small,
         "g_x0_defect": float(g_defect),
-        "f_at_1": float(f_at_1),
+        "f_at_1": f_at_1,
         "f_increasing_on_01": f_increasing,
-        "pass": bool(g_defect <= tol and gprime_small and f_increasing),
+        "f_g_defect": f_g_defect,
+        "pass": bool(g_defect <= tol and gprime_small and f_increasing
+                     and abs(f_at_1 - 1) <= tol and f_g_defect <= tol),
     }

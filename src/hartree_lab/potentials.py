@@ -153,6 +153,22 @@ class PotentialAudit:
         finite = all(np.isfinite(v) for v in self.x_grad_V_lr_norms.values())
         return self.nonneg and self.radial_derivative_sign and finite
 
+    def record(self) -> dict:
+        """The audit as ``hartree-lab kato`` prints it and a scenario summary
+        stores it (its ``hypotheses`` block)."""
+        return {
+            "kato_norm": self.kato_norm,
+            "kato_norm_negative_part": self.kato_norm_negative_part,
+            "kato_max_probe": self.kato_max_probe,
+            "l32_norm": self.l32_norm,
+            "nonneg": self.nonneg,
+            "x_grad_V_nonpositive": self.radial_derivative_sign,
+            "x_grad_V_lr_norms": {str(k): v for k, v in self.x_grad_V_lr_norms.items()},
+            "negative_part_below_4pi": self.negative_part_below_4pi,
+            "checks": self.checks,
+            "theorem_hypotheses_pass": self.theorem_hypotheses_pass(),
+        }
+
 
 def audit_hypotheses(V: PotentialSpec, grid: RadialGrid):
     r = grid.nodes

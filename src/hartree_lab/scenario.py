@@ -54,10 +54,10 @@ from .exponents import ModelParams, ab_exponents
 from .grid import RadialGrid, l2_norm_sq, load_field_csv, save_field_csv
 from .groundstate import solve_ground_state
 from .morawetz import coercivity_check, morawetz_average, scattering_monitor
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, audit_hypotheses
 from .riesz import build_kernel
 
-OUTPUT_FORMAT_VERSION = 1
+OUTPUT_FORMAT_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -366,6 +366,9 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
 
     traj = evolve(s.initial_field(grid, gs), s.potential, kern, s.model, s.evolve_config)
     series = traj.diagnostics
+    # the theorem's hypotheses on V: the threshold verdict passes only where they hold
+    hypotheses = audit_hypotheses(s.potential, grid).record()
+    applies = hypotheses["theorem_hypotheses_pass"]
 
     verdicts = {}
     thresholds = {}
@@ -393,10 +396,12 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
             "grad_mass_condition": bool(cond2),
             "sup_grad_mass_below": bool(cond_sup),
             "track_below_threshold": bool(track_ok),
-            "pass": bool(cond1 and cond2 and cond_sup and track_ok),
+            "theorem_applies": applies,
+            "pass": bool(cond1 and cond2 and cond_sup and track_ok and applies),
         }
-        verdicts["coercivity_final"] = coercivity_check(traj.final, gs, s.coercivity_R,
-                                                        kern=kern)
+        verdicts["coercivity_final"] = {
+            **coercivity_check(traj.final, gs, s.coercivity_R, kern=kern),
+            "theorem_applies": applies}
     if "monitor" in s.requests:
         mon = scattering_monitor(series, s.monitor_R, s.monitor_eps)
         got = mon["crossed"] and mon["rate_bound_pass"]
@@ -417,6 +422,7 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
         "format_version": OUTPUT_FORMAT_VERSION,
         "scenario": scn,
         "thresholds": thresholds,
+        "hypotheses": hypotheses,
         "verdicts": verdicts,
         "warnings": [BOUNDARY_WARNING] if traj.boundary_warning else [],
         "series_file": os.path.basename(csv_path),

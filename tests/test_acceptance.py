@@ -18,8 +18,7 @@ from hartree_lab.exponents import (ModelParams, ab_exponents, critical_exponent,
 from hartree_lab.grid import FieldState, RadialField, RadialGrid, l2_norm_sq
 from hartree_lab.groundstate import (pohozaev_check, sharp_constant_defect,
                                      solve_ground_state, threshold_functions)
-from hartree_lab.morawetz import (coercivity_check, cutoff_field, morawetz_zpp,
-                                  quadratic_weight, scattering_monitor)
+from hartree_lab.morawetz import coercivity_check, morawetz_zpp, quadratic_weight
 from hartree_lab.potentials import (audit_hypotheses, gaussian_potential,
                                     kato_norm, softpower_potential,
                                     table_potential, zero_potential)

@@ -4,10 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hartree_lab.exponents import (IDENTITY_TOL, ModelParams, ab_exponents,
-                                   critical_exponent, distant_past_pairs,
-                                   identity_report, is_hs_admissible,
-                                   is_l2_admissible, scattering_pairs)
+from hartree_lab.exponents import (ModelParams, ab_exponents, critical_exponent,
+                                   distant_past_pairs, identity_report,
+                                   is_hs_admissible, is_l2_admissible,
+                                   scattering_pairs)
 
 
 def test_critical_exponent_endpoints():

@@ -5,6 +5,7 @@ import pytest
 
 from hartree_lab.exponents import ModelParams, ab_exponents
 from hartree_lab.grid import FieldState, RadialField, RadialGrid, l2_norm_sq
+from hartree_lab import groundstate
 from hartree_lab.groundstate import (GroundStateError, elliptic_residual,
                                      pohozaev_check, sharp_constant,
                                      sharp_constant_defect, solve_ground_state,
@@ -109,7 +110,20 @@ def test_threshold_functions(gs32_mid):
     assert rep["f_increasing_on_01"]
     assert rep["gprime_small"]
     assert rep["g_x0_defect"] < 1e-5
+    assert rep["f_g_defect"] < 1e-5
     assert rep["pass"]
+
+
+@pytest.mark.parametrize("miscode", [
+    lambda f, y, B: ((B - 1) * y**2 - 2 * y**B) / (B - 2),  # f(1) = (B-3)/(B-2)
+    lambda f, y, B: f(y, B - 1),  # f(1) = 1 and increasing, but not g(x0 y)/g(x0)
+], ids=["coefficient", "exponent"])
+def test_threshold_functions_read_one_f(gs32_mid, monkeypatch, miscode):
+    # the scan, f(1) and the comparison with g all read the one f: a
+    # miscoded f fails the result
+    f = groundstate.threshold_f
+    monkeypatch.setattr(groundstate, "threshold_f", lambda y, B: miscode(f, y, B))
+    assert not threshold_functions(gs32_mid, tol=1e-5)["pass"]
 
 
 def test_coercivity_scaling_family(gs32_mid, kern2_mid, params32):
@@ -210,7 +224,17 @@ def test_non_intercritical_rejected(grid_small):
         solve_ground_state(ModelParams(2.0, 2.5), grid_small, kern)
 
 
+def test_fine_grid_certifies():
+    # Lap Q is read off the sine coefficients, so its round-off is not
+    # scaled by k_max^2: through a transform of Q back, this grid
+    # (dr = 2e-3) read 3.6e-9 and failed the solve's default tol
+    grid = RadialGrid(32.0, 16383)
+    gs = solve_ground_state(ModelParams(3.0, 2.0), grid, build_kernel(2.0, grid))
+    assert gs.residual <= 1e-9
+    gs.certify()
+
+
 def test_elliptic_residual_of_non_solution(grid_small, params32):
     kern = build_kernel(2.0, grid_small)
     f = grid_small.field_from(lambda r: np.exp(-r**2))
-    assert elliptic_residual(f, kern, params32.p) > 1e-3
+    assert elliptic_residual(FieldState(f, kern, params32.p)) > 1e-3

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from hartree_lab.evolve import DiagnosticsSeries, EvolveConfig, SpongeConfig, evolve
-from hartree_lab.exponents import ModelParams, ab_exponents
+from hartree_lab.exponents import ab_exponents
 from hartree_lab.grid import FieldState, RadialField, RadialGrid
-from hartree_lab.morawetz import (MorawetzWeight, build_weight, coercivity_check,
-                                  cutoff_field, morawetz_average, morawetz_z,
-                                  morawetz_zpp, nonlocal_pair_term,
-                                  quadratic_weight, radial_cutoff,
-                                  scattering_monitor)
+from hartree_lab.morawetz import (build_weight, coercivity_check, morawetz_average,
+                                  morawetz_z, morawetz_zpp, nonlocal_pair_term,
+                                  quadratic_weight, radial_cutoff, scattering_monitor)
 from hartree_lab.potentials import gaussian_potential, zero_potential
 from hartree_lab.riesz import build_kernel
-from oracles import quad_1d, random_smooth_field
+from oracles import quad_1d
 
 
 def zpp_of(u, w, V, kern, params):

@@ -236,6 +236,8 @@ def test_run_scenario_scattering(tmp_path):
     rep = run_scenario(s, out_dir=str(tmp_path), tag="scatter")
     assert rep.exit_code == 0
     assert rep.verdicts["thresholds"]["pass"]
+    assert rep.verdicts["thresholds"]["theorem_applies"]
+    assert rep.verdicts["coercivity_final"]["theorem_applies"]
     assert rep.verdicts["monitor"]["pass"]
     assert (tmp_path / "scatter_summary.json").exists()
     csv = (tmp_path / "scatter_diagnostics.csv").read_text().splitlines()
@@ -243,6 +245,28 @@ def test_run_scenario_scattering(tmp_path):
     header = csv[2].split(",")
     assert header[:10] == ["t", "M", "E", "E0", "P", "grad_sq", "lambda_sq",
                            "z", "zp", "zpp"]
+
+
+def test_threshold_verdict_needs_theorem_hypotheses(tmp_path, capsys):
+    # an attractive well: every threshold condition holds, but V < 0 breaks
+    # the theorem's hypotheses, so the threshold verdict cannot pass
+    text = (SCATTER.replace("n = 383", "n = 1023").replace("c = 0.5", "c = 0.3")
+            .replace("t_end = 6.0", "t_end = 0.2")
+            + "\n[potential]\nkind = gaussian\namplitude = -4.0\nwidth = 1.0\n")
+    rep = run_scenario(parse_scenario(text), out_dir=str(tmp_path), tag="well")
+    th = rep.verdicts["thresholds"]
+    assert th["mass_energy_condition"] and th["grad_mass_condition"]
+    assert th["sup_grad_mass_below"] and th["track_below_threshold"]
+    assert th["theorem_applies"] is False and th["pass"] is False
+    assert rep.verdicts["coercivity_final"]["theorem_applies"] is False
+    assert rep.exit_code == 1 and "thresholds" in rep.failures
+    # the summary's hypotheses block is the record `hartree-lab kato` prints
+    summary = json.loads((tmp_path / "well_summary.json").read_text())
+    assert summary["format_version"] == 2
+    cli_main(["kato", "--potential", "gaussian:amplitude=-4,width=1",
+              "--r-max", "24", "--n", "1023"])
+    assert summary["hypotheses"] == json.loads(capsys.readouterr().out)
+    assert not summary["hypotheses"]["theorem_hypotheses_pass"]
 
 
 def test_diagnostics_header_pinned(tmp_path):
@@ -444,8 +468,11 @@ def test_cli_exponents_json(capsys):
                  id="ground-state-nan-radius"),
     pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--tol", "0"], "--tol 0",
                  id="ground-state-zero-tol"),
+    pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--tol", "1e-20"],
+                 "ground state: no convergence", id="ground-state-unmet-tol"),
+    # the solve converges on the ball r <= 2, but Q there has not decayed
     pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--r-max", "2"],
-                 "ground state: no convergence", id="ground-state-small-domain"),
+                 "ground state: Q has not decayed", id="ground-state-small-domain"),
     # a solve that converges on a grid too coarse for it fails certification
     pytest.param(["ground-state", "--p", "3.5", "--gamma", "1", "--r-max", "30", "--n", "1023"],
                  "ground state: Pohozaev defects too large", id="ground-state-uncertified"),
@@ -463,6 +490,17 @@ def test_cli_bad_model_is_one_line(tmp_path, capsys, argv, msg):
     assert msg in exc.value.code and "\n" not in exc.value.code
     assert capsys.readouterr().err == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_ground_state_fine_grid(tmp_path, capsys):
+    # dr = 2e-3 certifies: the residual is read off the sine coefficients
+    out = tmp_path / "out"
+    rc = cli_main(["--output-dir", str(out), "ground-state", "--p", "3", "--gamma", "2",
+                   "--n", "16383"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0 and payload["residual"] <= 1e-9
+    assert payload["threshold_functions"]["pass"]
+    assert (out / "ground_state.csv").exists()
 
 
 def test_cli_kato(capsys):
