@@ -1,13 +1,14 @@
-"""Radial potentials V(r), Kato-norm machinery, and hypothesis audits.
+"""Radial potentials V(r), the Kato norm, and hypothesis audits.
 
 Shipped kinds: zero, gaussian, soft inverse power (amplitude/(r^power +
 core^power)-style with a smooth core), and tabulated values.  Positive
 amplitude means repulsive (V >= 0).  Audits check the standing
-assumptions: Kato + L^{3/2} membership, the negative-part Kato smallness
-against 4*pi, V >= 0, x.grad V <= 0 pointwise, and x.grad V in L^r for
-requested exponents.  Failures are reported, never raised.  ``energy``
-reads E, E0 and the Lambda norm off a ``FieldState``, with V given as the
-quadrature row w*V built once per run.
+assumptions: V in K and L^{3/2} with x.grad V in L^{3/2}, L^2 and
+L^inf (read off the kind, as ``PotentialSpec.decays``), the negative-part
+Kato smallness against 4*pi, V >= 0 and x.grad V <= 0 pointwise.
+Failures are reported, never raised.  ``energy`` reads E, E0 and the
+Lambda norm off a ``FieldState``, with V given as the quadrature row w*V
+built once per run.
 """
 
 from dataclasses import dataclass, field as dfield
@@ -17,7 +18,6 @@ import numpy as np
 from .grid import FOUR_PI, FieldState, RadialGrid
 
 SIGN_TOL = 1e-12
-KATO_PROBES = 64                   # log-spaced probe radii for the Kato sup
 LR_EXPONENTS = (1.5, 2.0, np.inf)  # r in the x.grad V in L^r audit
 
 
@@ -44,8 +44,15 @@ class PotentialSpec:
             if self.radii is None or self.values is None:
                 raise ValueError("table kind needs radii and values")
             r = np.asarray(self.radii, float)
+            v = np.asarray(self.values, float)
+            if r.ndim != 1 or r.shape != v.shape or len(r) < 2:
+                raise ValueError("table needs radii and values of one length >= 2")
+            if not (np.all(np.isfinite(r)) and np.all(np.isfinite(v))):
+                raise ValueError("table radii and values must be finite")
             if np.any(np.diff(r) <= 0):
                 raise ValueError("table radii must be strictly increasing")
+            object.__setattr__(self, "radii", r)
+            object.__setattr__(self, "values", v)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -59,6 +66,21 @@ class PotentialSpec:
             out = np.interp(r, self.radii, self.values)
         return out if out.shape else float(out)
 
+    @property
+    def decays(self):
+        """V lies in K and L^{3/2}, and x.grad V in L^{3/2}, L^2 and L^inf.
+
+        A finite grid cannot tell: its sums are finite for every V.  So it
+        is read off the kind.  A softpower V ~ r^(-power) needs power > 2;
+        a table holds its last value beyond its last radius, so that value
+        must be 0.
+        """
+        if self.kind == "softpower":
+            return self.power > 2 or self.amplitude == 0
+        if self.kind == "table":
+            return bool(self.values[-1] == 0)
+        return True
+
     def dV(self, r):
         """Radial derivative; analytic except for the table kind."""
         r = np.asarray(r, dtype=float)
@@ -70,8 +92,10 @@ class PotentialSpec:
             denom = (r**self.power + self.core**self.power) ** 2
             out = -self.amplitude * self.core**self.power * self.power * r ** (self.power - 1) / denom
         else:
-            out = np.interp(r, 0.5 * (self.radii[1:] + self.radii[:-1]),
-                            np.diff(self.values) / np.diff(self.radii))
+            # V is held constant outside [radii[0], radii[-1]]
+            out = np.where((r < self.radii[0]) | (r > self.radii[-1]), 0.0,
+                           np.interp(r, 0.5 * (self.radii[1:] + self.radii[:-1]),
+                                     np.diff(self.values) / np.diff(self.radii)))
         return out if out.shape else float(out)
 
 
@@ -88,51 +112,26 @@ def softpower_potential(amplitude, power, core):
 
 
 def table_potential(radii, values):
-    return PotentialSpec("table", radii=np.asarray(radii, float),
-                         values=np.asarray(values, float))
+    return PotentialSpec("table", radii=radii, values=values)
 
 
 # ---------------------------------------------------------------------------
-# Kato norm: sup_x int |V(y)| / |x-y| dy.  By radial symmetry the sup runs
-# over probe radii; each inner integral is Newton's theorem:
-#   (4*pi/rho) int_0^rho s^2 |V| ds + 4*pi int_rho^inf s |V| ds,
-# with the rho = 0 limit 4*pi int s |V| ds.
-
-def _kato_profile(absV, grid: RadialGrid, probe_idx):
-    r = grid.nodes
-    dr = grid.dr
-    inner = np.concatenate(([0.0], np.cumsum(r**2 * absV * dr)))
-    outer_rev = np.concatenate((np.cumsum((r * absV * dr)[::-1])[::-1], [0.0]))
-    vals = np.empty(len(probe_idx) + 1)
-    vals[0] = FOUR_PI * outer_rev[0]  # center probe
-    for k, i in enumerate(probe_idx):
-        rho = r[i]
-        vals[k + 1] = FOUR_PI * (inner[i + 1] / rho + outer_rev[i + 1])
-    return vals
-
-
-def _probe_indices(grid: RadialGrid):
-    # log-spaced probe radii in (0, r_max/2]
-    targets = np.geomspace(grid.dr, grid.r_max / 2, KATO_PROBES)
-    idx = np.unique(np.clip(np.round(targets / grid.dr).astype(int) - 1, 0, grid.n - 1))
-    return idx
-
+# Kato norm: sup_x int |V(y)| / |x-y| dy.  For radial V, Newton's theorem gives
+# the inner integral at |x| = rho as
+#   f(rho) = (4*pi/rho) int_0^rho s^2 |V| ds + 4*pi int_rho^inf s |V| ds,
+# with f'(rho) = -(4*pi/rho^2) int_0^rho s^2 |V| ds <= 0, so the sup sits at
+# the origin.  The grid sums obey the same rule term by term:
+#   f(0) - f(r_i) = 4*pi*dr sum_{j<=i} r_j |V_j| (1 - r_j/r_i) >= 0.
 
 def kato_norm(V: PotentialSpec, grid: RadialGrid, negative_part=False):
-    """Kato norm of V (or of V_- = min(V,0)) on the grid.
+    """Kato norm of V (or of V_- = min(V,0)) on the grid: 4*pi*dr*sum r|V|.
 
-    Returns (norm, probe_radius_at_max).  Warns through the audit if the
-    tail |V| r^2 has not decayed at r_max.
+    Returns (norm, radius of the sup), the radius being 0 for every radial V.
     """
     vals = V(grid.nodes)
     if negative_part:
         vals = np.minimum(vals, 0.0)
-    absV = np.abs(vals)
-    idx = _probe_indices(grid)
-    prof = _kato_profile(absV, grid, idx)
-    k = int(np.argmax(prof))
-    best_rho = 0.0 if k == 0 else float(grid.nodes[idx[k - 1]])
-    return float(prof[k]), best_rho
+    return float(FOUR_PI * grid.dr * np.dot(grid.nodes, np.abs(vals))), 0.0
 
 
 @dataclass
@@ -145,13 +144,13 @@ class PotentialAudit:
     radial_derivative_sign: bool       # x.grad V <= 0 on the grid
     x_grad_V_lr_norms: dict
     negative_part_below_4pi: bool
+    decays: bool                       # PotentialSpec.decays
     tail_decayed: bool
     checks: dict = dfield(default_factory=dict)
 
     def theorem_hypotheses_pass(self):
-        """V >= 0, x.grad V <= 0, x.grad V in L^r (finite norms)."""
-        finite = all(np.isfinite(v) for v in self.x_grad_V_lr_norms.values())
-        return self.nonneg and self.radial_derivative_sign and finite
+        """V >= 0, x.grad V <= 0, and V decays into the theorem's classes."""
+        return self.nonneg and self.radial_derivative_sign and self.decays
 
     def record(self) -> dict:
         """The audit as ``hartree-lab kato`` prints it and a scenario summary
@@ -198,15 +197,14 @@ def audit_hypotheses(V: PotentialSpec, grid: RadialGrid):
         radial_derivative_sign=dsign,
         x_grad_V_lr_norms=norms,
         negative_part_below_4pi=bool(knm < FOUR_PI),
+        decays=V.decays,
         tail_decayed=tail,
     )
     audit.checks = {
-        "kato_finite": bool(np.isfinite(kn)),
-        "l32_finite": bool(np.isfinite(l32)),
+        "decays": audit.decays,
         "negative_part_below_4pi": audit.negative_part_below_4pi,
         "nonneg": nonneg,
         "x_grad_V_nonpositive": dsign,
-        "x_grad_V_in_Lr": all(np.isfinite(v) for v in norms.values()),
         "tail_decayed": tail,
     }
     return audit

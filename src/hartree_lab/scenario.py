@@ -57,7 +57,7 @@ from .morawetz import coercivity_check, morawetz_average, scattering_monitor
 from .potentials import PotentialSpec, audit_hypotheses
 from .riesz import build_kernel
 
-OUTPUT_FORMAT_VERSION = 2
+OUTPUT_FORMAT_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -332,13 +332,22 @@ def write_diagnostics_csv(path, series, scenario_dict):
 
 def _identity_defects(series):
     """Defect norms of the d/dt z = z' and d/dt z' = z'' chain on the
-    sampled series, with the constants C = defect / dt_sample^2."""
+    sampled series, with the constants C = defect / dt_sample^2.
+
+    d/dt is the three-point form, second order also where the spacing
+    changes (a last interval cut short by t_end)."""
     t, z, zp, zpp = (series[k] for k in ("t", "z", "zp", "zpp"))
     if len(t) < 3 or np.any(~np.isfinite(zpp)):
         return {"available": False}
-    dts = float(np.max(np.diff(t)))
-    dz = (z[2:] - z[:-2]) / (t[2:] - t[:-2])
-    dzp = (zp[2:] - zp[:-2]) / (t[2:] - t[:-2])
+    h = np.diff(t)
+    hm, hp = h[:-1], h[1:]
+
+    def ddt(f):
+        return (hm**2 * f[2:] - hp**2 * f[:-2] + (hp**2 - hm**2) * f[1:-1]) \
+            / (hp * hm * (hp + hm))
+
+    dts = float(np.max(h))
+    dz, dzp = ddt(z), ddt(zp)
     d1 = float(np.max(np.abs(dz - zp[1:-1])))
     d2 = float(np.max(np.abs(dzp - zpp[1:-1])))
     return {"available": True, "sample_spacing": dts,

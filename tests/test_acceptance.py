@@ -318,7 +318,7 @@ def test_acceptance_9_kato_audits():
     assert probe == 0.0
 
     passing = {"gaussian(0.2, 2)": V_GAUSS,
-               "softpower(0.5, 2, 1)": softpower_potential(0.5, 2.0, 1.0)}
+               "softpower(0.5, 3, 1)": softpower_potential(0.5, 3.0, 1.0)}
     for name, V in passing.items():
         audit = audit_hypotheses(V, grid)
         assert audit.theorem_hypotheses_pass(), name
@@ -337,6 +337,13 @@ def test_acceptance_9_kato_audits():
     assert not a2.negative_part_below_4pi
     reasons["deep well"] = [k for k, v in a2.checks.items() if not v]
     assert "negative_part_below_4pi" in reasons["deep well"]
+
+    # V = 0.5/(1+r^2) is neither in L^{3/2} nor in the Kato class, however
+    # finite its sums on the grid
+    slow = audit_hypotheses(softpower_potential(0.5, 2.0, 1.0), grid)
+    assert not slow.theorem_hypotheses_pass()
+    reasons["softpower(0.5, 2, 1)"] = [k for k, v in slow.checks.items() if not v]
+    assert "decays" in reasons["softpower(0.5, 2, 1)"]
     dt = time.time() - t0
     print(f"\nACCEPTANCE 9: PASS - ball Kato {kn:.6f} vs {2*np.pi:.6f}; "
           f"counterexample reasons {reasons} ({dt:.0f}s)")

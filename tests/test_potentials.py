@@ -28,6 +28,7 @@ def test_kato_unit_ball():
     assert knm == 0.0
     audit = audit_hypotheses(V2, g)
     assert audit.negative_part_below_4pi
+    assert audit.theorem_hypotheses_pass()
 
 
 def test_kato_gaussian_against_quadrature(grid_mid):
@@ -43,15 +44,23 @@ def test_kato_gaussian_against_quadrature(grid_mid):
     assert knm < 4 * np.pi
 
 
-def test_kato_probe_monotone(grid_mid):
-    # radially nonincreasing |V|: center probe maximizes
-    from hartree_lab.potentials import _kato_profile, _probe_indices
-    V = gaussian_potential(1.0, 2.0)
-    absV = np.abs(V(grid_mid.nodes))
-    idx = _probe_indices(grid_mid)
-    prof = _kato_profile(absV, grid_mid, idx)
-    assert np.argmax(prof) == 0
-    assert np.all(np.diff(prof) <= 1e-12)
+@pytest.mark.parametrize("negative_part", [False, True])
+@pytest.mark.parametrize("values", [
+    pytest.param(lambda r: -((r >= 2.0) & (r <= 3.0)).astype(float), id="shell"),
+    pytest.param(lambda r: np.cos(r) * np.exp(-r / 4) * (r <= 30.0), id="mixed-sign"),
+])
+def test_kato_newton_profile_peaks_at_origin(grid_mid, values, negative_part):
+    # Newton's theorem at every node by direct sums:
+    # f(rho) = 4 pi dr sum_j r_j^2 |V_j| / max(rho, r_j), rho = 0 and every node
+    r = grid_mid.nodes
+    V = table_potential(r, values(r))
+    absV = np.abs(np.minimum(V(r), 0.0) if negative_part else V(r))
+    rho = np.concatenate(([0.0], r))
+    prof = FOUR_PI * grid_mid.dr * (r**2 * absV) @ (1.0 / np.maximum.outer(r, rho))
+    kn, probe = kato_norm(V, grid_mid, negative_part=negative_part)
+    assert prof[0] > 0 and probe == 0.0
+    assert np.max(prof) <= prof[0] * (1 + 1e-14)
+    assert kn == pytest.approx(prof[0], rel=1e-13)
 
 
 def test_audit_zero(grid_small):
@@ -80,10 +89,28 @@ def test_audit_attractive_gaussian(grid_small):
 
 
 def test_audit_softpower(grid_small):
-    V = softpower_potential(0.5, 2.0, 1.0)
+    V = softpower_potential(0.5, 3.0, 1.0)
     audit = audit_hypotheses(V, grid_small)
     assert audit.nonneg and audit.radial_derivative_sign
     assert audit.theorem_hypotheses_pass()
+    # V ~ r^(-power) lies in L^{3/2} and the Kato class only for power > 2,
+    # however finite its sums on the grid
+    for power in (2.0, 1.0):
+        audit = audit_hypotheses(softpower_potential(0.5, power, 1.0), grid_small)
+        assert audit.nonneg and audit.radial_derivative_sign
+        assert audit.checks["decays"] is False
+        assert not audit.theorem_hypotheses_pass()
+    assert softpower_potential(0.0, 1.0, 1.0).decays
+
+
+def test_audit_table_needs_zero_tail(grid_small):
+    # a table holds its last value beyond its last radius
+    held = table_potential([0.0, 5.0, 10.0], [1.0, 0.5, 0.25])
+    assert not held.decays
+    assert not audit_hypotheses(held, grid_small).theorem_hypotheses_pass()
+    cut = table_potential([0.0, 5.0, 10.0], [1.0, 0.5, 0.0])
+    assert cut.decays
+    assert audit_hypotheses(cut, grid_small).theorem_hypotheses_pass()
 
 
 def test_derivative_matches_finite_difference(grid_small):
@@ -159,13 +186,34 @@ def test_table_potential_interpolation():
     assert np.all(np.isfinite(V.dV(g.nodes)))
 
 
+def test_table_derivative_zero_where_held():
+    # V is constant outside [radii[0], radii[-1]], so its central difference
+    # and dV are 0 there; inside, dV is the slope of the segment
+    V = table_potential([1.0, 5.0, 10.0, 20.0], [1.0, 0.5, 0.25, 0.0])
+    r = np.array([0.0, 0.5, 0.9, 20.5, 21.0, 30.0, 39.0])
+    fd = (V(r + 1e-6) - V(r - 1e-6)) / 2e-6
+    assert np.all(fd == 0.0)
+    assert np.all(V.dV(r) == 0.0)
+    assert V.dV(21.0) == 0.0
+    assert V.dV(15.0) == pytest.approx(-0.025, rel=1e-12)
+
+
 def test_potential_spec_validation():
     with pytest.raises(ValueError):
         PotentialSpec("nope")
     with pytest.raises(ValueError):
         gaussian_potential(1.0, -2.0)
-    with pytest.raises(ValueError):
-        table_potential([0.0, 1.0, 0.5], [1, 2, 3])
+    # a table is checked when it is built, not when V is first evaluated
+    for radii, values in (([0.0, 1.0, 0.5], [1, 2, 3]),
+                          ([0.0, 1.0, 2.0], [1.0, 0.0]),
+                          ([0.0, 1.0], [1.0, 0.5, 0.0]),
+                          ([0.0], [1.0]),
+                          ([0.0, 1.0, 2.0], [1.0, np.nan, 0.0]),
+                          ([0.0, 1.0, 2.0], [np.inf, 0.5, 0.0]),
+                          ([0.0, 1.0, np.inf], [1.0, 0.5, 0.0]),
+                          ([[0.0, 1.0], [2.0, 3.0]], [[1.0, 0.5], [0.2, 0.0]])):
+        with pytest.raises(ValueError, match="table"):
+            table_potential(radii, values)
 
 
 def test_audit_internal_invariants(grid_small):

@@ -262,7 +262,7 @@ def test_threshold_verdict_needs_theorem_hypotheses(tmp_path, capsys):
     assert rep.exit_code == 1 and "thresholds" in rep.failures
     # the summary's hypotheses block is the record `hartree-lab kato` prints
     summary = json.loads((tmp_path / "well_summary.json").read_text())
-    assert summary["format_version"] == 2
+    assert summary["format_version"] == 3
     cli_main(["kato", "--potential", "gaussian:amplitude=-4,width=1",
               "--r-max", "24", "--n", "1023"])
     assert summary["hypotheses"] == json.loads(capsys.readouterr().out)
@@ -514,6 +514,17 @@ def test_cli_kato(capsys):
     assert _parse_potential_arg("gaussian:width=2") == PotentialSpec("gaussian", 1.0, 2.0)
 
 
+def test_cli_kato_slow_softpower_fails(capsys):
+    # V = 1/(1+r) lies outside L^{3/2} and the Kato class
+    rc = cli_main(["kato", "--potential", "softpower:amplitude=1,power=1,core=1",
+                   "--n", "511", "--r-max", "24"])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert out["nonneg"] and out["x_grad_V_nonpositive"]
+    assert out["checks"]["decays"] is False
+    assert out["theorem_hypotheses_pass"] is False
+
+
 @pytest.mark.parametrize("spec, word", [
     ("gaussian:amplitdue=-3,width=1", "amplitdue"),
     ("table:amplitude=1", "table"),
@@ -598,3 +609,21 @@ def test_morawetz_verdict_identity_defects(tmp_path):
     # defect is second order in the sampling step with an O(1)-to-O(10) C
     assert d["dz_minus_zp"] <= 100 * d["sample_spacing"] ** 2
     assert d["dzp_minus_zpp"] <= 1000 * d["sample_spacing"] ** 2
+
+
+def test_identity_defects_second_order_on_short_last_interval(tmp_path):
+    # t_end is not a multiple of the sample spacing 0.1, so the last
+    # interval is short; the derivative stays second order there
+    def defects(t_end):
+        text = SCATTER.replace("t_end = 6.0", f"t_end = {t_end}") \
+                      .replace("requests = conservation, thresholds, monitor",
+                               "requests = morawetz") + "morawetz_R = 6.0\n"
+        rep = run_scenario(parse_scenario(text), out_dir=str(tmp_path), tag=f"t{t_end}")
+        return rep.verdicts["morawetz"]["identity_defects"]
+
+    even = defects(1.0)
+    for t_end in (1.002, 1.05):
+        d = defects(t_end)
+        assert d["sample_spacing"] == even["sample_spacing"]
+        assert d["C_dz"] <= 2 * even["C_dz"], t_end
+        assert d["C_dzp"] <= 2 * even["C_dzp"], t_end
