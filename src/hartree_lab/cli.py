@@ -29,7 +29,7 @@ def _parse_potential_arg(text):
             k, _, v = part.partition("=")
             kv[k.strip()] = v
     for k in kv:
-        if k not in ("amplitude", "width", "power", "core"):
+        if k == "kind" or k not in scn.SECTIONS["potential"]:  # the kind precedes the colon
             raise SystemExit(f"unknown potential key {k!r}")
     try:
         return PotentialSpec(kind, **{"amplitude": 1.0, **{k: float(v) for k, v in kv.items()}})
@@ -79,7 +79,7 @@ def cmd_exponents(args):
 
 def cmd_kato(args):
     V = _parse_potential_arg(args.potential)
-    print(scn.strict_json(audit_hypotheses(V, _grid(args)).record()))
+    print(scn.strict_json(audit_hypotheses(V, _grid(args))))
     return 0
 
 

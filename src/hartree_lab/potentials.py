@@ -1,17 +1,18 @@
 """Radial potentials V(r), the Kato norm, and hypothesis audits.
 
 Shipped kinds: zero, gaussian, soft inverse power (amplitude/(r^power +
-core^power)-style with a smooth core), and tabulated values.  Positive
-amplitude means repulsive (V >= 0).  Audits check the standing
-assumptions: V in K and L^{3/2} with x.grad V in L^{3/2}, L^2 and
-L^inf (read off the kind, as ``PotentialSpec.decays``), the negative-part
-Kato smallness against 4*pi, V >= 0 and x.grad V <= 0 pointwise.
-Failures are reported, never raised.  ``energy`` reads E, E0 and the
-Lambda norm off a ``FieldState``, with V given as the quadrature row w*V
-built once per run.
+core^power)-style with a smooth core), and tabulated values, linear between
+the table's radii and held constant outside them.  Positive amplitude means
+repulsive (V >= 0).  ``audit_hypotheses`` returns one plain record whose
+``checks`` name each standing assumption once: V in K and L^{3/2} with
+x.grad V in L^{3/2}, L^2 and L^inf (read off the kind, as
+``PotentialSpec.decays``), the negative-part Kato smallness against 4*pi,
+V >= 0 and x.grad V <= 0 pointwise.  Failures are reported, never raised.
+``energy`` reads E, E0 and the Lambda norm off a ``FieldState``, with V
+given as the quadrature row w*V built once per run.
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +31,8 @@ class PotentialSpec:
     width: float = 1.0             # gaussian scale
     power: float = 2.0             # softpower decay exponent
     core: float = 1.0              # softpower core radius
-    radii: np.ndarray | None = None    # table kind
-    values: np.ndarray | None = None
+    radii: tuple[float, ...] | None = None    # table kind
+    values: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.kind not in ("zero", "gaussian", "softpower", "table"):
@@ -51,8 +52,9 @@ class PotentialSpec:
                 raise ValueError("table radii and values must be finite")
             if np.any(np.diff(r) <= 0):
                 raise ValueError("table radii must be strictly increasing")
-            object.__setattr__(self, "radii", r)
-            object.__setattr__(self, "values", v)
+            # tuples, so that two specs compare and hash
+            object.__setattr__(self, "radii", tuple(r.tolist()))
+            object.__setattr__(self, "values", tuple(v.tolist()))
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -63,7 +65,7 @@ class PotentialSpec:
         elif self.kind == "softpower":
             out = self.amplitude * self.core**self.power / (r**self.power + self.core**self.power)
         else:
-            out = np.interp(r, self.radii, self.values)
+            out = np.interp(r, np.asarray(self.radii), np.asarray(self.values))
         return out if out.shape else float(out)
 
     @property
@@ -78,11 +80,11 @@ class PotentialSpec:
         if self.kind == "softpower":
             return self.power > 2 or self.amplitude == 0
         if self.kind == "table":
-            return bool(self.values[-1] == 0)
+            return self.values[-1] == 0
         return True
 
     def dV(self, r):
-        """Radial derivative; analytic except for the table kind."""
+        """Radial derivative; for a table, the slope of the segment that holds r."""
         r = np.asarray(r, dtype=float)
         if self.kind == "zero":
             out = np.zeros_like(r)
@@ -92,10 +94,10 @@ class PotentialSpec:
             denom = (r**self.power + self.core**self.power) ** 2
             out = -self.amplitude * self.core**self.power * self.power * r ** (self.power - 1) / denom
         else:
-            # V is held constant outside [radii[0], radii[-1]]
-            out = np.where((r < self.radii[0]) | (r > self.radii[-1]), 0.0,
-                           np.interp(r, 0.5 * (self.radii[1:] + self.radii[:-1]),
-                                     np.diff(self.values) / np.diff(self.radii)))
+            # V is held constant outside [radii[0], radii[-1]], where the slope is 0
+            radii, values = np.asarray(self.radii), np.asarray(self.values)
+            slopes = np.concatenate(([0.0], np.diff(values) / np.diff(radii), [0.0]))
+            out = slopes[np.searchsorted(radii, r, side="right")]
         return out if out.shape else float(out)
 
 
@@ -124,90 +126,44 @@ def table_potential(radii, values):
 #   f(0) - f(r_i) = 4*pi*dr sum_{j<=i} r_j |V_j| (1 - r_j/r_i) >= 0.
 
 def kato_norm(V: PotentialSpec, grid: RadialGrid, negative_part=False):
-    """Kato norm of V (or of V_- = min(V,0)) on the grid: 4*pi*dr*sum r|V|.
-
-    Returns (norm, radius of the sup), the radius being 0 for every radial V.
-    """
+    """Kato norm of V (or of V_- = min(V,0)) on the grid: 4*pi*dr*sum r|V|."""
     vals = V(grid.nodes)
     if negative_part:
         vals = np.minimum(vals, 0.0)
-    return float(FOUR_PI * grid.dr * np.dot(grid.nodes, np.abs(vals))), 0.0
+    return float(FOUR_PI * grid.dr * np.dot(grid.nodes, np.abs(vals)))
 
 
-@dataclass
-class PotentialAudit:
-    kato_norm: float
-    kato_norm_negative_part: float
-    kato_max_probe: float
-    l32_norm: float
-    nonneg: bool
-    radial_derivative_sign: bool       # x.grad V <= 0 on the grid
-    x_grad_V_lr_norms: dict
-    negative_part_below_4pi: bool
-    decays: bool                       # PotentialSpec.decays
-    tail_decayed: bool
-    checks: dict = dfield(default_factory=dict)
+def audit_hypotheses(V: PotentialSpec, grid: RadialGrid) -> dict:
+    """The audit of V against the theorem's hypotheses: the record that
+    ``hartree-lab kato`` prints and a run summary stores as ``hypotheses``.
 
-    def theorem_hypotheses_pass(self):
-        """V >= 0, x.grad V <= 0, and V decays into the theorem's classes."""
-        return self.nonneg and self.radial_derivative_sign and self.decays
-
-    def record(self) -> dict:
-        """The audit as ``hartree-lab kato`` prints it and a scenario summary
-        stores it (its ``hypotheses`` block)."""
-        return {
-            "kato_norm": self.kato_norm,
-            "kato_norm_negative_part": self.kato_norm_negative_part,
-            "kato_max_probe": self.kato_max_probe,
-            "l32_norm": self.l32_norm,
-            "nonneg": self.nonneg,
-            "x_grad_V_nonpositive": self.radial_derivative_sign,
-            "x_grad_V_lr_norms": {str(k): v for k, v in self.x_grad_V_lr_norms.items()},
-            "negative_part_below_4pi": self.negative_part_below_4pi,
-            "checks": self.checks,
-            "theorem_hypotheses_pass": self.theorem_hypotheses_pass(),
-        }
-
-
-def audit_hypotheses(V: PotentialSpec, grid: RadialGrid):
+    Each check is one boolean in ``checks``; ``theorem_hypotheses_pass`` is
+    V >= 0, x.grad V <= 0 and ``decays``.
+    """
     r = grid.nodes
     vals = np.asarray(V(r), float)
-    dv = np.asarray(V.dV(r), float)
-    xgv = r * dv
-
-    kn, probe = kato_norm(V, grid)
-    knm, _ = kato_norm(V, grid, negative_part=True)
-    l32 = float(np.sum(grid.weights * np.abs(vals) ** 1.5) ** (2.0 / 3.0))
+    xgv = r * np.asarray(V.dV(r), float)
+    knm = kato_norm(V, grid, negative_part=True)
     scale = max(np.max(np.abs(vals)), 1e-300)
-    nonneg = bool(np.all(vals >= -SIGN_TOL * scale))
-    dsign = bool(np.all(xgv <= SIGN_TOL * max(np.max(np.abs(xgv)), 1e-300)))
-    norms = {}
-    for e in LR_EXPONENTS:
-        if np.isinf(e):
-            norms[e] = float(np.max(np.abs(xgv)))
-        else:
-            norms[e] = float(np.sum(grid.weights * np.abs(xgv) ** e) ** (1.0 / e))
-    tail = bool(np.abs(vals[-1]) * r[-1] ** 2 <= 1e-6 * max(scale, 1.0))
-    audit = PotentialAudit(
-        kato_norm=kn,
-        kato_norm_negative_part=knm,
-        kato_max_probe=probe,
-        l32_norm=l32,
-        nonneg=nonneg,
-        radial_derivative_sign=dsign,
-        x_grad_V_lr_norms=norms,
-        negative_part_below_4pi=bool(knm < FOUR_PI),
-        decays=V.decays,
-        tail_decayed=tail,
-    )
-    audit.checks = {
-        "decays": audit.decays,
-        "negative_part_below_4pi": audit.negative_part_below_4pi,
-        "nonneg": nonneg,
-        "x_grad_V_nonpositive": dsign,
-        "tail_decayed": tail,
+    checks = {
+        "decays": V.decays,
+        "negative_part_below_4pi": bool(knm < FOUR_PI),
+        "nonneg": bool(np.all(vals >= -SIGN_TOL * scale)),
+        "x_grad_V_nonpositive": bool(np.all(xgv <= SIGN_TOL * max(np.max(np.abs(xgv)), 1e-300))),
+        "tail_decayed": bool(np.abs(vals[-1]) * r[-1] ** 2 <= 1e-6 * max(scale, 1.0)),
     }
-    return audit
+    return {
+        "kato_norm": kato_norm(V, grid),
+        "kato_norm_negative_part": knm,
+        "l32_norm": float(np.sum(grid.weights * np.abs(vals) ** 1.5) ** (2.0 / 3.0)),
+        "x_grad_V_lr_norms": {
+            str(e): float(np.max(np.abs(xgv))) if np.isinf(e)
+            else float(np.sum(grid.weights * np.abs(xgv) ** e) ** (1.0 / e))
+            for e in LR_EXPONENTS},
+        "checks": checks,
+        "theorem_hypotheses_pass": (checks["nonneg"] and checks["x_grad_V_nonpositive"]
+                                    and checks["decays"]),
+    }
 
 
 # ---------------------------------------------------------------------------

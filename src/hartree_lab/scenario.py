@@ -57,7 +57,7 @@ from .morawetz import coercivity_check, morawetz_average, scattering_monitor
 from .potentials import PotentialSpec, audit_hypotheses
 from .riesz import build_kernel
 
-OUTPUT_FORMAT_VERSION = 3
+OUTPUT_FORMAT_VERSION = 4
 
 
 class ConfigError(ValueError):
@@ -114,13 +114,13 @@ class Scenario:
     initial_amplitude: float = 1.0
     initial_width: float = 1.0
     initial_path: str = ""
-    dt: float = 1e-3
-    t_end: float = 5.0
-    sample_every: int = 50
+    dt: float = EvolveConfig.dt
+    t_end: float = EvolveConfig.t_end
+    sample_every: int = EvolveConfig.sample_every
     sponge: bool = False
-    sponge_start: float = 25.0
-    sponge_strength: float = 5.0
-    sponge_power: float = 4.0
+    sponge_start: float = SpongeConfig.start
+    sponge_strength: float = SpongeConfig.strength
+    sponge_power: float = SpongeConfig.power
     store_fields: bool = False
     requests: tuple[str, ...] = ("conservation",)
     morawetz_R: tuple[float, ...] = ()
@@ -376,7 +376,7 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
     traj = evolve(s.initial_field(grid, gs), s.potential, kern, s.model, s.evolve_config)
     series = traj.diagnostics
     # the theorem's hypotheses on V: the threshold verdict passes only where they hold
-    hypotheses = audit_hypotheses(s.potential, grid).record()
+    hypotheses = audit_hypotheses(s.potential, grid)
     applies = hypotheses["theorem_hypotheses_pass"]
 
     verdicts = {}

@@ -11,7 +11,7 @@ from oracles import quad_1d, random_smooth_field
 
 
 def test_kato_zero(grid_small):
-    kn, probe = kato_norm(zero_potential(), grid_small)
+    kn = kato_norm(zero_potential(), grid_small)
     assert kn == 0.0
 
 
@@ -19,27 +19,26 @@ def test_kato_unit_ball():
     # aligned grid: 1/dr = 51.5, Kato norm = 2*pi at the center probe
     g = RadialGrid(40.0, 2059)
     V = table_potential(g.nodes, (g.nodes <= 1.0).astype(float))
-    kn, probe = kato_norm(V, g)
+    kn = kato_norm(V, g)
     assert abs(kn - 2 * np.pi) < 1e-3
-    assert probe == 0.0  # center probe maximizes for nonincreasing |V|
     # scaled, nonnegative: negative-part norm is 0, hypothesis passes
     V2 = table_potential(g.nodes, 2.0 * (g.nodes <= 1.0).astype(float))
-    knm, _ = kato_norm(V2, g, negative_part=True)
+    knm = kato_norm(V2, g, negative_part=True)
     assert knm == 0.0
     audit = audit_hypotheses(V2, g)
-    assert audit.negative_part_below_4pi
-    assert audit.theorem_hypotheses_pass()
+    assert audit["checks"]["negative_part_below_4pi"]
+    assert audit["theorem_hypotheses_pass"]
 
 
 def test_kato_gaussian_against_quadrature(grid_mid):
     # center-probe value 4*pi int s e^{-s^2} ds = 2*pi for the unit Gaussian;
     # the Kato integrals are plain O(dr^2) Riemann sums
     V = gaussian_potential(1.0, 1.0)
-    kn, probe = kato_norm(V, grid_mid)
+    kn = kato_norm(V, grid_mid)
     assert kn == pytest.approx(2 * np.pi, rel=1e-3)
     # attractive version has the same absolute Kato norm
     Vm = gaussian_potential(-1.0, 1.0)
-    knm, _ = kato_norm(Vm, grid_mid, negative_part=True)
+    knm = kato_norm(Vm, grid_mid, negative_part=True)
     assert knm == pytest.approx(2 * np.pi, rel=1e-3)
     assert knm < 4 * np.pi
 
@@ -57,49 +56,49 @@ def test_kato_newton_profile_peaks_at_origin(grid_mid, values, negative_part):
     absV = np.abs(np.minimum(V(r), 0.0) if negative_part else V(r))
     rho = np.concatenate(([0.0], r))
     prof = FOUR_PI * grid_mid.dr * (r**2 * absV) @ (1.0 / np.maximum.outer(r, rho))
-    kn, probe = kato_norm(V, grid_mid, negative_part=negative_part)
-    assert prof[0] > 0 and probe == 0.0
+    kn = kato_norm(V, grid_mid, negative_part=negative_part)
+    assert prof[0] > 0
     assert np.max(prof) <= prof[0] * (1 + 1e-14)
     assert kn == pytest.approx(prof[0], rel=1e-13)
 
 
 def test_audit_zero(grid_small):
     audit = audit_hypotheses(zero_potential(), grid_small)
-    assert audit.kato_norm == 0.0
-    assert audit.l32_norm == 0.0
-    assert audit.nonneg and audit.radial_derivative_sign
-    assert audit.theorem_hypotheses_pass()
+    assert audit["kato_norm"] == 0.0
+    assert audit["l32_norm"] == 0.0
+    assert audit["checks"]["nonneg"] and audit["checks"]["x_grad_V_nonpositive"]
+    assert audit["theorem_hypotheses_pass"]
 
 
 def test_audit_repulsive_gaussian(grid_small):
     audit = audit_hypotheses(gaussian_potential(1.0, 1.0), grid_small)
-    assert audit.nonneg
-    assert audit.radial_derivative_sign          # x.grad V = -2r^2 e^{-r^2} <= 0
-    assert audit.theorem_hypotheses_pass()
-    assert audit.negative_part_below_4pi
+    assert audit["checks"]["nonneg"]
+    assert audit["checks"]["x_grad_V_nonpositive"]   # x.grad V = -2r^2 e^{-r^2} <= 0
+    assert audit["theorem_hypotheses_pass"]
+    assert audit["checks"]["negative_part_below_4pi"]
 
 
 def test_audit_attractive_gaussian(grid_small):
     audit = audit_hypotheses(gaussian_potential(-1.0, 1.0), grid_small)
-    assert not audit.nonneg
-    assert not audit.theorem_hypotheses_pass()
+    assert not audit["checks"]["nonneg"]
+    assert not audit["theorem_hypotheses_pass"]
     # smallness audit still passes: |V_-| Kato norm = 2*pi < 4*pi
-    assert audit.negative_part_below_4pi
-    assert audit.kato_norm_negative_part == pytest.approx(2 * np.pi, rel=2e-3)
+    assert audit["checks"]["negative_part_below_4pi"]
+    assert audit["kato_norm_negative_part"] == pytest.approx(2 * np.pi, rel=2e-3)
 
 
 def test_audit_softpower(grid_small):
     V = softpower_potential(0.5, 3.0, 1.0)
     audit = audit_hypotheses(V, grid_small)
-    assert audit.nonneg and audit.radial_derivative_sign
-    assert audit.theorem_hypotheses_pass()
+    assert audit["checks"]["nonneg"] and audit["checks"]["x_grad_V_nonpositive"]
+    assert audit["theorem_hypotheses_pass"]
     # V ~ r^(-power) lies in L^{3/2} and the Kato class only for power > 2,
     # however finite its sums on the grid
     for power in (2.0, 1.0):
         audit = audit_hypotheses(softpower_potential(0.5, power, 1.0), grid_small)
-        assert audit.nonneg and audit.radial_derivative_sign
-        assert audit.checks["decays"] is False
-        assert not audit.theorem_hypotheses_pass()
+        assert audit["checks"]["nonneg"] and audit["checks"]["x_grad_V_nonpositive"]
+        assert audit["checks"]["decays"] is False
+        assert not audit["theorem_hypotheses_pass"]
     assert softpower_potential(0.0, 1.0, 1.0).decays
 
 
@@ -107,15 +106,20 @@ def test_audit_table_needs_zero_tail(grid_small):
     # a table holds its last value beyond its last radius
     held = table_potential([0.0, 5.0, 10.0], [1.0, 0.5, 0.25])
     assert not held.decays
-    assert not audit_hypotheses(held, grid_small).theorem_hypotheses_pass()
+    # a table spec is a value: equal tables compare equal and hash alike
+    assert held == table_potential([0.0, 5.0, 10.0], [1.0, 0.5, 0.25])
+    assert hash(held) == hash(table_potential([0.0, 5.0, 10.0], [1.0, 0.5, 0.25]))
+    assert not audit_hypotheses(held, grid_small)["theorem_hypotheses_pass"]
     cut = table_potential([0.0, 5.0, 10.0], [1.0, 0.5, 0.0])
     assert cut.decays
-    assert audit_hypotheses(cut, grid_small).theorem_hypotheses_pass()
+    assert audit_hypotheses(cut, grid_small)["theorem_hypotheses_pass"]
 
 
 def test_derivative_matches_finite_difference(grid_small):
-    r = grid_small.nodes
-    for V in (gaussian_potential(0.7, 1.3), softpower_potential(1.1, 3.0, 0.8)):
+    # cell midpoints: away from the table's knots, where V has no derivative
+    r = grid_small.nodes + 0.5 * grid_small.dr
+    for V in (gaussian_potential(0.7, 1.3), softpower_potential(1.1, 3.0, 0.8),
+              table_potential([0.0, 5.0, 10.0, 20.0], [1.0, 0.5, 0.25, 0.0])):
         dv = V.dV(r)
         fd = (V(r + 1e-6) - V(r - 1e-6)) / 2e-6
         assert np.max(np.abs(dv - fd)) < 1e-7
@@ -126,7 +130,7 @@ def test_l32_norm_two_ways(grid_mid):
     audit = audit_hypotheses(V, grid_mid)
     want = (FOUR_PI * quad_1d(lambda s: s**2 * (0.8 * np.exp(-(s / 1.5) ** 2)) ** 1.5,
                               0, 40.0)) ** (2 / 3)
-    assert audit.l32_norm == pytest.approx(want, rel=1e-6)
+    assert audit["l32_norm"] == pytest.approx(want, rel=1e-6)
 
 
 def test_energy_triple_zero_potential(gs32_mid, kern2_mid, params32):
@@ -221,6 +225,6 @@ def test_audit_internal_invariants(grid_small):
     for V in (gaussian_potential(0.7, 1.2), gaussian_potential(-0.7, 1.2),
               softpower_potential(0.4, 2.5, 0.9)):
         audit = audit_hypotheses(V, grid_small)
-        assert audit.kato_norm_negative_part <= audit.kato_norm + 1e-14
-        if audit.nonneg:
-            assert audit.kato_norm_negative_part == 0.0
+        assert audit["kato_norm_negative_part"] <= audit["kato_norm"] + 1e-14
+        if audit["checks"]["nonneg"]:
+            assert audit["kato_norm_negative_part"] == 0.0

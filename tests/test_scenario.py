@@ -262,11 +262,12 @@ def test_threshold_verdict_needs_theorem_hypotheses(tmp_path, capsys):
     assert rep.exit_code == 1 and "thresholds" in rep.failures
     # the summary's hypotheses block is the record `hartree-lab kato` prints
     summary = json.loads((tmp_path / "well_summary.json").read_text())
-    assert summary["format_version"] == 3
+    assert summary["format_version"] == 4
     cli_main(["kato", "--potential", "gaussian:amplitude=-4,width=1",
               "--r-max", "24", "--n", "1023"])
     assert summary["hypotheses"] == json.loads(capsys.readouterr().out)
     assert not summary["hypotheses"]["theorem_hypotheses_pass"]
+    assert not set(summary["hypotheses"]["checks"]) & set(summary["hypotheses"])
 
 
 def test_diagnostics_header_pinned(tmp_path):
@@ -508,8 +509,8 @@ def test_cli_kato(capsys):
                    "--n", "511", "--r-max", "24"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert not out["nonneg"]
-    assert out["negative_part_below_4pi"]
+    assert not out["checks"]["nonneg"]
+    assert out["checks"]["negative_part_below_4pi"]
     # an unset amplitude is the command line's 1, not PotentialSpec's 0
     assert _parse_potential_arg("gaussian:width=2") == PotentialSpec("gaussian", 1.0, 2.0)
 
@@ -520,7 +521,7 @@ def test_cli_kato_slow_softpower_fails(capsys):
                    "--n", "511", "--r-max", "24"])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert out["nonneg"] and out["x_grad_V_nonpositive"]
+    assert out["checks"]["nonneg"] and out["checks"]["x_grad_V_nonpositive"]
     assert out["checks"]["decays"] is False
     assert out["theorem_hypotheses_pass"] is False
 
