@@ -6,7 +6,6 @@ import sys
 from dataclasses import replace
 
 from . import scenario as scn
-from .evolve import EvolutionBlowup
 from .exponents import ModelParams, ab_exponents, identity_report, scattering_pairs
 from .grid import RadialGrid, save_field_csv
 from .groundstate import (GroundStateError, pohozaev_check, solve_ground_state,
@@ -119,8 +118,6 @@ def _load_scenario(path):
             return scn.parse_scenario(fh.read())
     except OSError as exc:
         raise SystemExit(f"{path}: {exc.strerror or exc}") from None
-    except scn.ConfigError as exc:
-        raise SystemExit(f"{path}: {exc}") from None
 
 
 def cmd_evolve(args):
@@ -196,8 +193,8 @@ def main(argv=None):
         return args.fn(args)
     except GroundStateError as exc:
         raise SystemExit(f"ground state: {exc}") from None
-    except EvolutionBlowup as exc:
-        raise SystemExit(f"evolve: {exc}") from None
+    except scn.ConfigError as exc:  # at parse time, or for c Q once Q is solved
+        raise SystemExit(f"{args.config}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -21,8 +21,9 @@ plus the 4 half-length transforms of the Riesz apply (real FFTs of
 (re, im) off c by one FFT without changing the state, and builds the
 complex field only to store it; each diagnostic is one function of that
 ``FieldState``, and each one linear in |u|^2 is one dot product with a
-row built once per run.  A sample fills one column of a
-table whose rows are the diagnostics CSV's columns (``column_labels``).
+row built once per run.  A sample fills one column of a table whose
+rows are the diagnostics CSV's columns (``column_labels``); the first
+sample of non-finite mass, which only overflow makes, ends the run.
 
 The optional sponge multiplies u by D = exp(-dt sigma(r)) between the
 phase substep and the closing half-step, sigma(r) = strength
@@ -43,12 +44,6 @@ from .potentials import PotentialSpec, energy
 from .riesz import RieszKernel
 
 BOUNDARY_WARNING = "boundary amplitude exceeds 1e-6 of max|u| with sponge off"
-
-
-class EvolutionBlowup(RuntimeError):
-    def __init__(self, t):
-        super().__init__(f"non-finite field detected at t = {t}")
-        self.t = t
 
 
 @dataclass
@@ -109,6 +104,7 @@ class Trajectory:
     fields: list | None
     final: RadialField
     boundary_warning: bool = False
+    collapse_time: float | None = None   # t of the last sample when its mass is not finite
 
 
 class Stepper:
@@ -135,11 +131,9 @@ class Stepper:
         """One Strang step L(dt/2) P(dt) L(dt/2), sponge between P and the
         closing half-step, on c = DST(r u) at a step boundary.  Returns the
         next boundary's coefficients and the mass the sponge absorbed."""
-        p = self.params.p
         v = dst1(self.phase_lin_half * c)  # r u
         a = np.abs(v) / self.grid.nodes    # |u|
-        ap2 = a ** (p - 2)
-        theta = self.dt * (self.kern.apply(ap2 * a * a) * ap2 - self.Vr)
+        theta = self.dt * (self.kern.hartree_factor(a, self.params.p) - self.Vr)
         rot = np.empty_like(v)
         np.cos(theta, out=rot.real)
         np.sin(theta, out=rot.imag)
@@ -184,8 +178,7 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
     exported = 0.0
 
     def sample(j, tcur):
-        # the Riesz and spectral parts of every diagnostic read one state;
-        # the values run in the order of column_labels
+        """Fill column j from one state; False when its mass is not finite."""
         st = FieldState.from_coeffs(grid, c, kern, params.p, chi_p)
         M = st.mass
         E, E0, lam = energy(st, wV)
@@ -198,15 +191,18 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
             *[np.dot(row, st.usq) for row in w_eta], *st.pairings[1:])
         if fields is not None:
             fields.append(st.u)
+        return np.isfinite(M)
 
-    sample(0, 0.0)
-    for k in range(1, n_steps + 1):
+    finite = sample(0, 0.0)
+    if not finite:
+        raise ValueError("initial data has non-finite mass M(0)")
+    k = 0
+    while finite and k < n_steps:
+        k += 1
         c, absorbed = stepper.step_values(c)
         exported += absorbed
-        if not np.all(np.isfinite(c.view(float))):
-            raise EvolutionBlowup(k * cfg.dt)
         if k % cfg.sample_every == 0 or k == n_steps:
-            sample(-(-k // cfg.sample_every), k * cfg.dt)
+            finite = sample(-(-k // cfg.sample_every), k * cfg.dt)
 
     fin = from_dst_coeffs(grid, c)
     a = np.abs(fin.values)
@@ -215,8 +211,9 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
     if bwarn:
         warnings.warn(BOUNDARY_WARNING)
 
-    return Trajectory(diagnostics=DiagnosticsSeries(labels, table), fields=fields,
-                      final=fin, boundary_warning=bwarn)
+    series = DiagnosticsSeries(labels, table[:, :1 + -(-k // cfg.sample_every)])
+    return Trajectory(diagnostics=series, fields=fields, final=fin, boundary_warning=bwarn,
+                      collapse_time=None if finite else k * cfg.dt)
 
 
 def conservation_report(traj: Trajectory) -> dict:

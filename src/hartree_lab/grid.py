@@ -188,7 +188,7 @@ class FieldState:
                 raise ValueError("p >= 2 required")
         self.grid, self.coeffs, self.kern, self.p, self.chi_p = grid, coeffs, kern, p, chi_p
         self.u_rows, self.du_rows = sine_series_and_derivative(
-            _pairs(coeffs).T, grid.wavenumbers, grid.nodes)
+            _pairs(coeffs).T.copy(), grid.wavenumbers, grid.nodes)  # C-ordered rows
 
     @cached_property
     def u(self):

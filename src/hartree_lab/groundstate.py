@@ -83,13 +83,6 @@ class GroundStateResult:
             raise GroundStateError(f"Pohozaev defects too large: {rep}")
 
 
-def _hartree_term(kern: RieszKernel, q: np.ndarray, p: float) -> np.ndarray:
-    """(I_gamma*|q|^p)|q|^{p-2} q from one |q| and one power, as in the step."""
-    a = np.abs(q)
-    ap2 = a ** (p - 2)
-    return kern.apply(ap2 * a * a) * ap2 * q
-
-
 def coeff_laplacian(grid: RadialGrid, q: np.ndarray) -> np.ndarray:
     """Lap Q = DST(-k^2 q)/r of Q = DST(q)/r, read off its real sine
     coefficients q rather than off a transform of Q, whose round-off k^2
@@ -101,7 +94,8 @@ def elliptic_residual(st: FieldState) -> float:
     """sup|-Q + Lap Q + (I_gamma*|Q|^p)|Q|^{p-2}Q| / sup|Q| for the state of
     Q's real sine coefficients q, Lap Q by ``coeff_laplacian``."""
     Q = st.u_rows[0]
-    res = -Q + coeff_laplacian(st.grid, st.coeffs.real) + _hartree_term(st.kern, Q, st.p)
+    res = (-Q + coeff_laplacian(st.grid, st.coeffs.real)
+           + st.kern.hartree_factor(np.abs(Q), st.p) * Q)
     return float(np.max(np.abs(res)) / np.max(np.abs(Q)))
 
 
@@ -117,7 +111,7 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid, kern: RieszKernel,
     Q = np.exp(-r**2)
     q, q_prev, f_prev = _dst(r * Q), None, None
     for it in range(1, MAX_ITER + 1):
-        Nh = _dst(r * _hartree_term(kern, Q, p))
+        Nh = _dst(r * (kern.hartree_factor(np.abs(Q), p) * Q))
         num = float(np.dot(ksq1 * q, q))
         den = float(np.dot(q, Nh))
         if den <= 0 or not np.isfinite(den):

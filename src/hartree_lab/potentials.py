@@ -125,12 +125,14 @@ def table_potential(radii, values):
 # the origin.  The grid sums obey the same rule term by term:
 #   f(0) - f(r_i) = 4*pi*dr sum_{j<=i} r_j |V_j| (1 - r_j/r_i) >= 0.
 
+def _kato_sum(vals, grid: RadialGrid):
+    return float(FOUR_PI * grid.dr * np.dot(grid.nodes, np.abs(vals)))
+
+
 def kato_norm(V: PotentialSpec, grid: RadialGrid, negative_part=False):
     """Kato norm of V (or of V_- = min(V,0)) on the grid: 4*pi*dr*sum r|V|."""
     vals = V(grid.nodes)
-    if negative_part:
-        vals = np.minimum(vals, 0.0)
-    return float(FOUR_PI * grid.dr * np.dot(grid.nodes, np.abs(vals)))
+    return _kato_sum(np.minimum(vals, 0.0) if negative_part else vals, grid)
 
 
 def audit_hypotheses(V: PotentialSpec, grid: RadialGrid) -> dict:
@@ -143,7 +145,7 @@ def audit_hypotheses(V: PotentialSpec, grid: RadialGrid) -> dict:
     r = grid.nodes
     vals = np.asarray(V(r), float)
     xgv = r * np.asarray(V.dV(r), float)
-    knm = kato_norm(V, grid, negative_part=True)
+    knm = _kato_sum(np.minimum(vals, 0.0), grid)
     scale = max(np.max(np.abs(vals)), 1e-300)
     checks = {
         "decays": V.decays,
@@ -153,7 +155,7 @@ def audit_hypotheses(V: PotentialSpec, grid: RadialGrid) -> dict:
         "tail_decayed": bool(np.abs(vals[-1]) * r[-1] ** 2 <= 1e-6 * max(scale, 1.0)),
     }
     return {
-        "kato_norm": kato_norm(V, grid),
+        "kato_norm": _kato_sum(vals, grid),
         "kato_norm_negative_part": knm,
         "l32_norm": float(np.sum(grid.weights * np.abs(vals) ** 1.5) ** (2.0 / 3.0)),
         "x_grad_V_lr_norms": {

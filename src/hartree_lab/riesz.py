@@ -132,6 +132,11 @@ class RieszKernel:
         v += sfft.dst(self._half_odd * o, type=2, norm="ortho")[: self.grid.n]
         return v / self.grid.nodes
 
+    def hartree_factor(self, a: np.ndarray, p: float) -> np.ndarray:
+        """(I_gamma*a^p) a^(p-2) for a = |u| from one power: the factor of u."""
+        ap2 = a ** (p - 2)
+        return self.apply(ap2 * a * a) * ap2
+
     def apply_origin(self, g: np.ndarray) -> float:
         """h(0) = sqrt(2/(N+1)) sum_m K_m k_m C_m, the r -> 0 limit of the
         sine series of r*h divided by r."""

@@ -36,7 +36,7 @@ values and out-of-range values are errors raised while parsing, before
 anything is built (no silent defaults for misspellings).  Outputs are a
 diagnostics CSV plus a JSON summary, both carrying a format version and
 the fully resolved scenario; identical documents produce byte-identical
-outputs.
+outputs.  A collapsed run writes both, with a failing ``collapse`` verdict.
 """
 
 import csv
@@ -57,7 +57,7 @@ from .morawetz import coercivity_check, morawetz_average, scattering_monitor
 from .potentials import PotentialSpec, audit_hypotheses
 from .riesz import build_kernel
 
-OUTPUT_FORMAT_VERSION = 4
+OUTPUT_FORMAT_VERSION = 5
 
 
 class ConfigError(ValueError):
@@ -174,28 +174,30 @@ class Scenario:
         if self.initial_kind == "ground_state":
             if self.initial_c == 0:
                 raise ConfigError("initial_c = 0 gives zero initial data")
-        else:  # M(Q) is not known before the solve, so only these kinds are checked
+        else:  # c Q needs the solve: initial_field checks its mass at run time
             where = ("initial data" if self.initial_kind == "gaussian"
                      else f"initial data file {self.initial_path}")
             try:  # built here, so that bad data fails before anything else is
-                u0 = self.initial_field(grid)
+                self.initial_field(grid)
             except OSError as exc:
                 raise ConfigError(f"{where}: {exc.strerror or exc}") from None
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
-            with np.errstate(over="ignore"):
-                M0 = l2_norm_sq(u0)
-            if not 0 < M0 < math.inf:
-                raise ConfigError(f"{where}: mass M(0) = {M0:g} is not in (0, inf)")
 
     def initial_field(self, grid, gs=None):
-        """u(0) on the grid; the ground_state kind scales the solved gs.Q."""
+        """u(0) on the grid, of mass M(0) in (0, inf); ground_state scales gs.Q."""
         if self.initial_kind == "ground_state":
-            return self.initial_c * gs.Q
-        if self.initial_kind == "gaussian":
-            return grid.field_from(
+            u0 = self.initial_c * gs.Q
+        elif self.initial_kind == "gaussian":
+            u0 = grid.field_from(
                 lambda r: self.initial_amplitude * np.exp(-((r / self.initial_width) ** 2) / 2))
-        return load_field_csv(self.initial_path, grid)
+        else:
+            u0 = load_field_csv(self.initial_path, grid)
+        with np.errstate(over="ignore"):
+            M0 = l2_norm_sq(u0)
+        if not 0 < M0 < math.inf:
+            raise ConfigError(f"mass M(0) = {M0:g} is not in (0, inf)")
+        return u0
 
     @property
     def model(self):
@@ -380,6 +382,8 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
     applies = hypotheses["theorem_hypotheses_pass"]
 
     verdicts = {}
+    if traj.collapse_time is not None:
+        verdicts["collapse"] = {"collapse_time": traj.collapse_time, "pass": False}
     thresholds = {}
     if gs is not None:
         thresholds = {**gs.thresholds,

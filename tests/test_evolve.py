@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from hartree_lab.evolve import (EvolutionBlowup, EvolveConfig, SpongeConfig,
-                                Stepper, conservation_report, evolve)
+from hartree_lab.evolve import EvolveConfig, SpongeConfig, Stepper, conservation_report, evolve
 from hartree_lab.exponents import ModelParams, ab_exponents, scattering_pairs
 from hartree_lab.grid import (FieldState, RadialField, dst_coeffs, from_dst_coeffs, l2_norm_sq,
                               lp_norm, mass_in_ball)
@@ -241,16 +240,16 @@ def test_sponge_mass_budget(gs32_mid, kern2_mid, params32):
     assert d["exported_mass"][-1] >= 0.0
 
 
-def test_blowup_detection(grid_small, params32):
+def test_rejects_non_finite_initial_data(grid_small, params32, monkeypatch):
     # one NaN value, built through the library (the field parser rejects it),
-    # spreads to every sine coefficient in the first step
+    # is refused before any step runs
     kern = build_kernel(2.0, grid_small)
     vals = np.exp(-grid_small.nodes**2).astype(complex)
     vals[10] = np.nan
     cfg = EvolveConfig(dt=1e-2, t_end=1.0, sample_every=10)
-    with pytest.raises(EvolutionBlowup) as exc:
+    monkeypatch.setattr(Stepper, "step_values", lambda *a: pytest.fail("a step ran"))
+    with pytest.raises(ValueError, match="non-finite mass"):
         evolve(RadialField(grid_small, vals), zero_potential(), kern, params32, cfg)
-    assert exc.value.t == cfg.dt
 
 
 def test_rejects_kernel_of_another_gamma(grid_small, params32):

@@ -228,3 +228,17 @@ def test_audit_internal_invariants(grid_small):
         assert audit["kato_norm_negative_part"] <= audit["kato_norm"] + 1e-14
         if audit["checks"]["nonneg"]:
             assert audit["kato_norm_negative_part"] == 0.0
+
+
+def test_audit_evaluates_v_once(grid_small, monkeypatch):
+    # every figure of the audit reads one evaluation of V on the nodes,
+    # and its Kato norms are kato_norm's
+    V = gaussian_potential(-0.7, 1.2)
+    calls = []
+    call = PotentialSpec.__call__
+    monkeypatch.setattr(PotentialSpec, "__call__",
+                        lambda self, r: calls.append(1) or call(self, r))
+    audit = audit_hypotheses(V, grid_small)
+    assert len(calls) == 1
+    assert audit["kato_norm"] == kato_norm(V, grid_small)
+    assert audit["kato_norm_negative_part"] == kato_norm(V, grid_small, negative_part=True)

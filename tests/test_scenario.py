@@ -262,7 +262,7 @@ def test_threshold_verdict_needs_theorem_hypotheses(tmp_path, capsys):
     assert rep.exit_code == 1 and "thresholds" in rep.failures
     # the summary's hypotheses block is the record `hartree-lab kato` prints
     summary = json.loads((tmp_path / "well_summary.json").read_text())
-    assert summary["format_version"] == 4
+    assert summary["format_version"] == 5
     cli_main(["kato", "--potential", "gaussian:amplitude=-4,width=1",
               "--r-max", "24", "--n", "1023"])
     assert summary["hypotheses"] == json.loads(capsys.readouterr().out)
@@ -364,11 +364,16 @@ def test_sweep_threshold_column(tmp_path):
                        .replace("requests = conservation, thresholds, monitor",
                                 "requests = conservation, thresholds"))
     values = [0.3, 0.5, 0.8]
-    rep = sweep(s, "c", values, out_dir=str(tmp_path))
-    assert rep["pass"]
+    # c = 1e110 overflows in the first step: a collapsed run, not an error;
+    # its threshold track is NaN from t = 0, where P overflows
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value|All-NaN slice"):
+        rep = sweep(s, "c", values + [1e110], out_dir=str(tmp_path))
+    *rows, huge = rep["rows"]
+    assert [row["exit_code"] for row in rows] == [0, 0, 0]
+    assert huge["exit_code"] == 1 and "error" not in huge
+    assert not rep["pass"]
     A, B, sigma = ab_exponents(s.model)
     p = s.model.p
-    rows = rep["rows"]
     # the t=0 track value scales exactly as c^(2p+2sigma) * P(Q)M(Q)^sigma
     base = None
     for row, c in zip(rows, values):
@@ -580,14 +585,37 @@ def test_cli_missing_config_is_one_line(tmp_path, capsys, cmd, extra):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_blowup_is_one_line(tmp_path):
-    # finite data of finite mass whose |u|^p overflows in the first phase substep
+def test_cli_collapse_is_a_failing_verdict(tmp_path, capsys):
+    # finite data of finite mass whose |u|^p overflows in the first phase
+    # substep: the run ends on the first sample after it, t = 50 dt
     cfg = tmp_path / "huge.ini"
     cfg.write_text(MINIMAL.replace("amplitude = 0.5", "amplitude = 1e110"))
-    with pytest.raises(SystemExit) as exc, \
-            pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        rc = cli_main(["--output-dir", str(out), "evolve", "--config", str(cfg)])
+    assert rc == 1
+    assert "collapse" in json.loads(capsys.readouterr().out)["failures"]
+    with open(out / "run_diagnostics.csv") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    s = parse_scenario(cfg.read_text())
+    assert float(rows[-1]["t"]) == 50 * s.dt and len(rows) == 2
+    assert not np.isfinite(float(rows[-1]["M"]))
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["format_version"] == 5
+    assert summary["verdicts"]["collapse"] == {"collapse_time": 50 * s.dt, "pass": False}
+
+
+def test_cli_overflowing_ground_state_is_one_line(tmp_path, capsys, monkeypatch):
+    # the parser cannot check the mass of c Q before the solve; the run
+    # refuses it before any step, and writes nothing
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(MINIMAL.replace("kind = gaussian", "kind = ground_state\nc = 1e200"))
+    monkeypatch.setattr(scn, "evolve", lambda *a: pytest.fail("evolve ran"))
+    with pytest.raises(SystemExit) as exc:
         cli_main(["--output-dir", str(tmp_path / "out"), "evolve", "--config", str(cfg)])
-    assert exc.value.code == "evolve: non-finite field detected at t = 0.001"
+    assert exc.value.code == f"{cfg}: mass M(0) = inf is not in (0, inf)"
+    assert capsys.readouterr().out == ""
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_cli_sweep_rejects_fractional_n(tmp_path):
