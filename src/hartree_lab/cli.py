@@ -36,10 +36,10 @@ def _parse_potential_arg(text):
         raise SystemExit(f"bad potential {text!r}: {exc}")
 
 
-def _model_params(args):
-    """Intercritical ModelParams of --p, --gamma and --eps; else exit with one line."""
+def _model_params(args, eps=ModelParams.epsilon):
+    """Intercritical ModelParams of --p, --gamma and eps; else exit with one line."""
     try:
-        params = ModelParams(args.p, args.gamma, args.eps)
+        params = ModelParams(args.p, args.gamma, eps)
         ab_exponents(params)
         return params
     except ValueError as exc:
@@ -55,7 +55,7 @@ def _grid(args):
 
 
 def cmd_exponents(args):
-    params = _model_params(args)
+    params = _model_params(args, args.eps)
     try:  # the pairs need eps small enough at (p, gamma)
         es = scattering_pairs(params)
     except ValueError as exc:
@@ -166,7 +166,6 @@ def main(argv=None):
     p3 = sub.add_parser("ground-state", help="solve the ground state")
     p3.add_argument("--p", type=float, required=True)
     p3.add_argument("--gamma", type=float, required=True)
-    p3.add_argument("--eps", type=float, default=1e-3)
     p3.add_argument("--tol", type=float, default=1e-9)
     p3.add_argument("--r-max", type=float, default=32.0)
     p3.add_argument("--n", type=int, default=3071)

@@ -20,10 +20,11 @@ plus the 4 half-length transforms of the Riesz apply (real FFTs of
 2 x (2(n+1) + (n+1)) points).  A sample reads u and u' as real rows
 (re, im) off c by one FFT without changing the state, and builds the
 complex field only to store it; each diagnostic is one function of that
-``FieldState``, and each one linear in |u|^2 is one dot product with a
-row built once per run.  A sample fills one column of a table whose
-rows are the diagnostics CSV's columns (``column_labels``); the first
-sample of non-finite mass, which only overflow makes, ends the run.
+``FieldState``, and each one linear in |u|^2 or in the current
+Im(conj(u) u') (z' and each eta_R flux) is one dot product with a row
+built once per run.  A sample fills one column of a table whose rows are
+the diagnostics CSV's columns (``column_labels``); the first sample of
+non-finite mass, which only overflow makes, ends the run.
 
 The optional sponge multiplies u by D = exp(-dt sigma(r)) between the
 phase substep and the closing half-step, sigma(r) = strength
@@ -37,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exponents import ModelParams, ab_exponents, scattering_pairs
+from .exponents import ModelParams, ab_exponents
 from .grid import FieldState, RadialField, RadialGrid, dst1, dst_coeffs, from_dst_coeffs
-from .morawetz import build_weight, morawetz_z, morawetz_zpp, quadratic_weight, radial_cutoff
+from .morawetz import (build_weight, morawetz_z, morawetz_zpp, quadratic_weight,
+                       radial_cutoff, radial_cutoff_derivative)
 from .potentials import PotentialSpec, energy
 from .riesz import RieszKernel
 
@@ -66,7 +68,7 @@ class EvolveConfig:
     sponge: SpongeConfig | None = None   # None: no absorbing layer
     store_fields: bool = False        # keep field snapshots at sample times
     weight_R: float | None = None     # truncated Morawetz weight radius; None: quadratic
-    ball_radii: tuple = (10.0,)       # mass_in_ball / eta-mass radii
+    ball_radii: tuple = (10.0,)       # mass_in_ball / eta-flux radii
     chi_radii: tuple = ()             # P(chi_R u) radii for Morawetz averages
 
     def __post_init__(self):
@@ -81,8 +83,8 @@ def column_labels(cfg: EvolveConfig) -> tuple:
     labels of the rows of the table that ``evolve`` fills."""
     return ("t", "M", "E", "E0", "P", "grad_sq", "lambda_sq", "z", "zp", "zpp",
             *[f"mass_in_ball_{R:g}" for R in cfg.ball_radii],
-            "exported_mass", "threshold_track", "lr_norm_rbar",
-            *[f"eta_mass_{R:g}" for R in cfg.ball_radii],
+            "exported_mass", "threshold_track",
+            *[f"eta_flux_{R:g}" for R in cfg.ball_radii],
             *[f"p_chi_{R:g}" for R in cfg.chi_radii])
 
 
@@ -153,20 +155,15 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
         raise ValueError("kernel gamma does not match params")
     grid = u0.grid
     stepper = Stepper(grid, V, kern, params, cfg.dt, sponge=cfg.sponge)
-    sigma_c = rbar = None
-    try:  # sigma_c needs (p, gamma) intercritical, r_bar also a small enough eps
-        sigma_c = ab_exponents(params)[2]
-        rbar = scattering_pairs(params).r_bar
-    except ValueError:
-        pass
+    sigma_c = ab_exponents(params)[2] if params.intercritical else None
 
     weight = quadratic_weight(grid) if cfg.weight_R is None else build_weight(cfg.weight_R, grid)
-    # each |u|^2-linear diagnostic is one dot product with a row built here
+    # each diagnostic linear in |u|^2 or in the current: a dot product with a row built here
     w = grid.weights
     wV = w * stepper.Vr
     w_dV_ap = weight.weighted[1] * V.dV(grid.nodes)
     w_ball = [np.where(grid.nodes <= R, w, 0.0) for R in cfg.ball_radii]
-    w_eta = [w * radial_cutoff(grid, R) for R in cfg.ball_radii]
+    w_flux = [2.0 * w * radial_cutoff_derivative(grid, R) for R in cfg.ball_radii]
     chi_p = [radial_cutoff(grid, R) ** params.p for R in cfg.chi_radii]
 
     n_steps = int(round(cfg.t_end / cfg.dt))
@@ -187,8 +184,7 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
             *morawetz_z(st, weight), morawetz_zpp(st, weight, w_dV_ap),
             *[np.dot(row, st.usq) for row in w_ball], exported,
             st.P * M**sigma_c if sigma_c is not None else np.nan,
-            np.dot(w, st.usq ** (0.5 * rbar)) ** (1.0 / rbar) if rbar is not None else np.nan,
-            *[np.dot(row, st.usq) for row in w_eta], *st.pairings[1:])
+            *[np.dot(row, st.current) for row in w_flux], *st.pairings[1:])
         if fields is not None:
             fields.append(st.u)
         return np.isfinite(M)
@@ -217,7 +213,8 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
 
 
 def conservation_report(traj: Trajectory) -> dict:
-    """Max relative drift of M and E over the pre-export window.
+    """Max relative drift of M and E over the pre-export window, the
+    samples of finite M and E before the sponge exports mass.
 
     The drifts are NaN when that window holds fewer than two samples:
     a single sample cannot drift, so it measures nothing.
@@ -225,10 +222,10 @@ def conservation_report(traj: Trajectory) -> dict:
     d = traj.diagnostics
     if len(d["t"]) < 2:
         raise ValueError("need at least two samples")
-    M_all, exported = d["M"], d["exported_mass"]
-    pre = exported <= 1e-12 * max(M_all[0], 1e-300)
+    M_all, E_all, exported = d["M"], d["E"], d["exported_mass"]
+    pre = np.isfinite(M_all) & np.isfinite(E_all) & (exported <= 1e-12 * max(M_all[0], 1e-300))
     M = M_all[pre]
-    E = d["E"][pre]
+    E = E_all[pre]
     mdrift = edrift = np.nan
     if len(M) >= 2:
         mdrift = float(np.max(np.abs(M - M[0])) / abs(M[0]))

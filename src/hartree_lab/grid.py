@@ -165,11 +165,11 @@ class FieldState:
     sine coefficients c of r*u: one FFT of their row view gives u and u' as
     real rows (re, im).  ``FieldState(u, ..)`` passes c = DST(r*u) in,
     ``from_coeffs`` takes c as it is.  The rest is computed once on first
-    use: |u|^2 and the mass, the Parseval gradient norm of c, the complex
-    field u and, given a Riesz kernel and p >= 2, g = |u|^p, the padded sine
-    spectra of r*g and r*chi*g for each row chi of chi_p, their pairings
-    (P, P(chi_R u), ..) if chi = chi_R^p with chi_R >= 0, and h = I_gamma*g
-    with h'."""
+    use: |u|^2, the mass and the current, the Parseval gradient norm of c,
+    the complex field u and, given a Riesz kernel and p >= 2, g = |u|^p,
+    the padded sine spectra of r*g and r*chi*g for each row chi of chi_p,
+    their pairings (P, P(chi_R u), ..) if chi = chi_R^p with chi_R >= 0,
+    and h = I_gamma*g with h'."""
 
     def __init__(self, u: RadialField, kern=None, p: float | None = None, chi_p=()):
         self._load(u.grid, dst_coeffs(u), kern, p, chi_p)
@@ -200,6 +200,12 @@ class FieldState:
     def usq(self):
         re, im = self.u_rows
         return re**2 + im**2
+
+    @cached_property
+    def current(self):
+        """Im(conj(u) u'), the row that z' and the eta_R flux dot."""
+        (re, im), (dre, dim) = self.u_rows, self.du_rows
+        return dim * re - dre * im
 
     @property
     def mass(self):

@@ -5,7 +5,6 @@ The config grammar is a flat INI-like document:
     [model]
     p = 3.0
     gamma = 2.0
-    # eps = 1e-3
 
     [grid]
     r_max = 40.0
@@ -36,7 +35,8 @@ values and out-of-range values are errors raised while parsing, before
 anything is built (no silent defaults for misspellings).  Outputs are a
 diagnostics CSV plus a JSON summary, both carrying a format version and
 the fully resolved scenario; identical documents produce byte-identical
-outputs.  A collapsed run writes both, with a failing ``collapse`` verdict.
+outputs.  A collapsed run writes both, with a failing ``collapse`` verdict;
+a verdict that reads a non-finite sample fails or says ``available: false``.
 """
 
 import csv
@@ -57,7 +57,7 @@ from .morawetz import coercivity_check, morawetz_average, scattering_monitor
 from .potentials import PotentialSpec, audit_hypotheses
 from .riesz import build_kernel
 
-OUTPUT_FORMAT_VERSION = 5
+OUTPUT_FORMAT_VERSION = 6
 
 
 class ConfigError(ValueError):
@@ -73,7 +73,7 @@ class ConfigError(ValueError):
 # with the section name for the sections whose key names overlap
 
 SECTIONS = {
-    "model": ("p", "gamma", "eps"),
+    "model": ("p", "gamma"),
     "grid": ("r_max", "n"),
     "potential": ("kind", "amplitude", "width", "power", "core"),
     "initial": ("kind", "c", "amplitude", "width", "path"),
@@ -101,7 +101,6 @@ def _field(section, key):
 class Scenario:
     p: float
     gamma: float
-    eps: float = 1e-3
     grid_r_max: float = 40.0
     grid_n: int = 2047
     potential_kind: str = "zero"
@@ -201,7 +200,7 @@ class Scenario:
 
     @property
     def model(self):
-        return ModelParams(self.p, self.gamma, self.eps)
+        return ModelParams(self.p, self.gamma)
 
     @property
     def potential(self):
@@ -387,7 +386,7 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
     thresholds = {}
     if gs is not None:
         thresholds = {**gs.thresholds,
-                      "sup_track": float(np.nanmax(series["threshold_track"])),
+                      "sup_track": float(np.max(series["threshold_track"])),
                       "track_initial": float(series["threshold_track"][0])}
     if "conservation" in s.requests:
         rep = conservation_report(traj)

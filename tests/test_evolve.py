@@ -5,9 +5,9 @@ import scipy.fft as sfft
 from hartree_lab.evolve import EvolveConfig, SpongeConfig, Stepper, conservation_report, evolve
 from hartree_lab.exponents import ModelParams, ab_exponents, scattering_pairs
 from hartree_lab.grid import (FieldState, RadialField, dst_coeffs, from_dst_coeffs, l2_norm_sq,
-                              lp_norm, mass_in_ball)
+                              mass_in_ball)
 from hartree_lab.morawetz import (build_weight, cutoff_field, morawetz_z, morawetz_zpp,
-                                  quadratic_weight, radial_cutoff)
+                                  quadratic_weight)
 from hartree_lab.potentials import energy, gaussian_potential, zero_potential
 from hartree_lab.riesz import build_kernel
 from oracles import free_gaussian
@@ -106,7 +106,7 @@ def test_zero_t_end_single_sample(gs32_mid, kern2_mid, params32):
 def test_sample_matches_one_shot_wrappers(grid_mid, kern2_mid, params32):
     # one sample of a rough complex state, every column against a reference
     # computed from the sampled field alone: a FieldState built from that
-    # field, or a direct quadrature (l2_norm_sq, lp_norm, mass_in_ball)
+    # field, or a direct quadrature (l2_norm_sq, mass_in_ball, the eta_R flux)
     grid, kern, p = grid_mid, kern2_mid, params32.p
     rng = np.random.default_rng(21)
     noise = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
@@ -136,11 +136,14 @@ def test_sample_matches_one_shot_wrappers(grid_mid, kern2_mid, params32):
     for name, want in zip(("E", "E0", "lambda_sq"), energy(st, grid.weights * V(grid.nodes))):
         close(d[name], want)
     close(d["threshold_track"], P * M**es.sigma_c)
-    close(d["lr_norm_rbar"], lp_norm(u, es.r_bar))
+    du = st.du_rows[0] + 1j * st.du_rows[1]
     for R in cfg.ball_radii:
         close(d[f"mass_in_ball_{R:g}"], mass_in_ball(u, R))
-        close(d[f"eta_mass_{R:g}"], l2_norm_sq(RadialField(grid, np.sqrt(radial_cutoff(grid, R))
-                                                           * u.values)))
+        # 2 Im int eta_R' u_r conj(u), with eta_R' = d/dr cos^2(pi (r/R - 1/2)) on the ramp
+        x = grid.nodes / R
+        etap = np.where((x > 0.5) & (x < 1.0), -np.pi * np.sin(2 * np.pi * (x - 0.5)) / R, 0.0)
+        close(d[f"eta_flux_{R:g}"],
+              2.0 * np.sum(grid.weights * etap * np.imag(du * np.conj(u.values))))
     for R in cfg.chi_radii:
         close(d[f"p_chi_{R:g}"], FieldState(cutoff_field(u, R), kern, p).P)
 
@@ -185,7 +188,6 @@ def test_threshold_track_without_scattering_pairs(grid_mid, kern2_mid):
     d, u = traj.diagnostics, traj.fields[0]
     want = FieldState(u, kern2_mid, params.p).P * l2_norm_sq(u) ** ab_exponents(params)[2]
     assert abs(d["threshold_track"][0] - want) <= 1e-13 * want
-    assert np.isnan(d["lr_norm_rbar"][0])
 
 
 def test_conservation_window(gs32_mid, kern2_mid, params32):

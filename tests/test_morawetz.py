@@ -6,7 +6,8 @@ from hartree_lab.exponents import ab_exponents
 from hartree_lab.grid import FieldState, RadialField, RadialGrid
 from hartree_lab.morawetz import (build_weight, coercivity_check, morawetz_average,
                                   morawetz_z, morawetz_zpp, nonlocal_pair_term,
-                                  quadratic_weight, radial_cutoff, scattering_monitor)
+                                  quadratic_weight, radial_cutoff, radial_cutoff_derivative,
+                                  scattering_monitor)
 from hartree_lab.potentials import gaussian_potential, zero_potential
 from hartree_lab.riesz import build_kernel
 from oracles import quad_1d
@@ -67,6 +68,17 @@ def test_cutoff_profile(grid_mid):
     assert np.all(chi[r <= R / 2] == 1.0)
     assert np.all(chi[r >= R] == 0.0)
     assert np.all(np.diff(chi) <= 1e-12)
+    # eta_R' against a centred difference of eta_R: O(dr^2) on the smooth
+    # pieces, O(dr) where eta_R'' jumps by 2 pi^2/R^2 at r = R/2
+    dchi = radial_cutoff_derivative(grid_mid, R)
+    dr = grid_mid.dr
+    err = np.abs((chi[2:] - chi[:-2]) / (2 * dr) - dchi[1:-1])
+    assert np.max(err) <= dr * 2 * np.pi**2 / R**2
+    smooth = (np.abs(r[1:-1] - R / 2) > dr) & (np.abs(r[1:-1] - R) > dr)
+    assert np.max(err[smooth]) <= dr**2 * (2 * np.pi) ** 2 * np.pi / R**3
+    # the monitor's bound reads max|eta_R'| = pi/R, taken at r = 3R/4
+    assert np.max(np.abs(dchi)) == pytest.approx(np.pi / R, rel=1e-15)
+    assert np.all(dchi[(r <= R / 2) | (r >= R)] == 0.0)
 
 
 def test_z_real_field_zero_zp(grid_mid, gs32_mid):
@@ -243,6 +255,11 @@ def test_coercivity_check_paths(gs32_mid, kern2_mid):
     # tiny field: trivially satisfied with huge margin
     rep3 = coercivity_check(1e-3 * gs32_mid.Q, gs32_mid, 10.0, kern=kern2_mid)
     assert rep3["pass"] and rep3["margin"] > 0
+    # a non-finite field has a NaN ratio, which satisfies nothing
+    nan_field = RadialField(gs32_mid.Q.grid, np.full(gs32_mid.Q.grid.n, np.nan))
+    rep4 = coercivity_check(nan_field, gs32_mid, 10.0, kern=kern2_mid)
+    assert rep4["hypothesis_satisfied"] is False and np.isnan(rep4["ratio"])
+    assert "pass" not in rep4
 
 
 def test_morawetz_average_zero_field(grid_small, params32):
@@ -267,20 +284,45 @@ def test_scattering_monitor_decay_and_control(gs32_mid, kern2_mid, params32):
 
 
 def test_scattering_monitor_rate_on_two_samples(grid_small, params32):
-    # two samples still measure a rate: np.gradient is the one-sided
-    # difference |delta eta-mass| / delta t, not an unmeasured zero
+    # the rate is the sampled flux itself: each sample has one, a single
+    # sample included, and it is the flux 2 Im int eta_R' u_r conj(u) of
+    # the stored field, with no difference quotient between samples
     kern = build_kernel(2.0, grid_small)
     u0 = grid_small.field_from(lambda r: 0.5 * np.exp(-r**2 / 2))
-    cfg = EvolveConfig(dt=1e-3, t_end=0.2, sample_every=200, ball_radii=(10.0,))
-    d = evolve(u0, zero_potential(), kern, params32, cfg).diagnostics
-    t, em = d["t"], d["eta_mass_10"]
-    assert len(t) == 2
-    rate = scattering_monitor(d, 10.0, 0.5)["max_rate_eta_mass"]
-    assert rate > 0.0
-    assert rate == pytest.approx(abs(em[1] - em[0]) / (t[1] - t[0]), rel=1e-12)
-    one = DiagnosticsSeries(d.labels, d.table[:, :1])
-    with pytest.raises(ValueError, match="two samples"):
-        scattering_monitor(one, 10.0, 0.5)
+    cfg = EvolveConfig(dt=1e-3, t_end=0.2, sample_every=200, ball_radii=(10.0,),
+                       store_fields=True)
+    traj = evolve(u0, zero_potential(), kern, params32, cfg)
+    d = traj.diagnostics
+    assert len(d["t"]) == 2
+    etap = radial_cutoff_derivative(grid_small, 10.0)
+    direct = []
+    for f in traj.fields:
+        dre, dim = FieldState(f).du_rows
+        direct.append(2.0 * np.sum(grid_small.weights * etap
+                                   * np.imag((dre + 1j * dim) * np.conj(f.values))))
+    assert direct[0] == 0.0 and direct[1] != 0.0  # a real u(0) carries no current
+    mon = scattering_monitor(d, 10.0, 0.5)
+    assert mon["max_flux"] == pytest.approx(np.max(np.abs(direct)), rel=1e-12)
+    one = scattering_monitor(DiagnosticsSeries(d.labels, d.table[:, 1:]), 10.0, 0.5)
+    assert one["max_flux"] == pytest.approx(abs(direct[1]), rel=1e-12)
+    bound = 2 * np.pi * np.sqrt(d["M"][1] * d["grad_sq"][1]) / 10.0
+    assert one["flux_ratio"] == pytest.approx(abs(direct[1]) / bound, rel=1e-12)
+    assert mon["rate_bound_pass"] and one["rate_bound_pass"]
+
+
+def test_scattering_monitor_flux_above_bound_fails():
+    # R |flux| above 2 pi sqrt(M |grad u|^2) at one sample fails the audit
+    R, M, grad_sq = 10.0, 4.0, 9.0
+    bound = 2 * np.pi * np.sqrt(M * grad_sq) / R
+    labels = ("t", "M", "grad_sq", "mass_in_ball_10", "eta_flux_10")
+    table = np.array([[0.0, 1.0, 2.0], [M] * 3, [grad_sq] * 3, [3.0, 2.0, 1.0],
+                      [0.5 * bound, -1.01 * bound, 0.0]])
+    mon = scattering_monitor(DiagnosticsSeries(labels, table), R, 0.5)
+    assert mon["flux_ratio"] == pytest.approx(1.01, rel=1e-14)
+    assert mon["max_flux"] == pytest.approx(1.01 * bound, rel=1e-14)
+    assert not mon["rate_bound_pass"]
+    table[4, 1] = -0.99 * bound
+    assert scattering_monitor(DiagnosticsSeries(labels, table), R, 0.5)["rate_bound_pass"]
 
 
 def test_morawetz_average_trend(gs32_mid, kern2_mid, params32):
@@ -310,23 +352,17 @@ def test_zpp_potential_term_pointwise_sign(gs32_mid, params32):
 
 
 def test_localized_mass_derivative_identity(gs32_mid, kern2_mid, params32):
-    # d/dt int eta_R |u|^2 = 2 Im int grad(eta_R).grad(u) conj(u), checked
-    # by finite differences in time against the directly evaluated flux
+    # d/dt int eta_R |u|^2 = 2 Im int grad(eta_R).grad(u) conj(u): finite
+    # differences in time of eta-masses of the stored fields against the
+    # sampled flux column
     grid = gs32_mid.Q.grid
     R = 8.0
     eta = radial_cutoff(grid, R)
-    x = grid.nodes / R
-    etap = np.where((x > 0.5) & (x < 1.0), -np.pi * np.sin(2 * np.pi * (x - 0.5)) / R, 0.0)
     cfg = EvolveConfig(dt=5e-3, t_end=0.5, sample_every=1, ball_radii=(R,), store_fields=True)
     traj = evolve(0.8 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
     t = traj.diagnostics["t"]
-    em = traj.diagnostics[f"eta_mass_{R:g}"]
-    flux = []
-    for f in traj.fields:
-        dre, dim = FieldState(f).du_rows
-        flux.append(2.0 * np.sum(grid.weights * etap
-                                 * np.imag((dre + 1j * dim) * np.conj(f.values))))
-    flux = np.array(flux)
+    flux = traj.diagnostics[f"eta_flux_{R:g}"]
+    em = np.array([np.sum(grid.weights * eta * np.abs(f.values) ** 2) for f in traj.fields])
     fd = (em[2:] - em[:-2]) / (t[2:] - t[:-2])
     defect = np.max(np.abs(fd - flux[1:-1]))
     scale = max(np.max(np.abs(flux)), 1e-10)

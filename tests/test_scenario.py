@@ -101,7 +101,9 @@ def test_parse_rejects_small_p():
 def test_parse_rejects_unknown_key():
     for text in (MINIMAL.replace("amplitude = 0.5", "amplitud = 0.5"),
                  # the splitting has one ordering, so there is no scheme to choose
-                 MINIMAL + "[evolve]\nscheme = strang\n"):
+                 MINIMAL + "[evolve]\nscheme = strang\n",
+                 # no run reads the scattering-pair perturbation eps
+                 MINIMAL.replace("gamma = 2.0", "gamma = 2.0\neps = 1e-3")):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_scenario(text)
 
@@ -262,7 +264,7 @@ def test_threshold_verdict_needs_theorem_hypotheses(tmp_path, capsys):
     assert rep.exit_code == 1 and "thresholds" in rep.failures
     # the summary's hypotheses block is the record `hartree-lab kato` prints
     summary = json.loads((tmp_path / "well_summary.json").read_text())
-    assert summary["format_version"] == 5
+    assert summary["format_version"] == 6
     cli_main(["kato", "--potential", "gaussian:amplitude=-4,width=1",
               "--r-max", "24", "--n", "1023"])
     assert summary["hypotheses"] == json.loads(capsys.readouterr().out)
@@ -282,10 +284,10 @@ def test_diagnostics_header_pinned(tmp_path):
     rows = list(csv.reader((tmp_path / "h_diagnostics.csv").read_text().splitlines()[2:]))
     assert rows[0] == ["t", "M", "E", "E0", "P", "grad_sq", "lambda_sq", "z", "zp", "zpp",
                        "mass_in_ball_5", "mass_in_ball_10", "mass_in_ball_12",
-                       "exported_mass", "threshold_track", "lr_norm_rbar",
-                       "eta_mass_5", "eta_mass_10", "eta_mass_12", "p_chi_6", "p_chi_12"]
+                       "exported_mass", "threshold_track",
+                       "eta_flux_5", "eta_flux_10", "eta_flux_12", "p_chi_6", "p_chi_12"]
     assert len(rows) > 2
-    assert all(len(row) == 21 for row in rows)
+    assert all(len(row) == 20 for row in rows)
 
 
 def test_run_scenario_deterministic(tmp_path):
@@ -365,12 +367,17 @@ def test_sweep_threshold_column(tmp_path):
                                 "requests = conservation, thresholds"))
     values = [0.3, 0.5, 0.8]
     # c = 1e110 overflows in the first step: a collapsed run, not an error;
-    # its threshold track is NaN from t = 0, where P overflows
-    with pytest.warns(RuntimeWarning, match="overflow|invalid value|All-NaN slice"):
+    # its threshold track is NaN from t = 0, where P overflows, so it has no sup
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value") as caught:
         rep = sweep(s, "c", values + [1e110], out_dir=str(tmp_path))
+    assert not [w for w in caught if "All-NaN slice" in str(w.message)]
     *rows, huge = rep["rows"]
     assert [row["exit_code"] for row in rows] == [0, 0, 0]
     assert huge["exit_code"] == 1 and "error" not in huge
+    assert np.isnan(huge["threshold_sup_track"])
+    summary = json.loads((tmp_path / "c_1e+110" / "c_1e+110_summary.json").read_text())
+    assert summary["thresholds"]["sup_track"] is None
+    assert summary["verdicts"]["thresholds"]["track_below_threshold"] is False
     assert not rep["pass"]
     A, B, sigma = ab_exponents(s.model)
     p = s.model.p
@@ -498,6 +505,16 @@ def test_cli_bad_model_is_one_line(tmp_path, capsys, argv, msg):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_ground_state_takes_no_eps(tmp_path, capsys):
+    # the solve never reads eps: only `exponents` takes --eps
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--output-dir", str(tmp_path / "out"), "ground-state", "--p", "3",
+                  "--gamma", "2", "--eps", "0.01"])
+    assert exc.value.code == 2  # argparse's usage error
+    assert "unrecognized arguments: --eps 0.01" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_ground_state_fine_grid(tmp_path, capsys):
     # dr = 2e-3 certifies: the residual is read off the sine coefficients
     out = tmp_path / "out"
@@ -601,8 +618,12 @@ def test_cli_collapse_is_a_failing_verdict(tmp_path, capsys):
     assert float(rows[-1]["t"]) == 50 * s.dt and len(rows) == 2
     assert not np.isfinite(float(rows[-1]["M"]))
     summary = json.loads((out / "run_summary.json").read_text())
-    assert summary["format_version"] == 5
+    assert summary["format_version"] == 6
     assert summary["verdicts"]["collapse"] == {"collapse_time": 50 * s.dt, "pass": False}
+    # E is NaN from t = 0: no sample is in the pre-export window, so no drift is measured
+    cons = summary["verdicts"]["conservation"]
+    assert cons["available"] is False and cons["samples_pre_export"] == 0
+    assert cons["pass"] is False
 
 
 def test_cli_overflowing_ground_state_is_one_line(tmp_path, capsys, monkeypatch):
