@@ -4,7 +4,7 @@ preserving evolution, and Morawetz/virial diagnostics."""
 
 __version__ = "0.1.0"
 
-from .exponents import ModelParams, ExponentSet, critical_exponent, ab_exponents
+from .exponents import ModelParams, critical_exponent, ab_exponents
 from .grid import RadialGrid, RadialField, FieldState
 from .riesz import RieszKernel, build_kernel
 from .potentials import (PotentialSpec, zero_potential, gaussian_potential,

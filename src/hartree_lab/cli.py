@@ -36,10 +36,10 @@ def _parse_potential_arg(text):
         raise SystemExit(f"bad potential {text!r}: {exc}")
 
 
-def _model_params(args, eps=ModelParams.epsilon):
-    """Intercritical ModelParams of --p, --gamma and eps; else exit with one line."""
+def _model_params(args):
+    """Intercritical ModelParams of --p and --gamma; else exit with one line."""
     try:
-        params = ModelParams(args.p, args.gamma, eps)
+        params = ModelParams(args.p, args.gamma)
         ab_exponents(params)
         return params
     except ValueError as exc:
@@ -55,21 +55,21 @@ def _grid(args):
 
 
 def cmd_exponents(args):
-    params = _model_params(args, args.eps)
-    try:  # the pairs need eps small enough at (p, gamma)
-        es = scattering_pairs(params)
+    params = _model_params(args)
+    try:  # the pairs need eps in [0, 1/10) and small enough at (p, gamma)
+        es = scattering_pairs(params, args.eps)
     except ValueError as exc:
         raise SystemExit(f"--eps {args.eps:g} at --p {args.p:g} --gamma {args.gamma:g}: "
                          f"{exc}") from None
-    rep = identity_report(params)
+    rep = identity_report(params, args.eps)
     payload = {"params": {"p": args.p, "gamma": args.gamma, "eps": args.eps},
-               "exponents": es.as_dict(),
+               "exponents": es,
                "identities": rep,
                "all_pass": all(v["pass"] for v in rep.values())}
     if args.json:
         print(scn.strict_json(payload))
     else:
-        for k, v in sorted(es.as_dict().items()):
+        for k, v in sorted(es.items()):
             print(f"{k:28s} {v}")
         for k, v in rep.items():
             print(f"{k:28s} defect={v['defect']:.3e} {'PASS' if v['pass'] else 'FAIL'}")
@@ -126,9 +126,9 @@ def cmd_evolve(args):
     if args.cmd == "morawetz":
         requests = s.requests if "morawetz" in s.requests else s.requests + ("morawetz",)
         s = replace(s, requests=requests, morawetz_R=s.morawetz_R or (10.0,))
-    rep = scn.run_scenario(s, out_dir=args.output_dir, tag=args.tag)
-    print(scn.strict_json({"verdicts": rep.verdicts, "failures": rep.failures}))
-    return rep.exit_code
+    summary = scn.run_scenario(s, out_dir=args.output_dir, tag=args.tag)
+    print(scn.strict_json({"verdicts": summary["verdicts"], "failures": summary["failures"]}))
+    return 0 if summary["pass"] else 1
 
 
 def cmd_sweep(args):

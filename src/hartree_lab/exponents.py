@@ -8,7 +8,7 @@ functions of epsilon, never floating fudge factors.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 IDENTITY_TOL = 1e-12
@@ -23,51 +23,26 @@ def _half(x):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Nonlinearity power p >= 2, Riesz order gamma in (0,3), pair
-    perturbation epsilon >= 0 small."""
+    """Nonlinearity power p >= 2, Riesz order gamma in (0,3)."""
 
     p: float
     gamma: float
-    epsilon: float = 1e-3
 
     def __post_init__(self):
         if not self.p >= 2:
             raise ValueError("p >= 2 required")
         if not (0 < self.gamma < 3):
             raise ValueError("gamma in (0,3) required")
-        if not (0 <= self.epsilon < 0.1):
-            raise ValueError("epsilon in [0, 1/10) required")
 
     @property
     def intercritical(self) -> bool:
         return (5 + self.gamma) / 3 < self.p < 3 + self.gamma
 
 
-@dataclass(frozen=True)
-class ExponentSet:
-    s_c: float
-    sigma_c: float
-    A: float
-    B: float
-    r_bar: float
-    a_bar: float
-    p_tilde: float
-    r3_minus: float
-    q4_plus: float
-    q: float
-    r: float
-    m: float
-    n: float
-    s: float
-    theta: float
-    theta_bar: float
-    k: float
-    l: float
-    p_bar: float
-    abar_rbar_hs_admissible: bool
-
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+def _check_eps(eps):
+    """The pair perturbation epsilon must lie in [0, 1/10)."""
+    if not (0 <= eps < 0.1):
+        raise ValueError("epsilon in [0, 1/10) required")
 
 
 def critical_exponent(params: ModelParams):
@@ -109,13 +84,15 @@ def is_hs_admissible(q, r, s, tol: float = IDENTITY_TOL) -> bool:
     return q > 2 / (1 - s) and 6 / (3 - 2 * s) <= r < 6
 
 
-def scattering_pairs(params: ModelParams) -> ExponentSet:
-    """All exponents used by the small-data/scattering machinery.
+def scattering_pairs(params: ModelParams, eps=1e-3) -> dict:
+    """All exponents used by the small-data/scattering machinery, by name:
+    the record `hartree-lab exponents` prints under ``exponents``.
 
     Raises ValueError naming every violated range constraint (this
     happens when epsilon is too large for the parameter point).
     """
-    p, g, eps = params.p, params.gamma, params.epsilon
+    _check_eps(eps)
+    p, g = params.p, params.gamma
     s_c = critical_exponent(params)
     A, B, sigma_c = ab_exponents(params)
 
@@ -134,7 +111,7 @@ def scattering_pairs(params: ModelParams) -> ExponentSet:
     theta = 3 * (r - 2) / (2 * r)
     theta_bar = 2 / r
 
-    dp_theta, k, l, p_bar = distant_past_pairs(params)
+    dp_theta, k, l, p_bar = distant_past_pairs(params, eps)
 
     failures = []
     if not is_l2_admissible(a_bar, p_tilde):
@@ -158,25 +135,26 @@ def scattering_pairs(params: ModelParams) -> ExponentSet:
     if failures:
         raise ValueError("; ".join(str(f) for f in failures))
 
-    return ExponentSet(
-        s_c=s_c, sigma_c=sigma_c, A=A, B=B,
-        r_bar=r_bar, a_bar=a_bar, p_tilde=p_tilde,
-        r3_minus=r3_minus, q4_plus=q4_plus,
-        q=q, r=r, m=m, n=n, s=s,
-        theta=theta, theta_bar=theta_bar,
-        k=k, l=l, p_bar=p_bar,
-        abar_rbar_hs_admissible=is_hs_admissible(a_bar, r_bar, s_c),
-    )
+    return {
+        "s_c": s_c, "sigma_c": sigma_c, "A": A, "B": B,
+        "r_bar": r_bar, "a_bar": a_bar, "p_tilde": p_tilde,
+        "r3_minus": r3_minus, "q4_plus": q4_plus,
+        "q": q, "r": r, "m": m, "n": n, "s": s,
+        "theta": theta, "theta_bar": theta_bar,
+        "k": k, "l": l, "p_bar": p_bar,
+        "abar_rbar_hs_admissible": is_hs_admissible(a_bar, r_bar, s_c),
+    }
 
 
-def distant_past_pairs(params: ModelParams):
+def distant_past_pairs(params: ModelParams, eps=1e-3):
     """(theta, k, l, p_bar) for the distant-past interpolation.
 
     For p >= (gamma+4)/2 the choice theta = 2/r_bar gives l = 2, k = inf;
     below that threshold theta sits just above (gamma+4-2p)/(p-1) so that
     p_bar > 2, still respecting l = r_bar*theta in [2, 6].
     """
-    p, g, eps = params.p, params.gamma, params.epsilon
+    _check_eps(eps)
+    p, g = params.p, params.gamma
     if not params.intercritical:
         raise ValueError("intercritical parameters required")
     r_bar = 12 * (p - 1) / (3 + 2 * g - 2 * eps)
@@ -208,19 +186,18 @@ def distant_past_pairs(params: ModelParams):
     return theta, k, l, p_bar
 
 
-def identity_report(params: ModelParams) -> dict:
+def identity_report(params: ModelParams, eps=1e-3) -> dict:
     """Pass/fail of every algebraic identity at these parameters."""
-    s_c = critical_exponent(params)
-    A, B, sigma_c = ab_exponents(params)
-    es = scattering_pairs(params)
+    es = scattering_pairs(params, eps)
+    s_c, A, B, sigma_c = es["s_c"], es["A"], es["B"], es["sigma_c"]
     checks = {
         "A_plus_B_eq_2p": abs(A + B - 2 * params.p),
         "A_plus_2sigma_eq_B_sigma": abs(A + 2 * sigma_c - B * sigma_c),
-        "scaling_abar_rbar": abs(2 / es.a_bar + 3 / es.r_bar - (1.5 - s_c)),
-        "interp_a": abs(1 / es.a_bar - ((1 - s_c) / es.q + s_c / es.m)),
-        "interp_r": abs(1 / es.r_bar - ((1 - s_c) / es.r + s_c / es.n)),
-        "n_from_s": abs(es.n - 3 * es.s / (3 - es.s)),
-        "sc_from_ptilde_rbar": abs(s_c - (3 / es.p_tilde - 3 / es.r_bar)),
+        "scaling_abar_rbar": abs(2 / es["a_bar"] + 3 / es["r_bar"] - (1.5 - s_c)),
+        "interp_a": abs(1 / es["a_bar"] - ((1 - s_c) / es["q"] + s_c / es["m"])),
+        "interp_r": abs(1 / es["r_bar"] - ((1 - s_c) / es["r"] + s_c / es["n"])),
+        "n_from_s": abs(es["n"] - 3 * es["s"] / (3 - es["s"])),
+        "sc_from_ptilde_rbar": abs(s_c - (3 / es["p_tilde"] - 3 / es["r_bar"])),
     }
     return {name: {"defect": float(v), "pass": bool(v <= IDENTITY_TOL)}
             for name, v in checks.items()}

@@ -356,15 +356,10 @@ def _identity_defects(series):
             "C_dz": d1 / dts**2, "C_dzp": d2 / dts**2}
 
 
-@dataclass
-class ExitReport:
-    verdicts: dict
-    thresholds: dict
-    exit_code: int
-    failures: list
-
-
-def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
+def run_scenario(s: Scenario, out_dir="./out", tag="run") -> dict:
+    """Run the scenario, write its diagnostics CSV and ``<tag>_summary.json``,
+    and return the summary (non-finite floats as they are; the JSON writes
+    them as null)."""
     os.makedirs(out_dir, exist_ok=True)
     grid = RadialGrid(s.grid_r_max, s.grid_n)
     kern = build_kernel(s.gamma, grid)
@@ -443,8 +438,7 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> ExitReport:
     }
     with open(os.path.join(out_dir, f"{tag}_summary.json"), "w") as fh:
         fh.write(strict_json(summary) + "\n")
-    return ExitReport(verdicts=verdicts, thresholds=thresholds,
-                      exit_code=0 if not failures else 1, failures=failures)
+    return summary
 
 # ---------------------------------------------------------------------------
 # sweeps
@@ -471,11 +465,11 @@ def sweep(s: Scenario, axis, values, out_dir="./out"):
     rows = []
     for value, tag in zip(values, tags):
         try:
-            rep = run_scenario(replace(s, **{SWEEP_AXES[axis]: value}),
-                               out_dir=os.path.join(out_dir, tag), tag=tag)
-            cons = rep.verdicts.get("conservation", {})
-            rows.append({"axis": axis, "value": value, "exit_code": rep.exit_code,
-                         **{f"threshold_{k}": v for k, v in rep.thresholds.items()},
+            summary = run_scenario(replace(s, **{SWEEP_AXES[axis]: value}),
+                                   out_dir=os.path.join(out_dir, tag), tag=tag)
+            cons = summary["verdicts"].get("conservation", {})
+            rows.append({"axis": axis, "value": value, "exit_code": 0 if summary["pass"] else 1,
+                         **{f"threshold_{k}": v for k, v in summary["thresholds"].items()},
                          **{f"conservation_{k}": v for k, v in cons.items() if k != "pass"}})
         except Exception as exc:  # isolated: the runs after it still run
             rows.append({"axis": axis, "value": value, "error": repr(exc)})

@@ -58,18 +58,18 @@ def test_acceptance_1_exponent_identities():
         p_lo = max(2.0, (5 + gamma) / 3)
         p = rng.uniform(p_lo + 1e-3, 3 + gamma - 1e-3)
         eps = rng.uniform(0.0, 5e-3)
-        params = ModelParams(p, gamma, eps)
+        params = ModelParams(p, gamma)
         s_c = critical_exponent(params)
         A, B, sigma = ab_exponents(params)
-        es = scattering_pairs(params)
+        es = scattering_pairs(params, eps)
         scale = max(1.0, abs(B * sigma))
         assert abs(A + 2 * sigma - B * sigma) <= 1e-12 * scale
-        assert abs(2 / es.a_bar + 3 / es.r_bar - (1.5 - s_c)) <= 1e-12
-        assert is_l2_admissible(es.a_bar, es.p_tilde)
-        assert is_l2_admissible(es.q, es.r)
-        assert is_l2_admissible(es.m, es.s)
-        assert abs(1 / es.a_bar - ((1 - s_c) / es.q + s_c / es.m)) <= 1e-12
-        assert abs(1 / es.r_bar - ((1 - s_c) / es.r + s_c / es.n)) <= 1e-12
+        assert abs(2 / es["a_bar"] + 3 / es["r_bar"] - (1.5 - s_c)) <= 1e-12
+        assert is_l2_admissible(es["a_bar"], es["p_tilde"])
+        assert is_l2_admissible(es["q"], es["r"])
+        assert is_l2_admissible(es["m"], es["s"])
+        assert abs(1 / es["a_bar"] - ((1 - s_c) / es["q"] + s_c / es["m"])) <= 1e-12
+        assert abs(1 / es["r_bar"] - ((1 - s_c) / es["r"] + s_c / es["n"])) <= 1e-12
         count += 1
     dt = time.time() - t0
     assert dt < 1.0
@@ -258,7 +258,7 @@ def test_acceptance_7_threshold_dichotomy(scatter_runs, gs32_desk, kern2_desk,
     worst_track, worst_frac, worst_cc = 0.0, 0.0, None
     for (c, vname), traj in scatter_runs.items():
         d = traj.diagnostics
-        sup_track = float(np.nanmax(d["threshold_track"]))
+        sup_track = float(np.max(d["threshold_track"]))
         assert sup_track < PQMQ, (c, vname)
         worst_track = max(worst_track, sup_track / PQMQ)
         mb = d["mass_in_ball_10"]

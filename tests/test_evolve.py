@@ -135,7 +135,7 @@ def test_sample_matches_one_shot_wrappers(grid_mid, kern2_mid, params32):
     close(d["grad_sq"], st.grad_sq)
     for name, want in zip(("E", "E0", "lambda_sq"), energy(st, grid.weights * V(grid.nodes))):
         close(d[name], want)
-    close(d["threshold_track"], P * M**es.sigma_c)
+    close(d["threshold_track"], P * M**es["sigma_c"])
     du = st.du_rows[0] + 1j * st.du_rows[1]
     for R in cfg.ball_radii:
         close(d[f"mass_in_ball_{R:g}"], mass_in_ball(u, R))
@@ -179,9 +179,9 @@ def test_transform_budget(grid_small, params32, monkeypatch, weight_R, per_sampl
 def test_threshold_track_without_scattering_pairs(grid_mid, kern2_mid):
     # eps = 0.05 is too large for the scattering pairs at (2.35, 2), but
     # sigma_c depends on (p, gamma) alone: the track is still P M^sigma_c
-    params = ModelParams(2.35, 2.0, 0.05)
+    params = ModelParams(2.35, 2.0)
     with pytest.raises(ValueError):
-        scattering_pairs(params)
+        scattering_pairs(params, 0.05)
     u0 = grid_mid.field_from(lambda r: np.exp(-r**2 / 2))
     traj = evolve(u0, zero_potential(), kern2_mid, params,
                   EvolveConfig(t_end=0.0, store_fields=True))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -58,19 +59,19 @@ def test_l2_admissible_examples():
 
 
 def test_scattering_pairs_hand_values():
-    es = scattering_pairs(ModelParams(3.0, 2.0, 0.0))
-    assert es.r_bar == pytest.approx(24 / 7)
-    assert es.a_bar == pytest.approx(16.0)
-    assert es.p_tilde == pytest.approx(24 / 11)
-    assert 2 / es.a_bar + 3 / es.r_bar == pytest.approx(1.0)   # = 3/2 - s_c
-    assert es.theta == pytest.approx(3 / 16)
-    assert es.theta_bar == pytest.approx(7 / 8)
-    assert es.theta < es.theta_bar
+    es = scattering_pairs(ModelParams(3.0, 2.0), 0.0)
+    assert es["r_bar"] == pytest.approx(24 / 7)
+    assert es["a_bar"] == pytest.approx(16.0)
+    assert es["p_tilde"] == pytest.approx(24 / 11)
+    assert 2 / es["a_bar"] + 3 / es["r_bar"] == pytest.approx(1.0)   # = 3/2 - s_c
+    assert es["theta"] == pytest.approx(3 / 16)
+    assert es["theta_bar"] == pytest.approx(7 / 8)
+    assert es["theta"] < es["theta_bar"]
 
 
 def test_scattering_pairs_exact_fractions():
     # the eps -> 0 limit evaluated in exact rational arithmetic
-    params = ModelParams(Fraction(3), Fraction(2), Fraction(0))
+    params = ModelParams(Fraction(3), Fraction(2))
     s_c = critical_exponent(params)
     assert s_c == Fraction(1, 2)
     A, B, sigma = ab_exponents(params)
@@ -86,25 +87,25 @@ def test_pairs_invariants_random():
         p_lo = max(2.0, (5 + gamma) / 3)
         p = rng.uniform(p_lo + 1e-3, 3 + gamma - 1e-3)
         eps = rng.uniform(0.0, 5e-3)
-        params = ModelParams(p, gamma, eps)
+        params = ModelParams(p, gamma)
         s_c = critical_exponent(params)
-        es = scattering_pairs(params)
-        assert abs(2 / es.a_bar + 3 / es.r_bar - (1.5 - s_c)) <= 1e-12
-        assert is_l2_admissible(es.a_bar, es.p_tilde)
-        assert is_l2_admissible(es.q, es.r)
-        assert is_l2_admissible(es.m, es.s)
-        assert is_l2_admissible(es.q4_plus, es.r3_minus)
+        es = scattering_pairs(params, eps)
+        assert abs(2 / es["a_bar"] + 3 / es["r_bar"] - (1.5 - s_c)) <= 1e-12
+        assert is_l2_admissible(es["a_bar"], es["p_tilde"])
+        assert is_l2_admissible(es["q"], es["r"])
+        assert is_l2_admissible(es["m"], es["s"])
+        assert is_l2_admissible(es["q4_plus"], es["r3_minus"])
         # interpolation closure
-        assert abs(1 / es.a_bar - ((1 - s_c) / es.q + s_c / es.m)) <= 1e-12
-        assert abs(1 / es.r_bar - ((1 - s_c) / es.r + s_c / es.n)) <= 1e-12
-        assert abs(es.n - 3 * es.s / (3 - es.s)) <= 1e-12 * es.n
-        assert es.theta < es.theta_bar
+        assert abs(1 / es["a_bar"] - ((1 - s_c) / es["q"] + s_c / es["m"])) <= 1e-12
+        assert abs(1 / es["r_bar"] - ((1 - s_c) / es["r"] + s_c / es["n"])) <= 1e-12
+        assert abs(es["n"] - 3 * es["s"] / (3 - es["s"])) <= 1e-12 * es["n"]
+        assert es["theta"] < es["theta_bar"]
         count += 1
 
 
 def test_distant_past_high_p_branch():
     # p >= (gamma+4)/2: theta = 2/r_bar, l = 2, k = inf
-    theta, k, l, p_bar = distant_past_pairs(ModelParams(3.0, 2.0, 0.0))
+    theta, k, l, p_bar = distant_past_pairs(ModelParams(3.0, 2.0), 0.0)
     assert theta == pytest.approx(7 / 12)
     assert l == pytest.approx(2.0)
     assert math.isinf(k)
@@ -113,8 +114,8 @@ def test_distant_past_high_p_branch():
 
 def test_distant_past_low_p_branch():
     # p = 2.4, gamma = 2: theta slightly above (gamma+4-2p)/(p-1) = 6/7
-    params = ModelParams(2.4, 2.0, 1e-3)
-    theta, k, l, p_bar = distant_past_pairs(params)
+    params = ModelParams(2.4, 2.0)
+    theta, k, l, p_bar = distant_past_pairs(params, 1e-3)
     assert theta > (2.0 + 4 - 4.8) / 1.4
     assert 2 <= l <= 6
     assert p_bar > 2
@@ -127,7 +128,7 @@ def test_distant_past_always_admissible():
         gamma = rng.uniform(0.05, 2.95)
         p_lo = max(2.0, (5 + gamma) / 3)
         p = rng.uniform(p_lo + 1e-3, 3 + gamma - 1e-3)
-        theta, k, l, p_bar = distant_past_pairs(ModelParams(p, gamma, 1e-3))
+        theta, k, l, p_bar = distant_past_pairs(ModelParams(p, gamma), 1e-3)
         assert is_l2_admissible(k, l)
         assert p_bar > 2
 
@@ -143,20 +144,20 @@ def test_abar_rbar_not_hs_admissible_expected_failure():
     # the scattering pair satisfies the scaling identity but leaves the
     # admissible range for large p (r_bar >= 6): recorded as an expected
     # failure rather than inventing a relaxed admissibility class
-    params = ModelParams(4.75, 2.0, 1e-3)
-    es = scattering_pairs(params)
+    params = ModelParams(4.75, 2.0)
+    es = scattering_pairs(params, 1e-3)
     s_c = critical_exponent(params)
-    assert abs(2 / es.a_bar + 3 / es.r_bar - (1.5 - s_c)) <= 1e-12
-    assert es.r_bar >= 6
-    assert not es.abar_rbar_hs_admissible
-    assert not is_hs_admissible(es.a_bar, es.r_bar, s_c)
+    assert abs(2 / es["a_bar"] + 3 / es["r_bar"] - (1.5 - s_c)) <= 1e-12
+    assert es["r_bar"] >= 6
+    assert not es["abar_rbar_hs_admissible"]
+    assert not is_hs_admissible(es["a_bar"], es["r_bar"], s_c)
 
 
 def test_large_eps_reports_constraint():
     # near the lower window edge a large eps pushes the distant-past theta
     # past 1; the error names the violated constraint
     with pytest.raises(ValueError, match="theta"):
-        scattering_pairs(ModelParams(2.34, 2.0, 0.099))
+        scattering_pairs(ModelParams(2.34, 2.0), 0.099)
 
 
 def test_identity_report_all_pass():
@@ -169,7 +170,11 @@ def test_model_params_validation():
         ModelParams(1.5, 2.0)
     with pytest.raises(ValueError):
         ModelParams(3.0, 3.5)
-    with pytest.raises(ValueError):
-        ModelParams(3.0, 2.0, 0.2)
     assert ModelParams(3.0, 2.0).intercritical
     assert not ModelParams(2.0, 2.5).intercritical  # p below (5+gamma)/3
+    # the model is (p, gamma); eps belongs to the pairs, whose readers check it
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["p", "gamma"]
+    for fn in (scattering_pairs, distant_past_pairs, identity_report):
+        for eps in (0.2, 0.1, -1e-3):
+            with pytest.raises(ValueError, match=r"epsilon in \[0, 1/10\) required"):
+                fn(ModelParams(3.0, 2.0), eps)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hartree_lab import scenario as scn
 from hartree_lab.cli import _parse_potential_arg, main as cli_main
 from hartree_lab.evolve import BOUNDARY_WARNING
-from hartree_lab.exponents import ab_exponents
+from hartree_lab.exponents import ModelParams, ab_exponents, identity_report, scattering_pairs
 from hartree_lab.grid import RadialGrid, load_field_csv, save_field_csv
 from hartree_lab.potentials import PotentialSpec
 from hartree_lab.scenario import (ConfigError, Scenario, parse_document,
@@ -236,11 +237,11 @@ def test_boundary_warning_in_summary(tmp_path):
 def test_run_scenario_scattering(tmp_path):
     s = parse_scenario(SCATTER)
     rep = run_scenario(s, out_dir=str(tmp_path), tag="scatter")
-    assert rep.exit_code == 0
-    assert rep.verdicts["thresholds"]["pass"]
-    assert rep.verdicts["thresholds"]["theorem_applies"]
-    assert rep.verdicts["coercivity_final"]["theorem_applies"]
-    assert rep.verdicts["monitor"]["pass"]
+    assert rep["pass"]
+    assert rep["verdicts"]["thresholds"]["pass"]
+    assert rep["verdicts"]["thresholds"]["theorem_applies"]
+    assert rep["verdicts"]["coercivity_final"]["theorem_applies"]
+    assert rep["verdicts"]["monitor"]["pass"]
     assert (tmp_path / "scatter_summary.json").exists()
     csv = (tmp_path / "scatter_diagnostics.csv").read_text().splitlines()
     assert csv[0].startswith("# hartree-lab-diagnostics")
@@ -256,12 +257,12 @@ def test_threshold_verdict_needs_theorem_hypotheses(tmp_path, capsys):
             .replace("t_end = 6.0", "t_end = 0.2")
             + "\n[potential]\nkind = gaussian\namplitude = -4.0\nwidth = 1.0\n")
     rep = run_scenario(parse_scenario(text), out_dir=str(tmp_path), tag="well")
-    th = rep.verdicts["thresholds"]
+    th = rep["verdicts"]["thresholds"]
     assert th["mass_energy_condition"] and th["grad_mass_condition"]
     assert th["sup_grad_mass_below"] and th["track_below_threshold"]
     assert th["theorem_applies"] is False and th["pass"] is False
-    assert rep.verdicts["coercivity_final"]["theorem_applies"] is False
-    assert rep.exit_code == 1 and "thresholds" in rep.failures
+    assert rep["verdicts"]["coercivity_final"]["theorem_applies"] is False
+    assert rep["pass"] is False and "thresholds" in rep["failures"]
     # the summary's hypotheses block is the record `hartree-lab kato` prints
     summary = json.loads((tmp_path / "well_summary.json").read_text())
     assert summary["format_version"] == 6
@@ -328,11 +329,11 @@ def test_conservation_verdict_not_vacuous(tmp_path):
                        .replace("requests = conservation, thresholds, monitor",
                                 "requests = conservation"))
     rep = run_scenario(s, out_dir=str(tmp_path), tag="v")
-    cons = rep.verdicts["conservation"]
+    cons = rep["verdicts"]["conservation"]
     assert cons["samples_pre_export"] == 1
     assert cons["available"] is False and cons["pass"] is False
     assert np.isnan(cons["mass_drift"]) and np.isnan(cons["energy_drift"])
-    assert rep.exit_code == 1 and rep.failures == ["conservation"]
+    assert rep["pass"] is False and rep["failures"] == ["conservation"]
     # strict JSON: the unmeasured drifts are written as null, not as NaN
     def reject(token):
         raise ValueError(f"non-JSON constant {token}")
@@ -341,6 +342,26 @@ def test_conservation_verdict_not_vacuous(tmp_path):
     assert summary["verdicts"]["conservation"]["available"] is False
     assert summary["verdicts"]["conservation"]["mass_drift"] is None
     assert summary["pass"] is False
+
+
+def test_run_scenario_returns_its_summary(tmp_path):
+    # the sponge at r = 0.5 leaves the conservation drifts unmeasured (NaN),
+    # which the JSON writes as null; everything else reads back as returned
+    s = parse_scenario(SCATTER.replace("t_end = 6.0", "t_end = 0.2")
+                       .replace("sponge_start = 15.0", "sponge_start = 0.5"))
+    summary = run_scenario(s, out_dir=str(tmp_path), tag="r")
+
+    def nan_as_none(x):
+        if isinstance(x, dict):
+            return {k: nan_as_none(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [nan_as_none(v) for v in x]
+        return None if isinstance(x, float) and math.isnan(x) else x
+
+    assert math.isnan(summary["verdicts"]["conservation"]["mass_drift"])
+    assert nan_as_none(summary) == json.loads((tmp_path / "r_summary.json").read_text())
+    assert set(summary["verdicts"]) == {"conservation", "thresholds", "coercivity_final",
+                                        "monitor"}
 
 
 def test_soliton_negative_control_expectation(tmp_path):
@@ -353,12 +374,12 @@ def test_soliton_negative_control_expectation(tmp_path):
                   .replace("t_end = 6.0", "t_end = 1.0")
     s = parse_scenario(text)
     rep = run_scenario(s, out_dir=str(tmp_path), tag="sol")
-    assert not rep.verdicts["monitor"]["crossed"]
-    assert rep.exit_code == 1
+    assert not rep["verdicts"]["monitor"]["crossed"]
+    assert rep["pass"] is False
     rep2 = run_scenario(dataclasses.replace(s, monitor_expect="fail"),
                         out_dir=str(tmp_path), tag="sol2")
-    assert rep2.verdicts["monitor"]["pass"]
-    assert rep2.exit_code == 0
+    assert rep2["verdicts"]["monitor"]["pass"]
+    assert rep2["pass"]
 
 
 def test_sweep_threshold_column(tmp_path):
@@ -463,6 +484,21 @@ def test_cli_exponents_json(capsys):
     assert payload["exponents"]["k"] is None
 
 
+@pytest.mark.parametrize("p, gamma, eps", [(3.0, 2.0, 0.0), (2.4, 2.0, 1e-3), (4.75, 2.0, 1e-3)])
+def test_cli_exponents_prints_the_records(capsys, p, gamma, eps):
+    # `exponents --json` prints scattering_pairs and identity_report as they are
+    rc = cli_main(["exponents", "--p", str(p), "--gamma", str(gamma), "--eps", str(eps),
+                   "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    params = ModelParams(p, gamma)
+    pairs = scattering_pairs(params, eps)
+    assert set(payload["exponents"]) == set(pairs)
+    for name, value in pairs.items():
+        assert payload["exponents"][name] == (None if value == math.inf else value), name
+    assert payload["identities"] == identity_report(params, eps)
+
+
 @pytest.mark.parametrize("argv, msg", [
     pytest.param(["exponents", "--p", "3", "--gamma", "3.5"], "gamma in (0,3) required",
                  id="exponents-gamma"),
@@ -492,6 +528,10 @@ def test_cli_exponents_json(capsys):
     # an eps too large for the scattering pairs at (p, gamma)
     pytest.param(["exponents", "--p", "2.05", "--gamma", "1.1", "--eps", "0.05"],
                  "--eps 0.05 at --p 2.05 --gamma 1.1: theta", id="exponents-large-eps"),
+    # an eps outside [0, 1/10), rejected by the pairs that read it
+    pytest.param(["exponents", "--p", "3", "--gamma", "2", "--eps", "0.2"],
+                 "--eps 0.2 at --p 3 --gamma 2: epsilon in [0, 1/10) required",
+                 id="exponents-eps-out-of-range"),
     pytest.param(["kato", "--potential", "gaussian:amplitude=1", "--n", "16"], "n=16 too small",
                  id="kato-coarse-grid"),
 ])
@@ -654,7 +694,7 @@ def test_morawetz_verdict_identity_defects(tmp_path):
                            "requests = morawetz") + "morawetz_R = 6.0\n"
     s = parse_scenario(text)
     rep = run_scenario(s, out_dir=str(tmp_path), tag="m")
-    d = rep.verdicts["morawetz"]["identity_defects"]
+    d = rep["verdicts"]["morawetz"]["identity_defects"]
     assert d["available"]
     # defect is second order in the sampling step with an O(1)-to-O(10) C
     assert d["dz_minus_zp"] <= 100 * d["sample_spacing"] ** 2
@@ -669,7 +709,7 @@ def test_identity_defects_second_order_on_short_last_interval(tmp_path):
                       .replace("requests = conservation, thresholds, monitor",
                                "requests = morawetz") + "morawetz_R = 6.0\n"
         rep = run_scenario(parse_scenario(text), out_dir=str(tmp_path), tag=f"t{t_end}")
-        return rep.verdicts["morawetz"]["identity_defects"]
+        return rep["verdicts"]["morawetz"]["identity_defects"]
 
     even = defects(1.0)
     for t_end in (1.002, 1.05):
