@@ -1,9 +1,8 @@
-"""Command-line interface: exponents, kato, ground-state, evolve, morawetz, sweep."""
+"""Command-line interface: exponents, kato, ground-state, evolve, sweep."""
 
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import scenario as scn
 from .exponents import ModelParams, ab_exponents, identity_report, scattering_pairs
@@ -20,8 +19,6 @@ def _parse_potential_arg(text):
     An unset amplitude is 1; other unset keys take PotentialSpec's defaults.
     """
     kind, _, rest = text.partition(":")
-    if kind == "table":
-        raise SystemExit("potential kind 'table' has no command-line form")
     kv = {}
     for part in rest.split(","):
         if part.strip():
@@ -121,11 +118,7 @@ def _load_scenario(path):
 
 
 def cmd_evolve(args):
-    """``evolve`` and ``morawetz``; the latter adds the Morawetz request."""
     s = _load_scenario(args.config)
-    if args.cmd == "morawetz":
-        requests = s.requests if "morawetz" in s.requests else s.requests + ("morawetz",)
-        s = replace(s, requests=requests, morawetz_R=s.morawetz_R or (10.0,))
     summary = scn.run_scenario(s, out_dir=args.output_dir, tag=args.tag)
     print(scn.strict_json({"verdicts": summary["verdicts"], "failures": summary["failures"]}))
     return 0 if summary["pass"] else 1
@@ -176,16 +169,11 @@ def main(argv=None):
     p4.add_argument("--tag", default="run")
     p4.set_defaults(fn=cmd_evolve)
 
-    p5 = sub.add_parser("morawetz", help="run a scenario with Morawetz averages")
+    p5 = sub.add_parser("sweep", help="parameter sweep over a scenario template")
     p5.add_argument("--config", required=True)
-    p5.add_argument("--tag", default="morawetz")
-    p5.set_defaults(fn=cmd_evolve)
-
-    p6 = sub.add_parser("sweep", help="parameter sweep over a scenario template")
-    p6.add_argument("--config", required=True)
-    p6.add_argument("--axis", required=True, choices=scn.SWEEP_AXES)
-    p6.add_argument("--values", required=True, help="comma-separated values")
-    p6.set_defaults(fn=cmd_sweep)
+    p5.add_argument("--axis", required=True, choices=scn.SWEEP_AXES)
+    p5.add_argument("--values", required=True, help="comma-separated values")
+    p5.set_defaults(fn=cmd_sweep)
 
     args = ap.parse_args(argv)
     try:

@@ -23,8 +23,9 @@ complex field only to store it; each diagnostic is one function of that
 ``FieldState``, and each one linear in |u|^2 or in the current
 Im(conj(u) u') (z' and each eta_R flux) is one dot product with a row
 built once per run.  A sample fills one column of a table whose rows are
-the diagnostics CSV's columns (``column_labels``); the first sample of
-non-finite mass, which only overflow makes, ends the run.
+the diagnostics CSV's columns (``column_labels``), and the trajectory's
+diagnostics map each label to its row; the first sample of non-finite
+mass, which only overflow makes, ends the run.
 
 The optional sponge multiplies u by D = exp(-dt sigma(r)) between the
 phase substep and the closing half-step, sigma(r) = strength
@@ -89,20 +90,8 @@ def column_labels(cfg: EvolveConfig) -> tuple:
 
 
 @dataclass
-class DiagnosticsSeries:
-    """The sampled series: row k of table is the column labels[k]."""
-    labels: tuple
-    table: np.ndarray
-
-    def __getitem__(self, label):
-        if label not in self.labels:
-            raise ValueError(f"series lacks the column {label}")
-        return self.table[self.labels.index(label)]
-
-
-@dataclass
 class Trajectory:
-    diagnostics: DiagnosticsSeries
+    diagnostics: dict                    # column label -> its sampled series
     fields: list | None
     final: RadialField
     boundary_warning: bool = False
@@ -207,7 +196,7 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
     if bwarn:
         warnings.warn(BOUNDARY_WARNING)
 
-    series = DiagnosticsSeries(labels, table[:, :1 + -(-k // cfg.sample_every)])
+    series = dict(zip(labels, table[:, :1 + -(-k // cfg.sample_every)]))
     return Trajectory(diagnostics=series, fields=fields, final=fin, boundary_warning=bwarn,
                       collapse_time=None if finite else k * cfg.dt)
 

@@ -48,8 +48,6 @@ def _check_eps(eps):
 def critical_exponent(params: ModelParams):
     """Scaling-critical Sobolev index s_c = 3/2 - (gamma+2)/(2(p-1))."""
     p, g = params.p, params.gamma
-    if p <= 1:
-        raise ValueError("p > 1 required")
     return _half(p) - (g + 2) / (2 * (p - 1))
 
 

@@ -146,20 +146,27 @@ class Scenario:
             raise ConfigError(str(exc)) from None
         if round(self.t_end / self.dt) == 0:  # evolve would sample t = 0 alone
             raise ConfigError(f"t_end = {self.t_end:g} runs no step of dt = {self.dt:g}")
+        if self.needs_ground_state and not self.model.intercritical:
+            raise ConfigError(f"p = {self.p:g}, gamma = {self.gamma:g} is not intercritical, "
+                              "and the run needs the ground state")
         req = self.requests
-        radii_read = (  # (key, radii the run reads, open upper bound)
-            ("ball_radii", self.ball_radii, False),
-            ("monitor_R", (self.monitor_R,) if "monitor" in req else (), False),
-            ("morawetz_R", self.morawetz_R if "morawetz" in req else (), False),
-            ("coercivity_R", (self.coercivity_R,) if "thresholds" in req else (), False),
-            ("weight_R", (self.weight_R,) if self.weight == "truncated" else (), True),
-            ("sponge_start", (self.sponge_start,) if self.sponge else (), True))
-        for name, radii, open_top in radii_read:
+        # a cutoff of radius R resolves its plateau r <= R/2 and its ramp
+        # (R/2, R) only when each holds a node, R > 2 dr; a smaller one reads
+        # masses and fluxes of 0 or near it, which pass vacuously
+        two_dr = 2 * grid.dr
+        radii_read = (  # (key, radii the run reads, lower bound, open upper bound)
+            ("ball_radii", self.ball_radii, two_dr, False),
+            ("monitor_R", (self.monitor_R,) if "monitor" in req else (), two_dr, False),
+            ("morawetz_R", self.morawetz_R if "morawetz" in req else (), two_dr, False),
+            ("coercivity_R", (self.coercivity_R,) if "thresholds" in req else (), two_dr, False),
+            ("weight_R", (self.weight_R,) if self.weight == "truncated" else (), 0.0, True),
+            ("sponge_start", (self.sponge_start,) if self.sponge else (), 0.0, True))
+        for name, radii, low, open_top in radii_read:
             top = ")" if open_top else "]"
             for R in radii:
-                if not (0 < R < self.grid_r_max if open_top else 0 < R <= self.grid_r_max):
-                    raise ConfigError(f"{name} = {R:g} outside (0, r_max{top} = "
-                                      f"(0, {self.grid_r_max:g}{top}")
+                if not (low < R < self.grid_r_max if open_top else low < R <= self.grid_r_max):
+                    raise ConfigError(f"{name} = {R:g} outside ({'2 dr' if low else '0'}, "
+                                      f"r_max{top} = ({low:g}, {self.grid_r_max:g}{top}")
         # columns and verdict keys name a radius by f"{R:g}"; the run merges exact repeats
         labels = column_labels(cfg)
         for label in labels:
@@ -197,6 +204,13 @@ class Scenario:
         if not 0 < M0 < math.inf:
             raise ConfigError(f"mass M(0) = {M0:g} is not in (0, inf)")
         return u0
+
+    @property
+    def needs_ground_state(self):
+        """Whether the run solves for Q: to scale it into u(0), or for the
+        thresholds, Morawetz or monitor requests."""
+        return (self.initial_kind == "ground_state"
+                or any(r in self.requests for r in ("thresholds", "morawetz", "monitor")))
 
     @property
     def model(self):
@@ -326,8 +340,8 @@ def write_diagnostics_csv(path, series, scenario_dict):
     with open(path, "w") as fh:
         fh.write(f"# hartree-lab-diagnostics,{OUTPUT_FORMAT_VERSION}\n")
         fh.write("# scenario: " + json.dumps(scenario_dict, sort_keys=True) + "\n")
-        fh.write(",".join(series.labels) + "\n")
-        for row in series.table.T.tolist():
+        fh.write(",".join(series) + "\n")
+        for row in np.stack(list(series.values()), axis=1).tolist():
             fh.write(",".join(map(repr, row)) + "\n")
 
 
@@ -364,10 +378,7 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> dict:
     grid = RadialGrid(s.grid_r_max, s.grid_n)
     kern = build_kernel(s.gamma, grid)
 
-    needs_gs = (s.initial_kind == "ground_state"
-                or "thresholds" in s.requests or "morawetz" in s.requests
-                or "monitor" in s.requests)
-    gs = solve_ground_state(s.model, grid, kern) if needs_gs else None
+    gs = solve_ground_state(s.model, grid, kern) if s.needs_ground_state else None
 
     traj = evolve(s.initial_field(grid, gs), s.potential, kern, s.model, s.evolve_config)
     series = traj.diagnostics

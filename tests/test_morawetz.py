@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hartree_lab.evolve import DiagnosticsSeries, EvolveConfig, SpongeConfig, evolve
+from hartree_lab.evolve import EvolveConfig, SpongeConfig, evolve
 from hartree_lab.exponents import ab_exponents
 from hartree_lab.grid import FieldState, RadialField, RadialGrid
 from hartree_lab.morawetz import (build_weight, coercivity_check, morawetz_average,
@@ -264,7 +264,7 @@ def test_coercivity_check_paths(gs32_mid, kern2_mid):
 
 def test_morawetz_average_zero_field(grid_small, params32):
     n = 5
-    series = DiagnosticsSeries(("t", "p_chi_5"), np.stack([np.linspace(0, 1, n), np.zeros(n)]))
+    series = {"t": np.linspace(0, 1, n), "p_chi_5": np.zeros(n)}
 
     class FakeGS:
         params = params32
@@ -303,7 +303,7 @@ def test_scattering_monitor_rate_on_two_samples(grid_small, params32):
     assert direct[0] == 0.0 and direct[1] != 0.0  # a real u(0) carries no current
     mon = scattering_monitor(d, 10.0, 0.5)
     assert mon["max_flux"] == pytest.approx(np.max(np.abs(direct)), rel=1e-12)
-    one = scattering_monitor(DiagnosticsSeries(d.labels, d.table[:, 1:]), 10.0, 0.5)
+    one = scattering_monitor({k: v[1:] for k, v in d.items()}, 10.0, 0.5)
     assert one["max_flux"] == pytest.approx(abs(direct[1]), rel=1e-12)
     bound = 2 * np.pi * np.sqrt(d["M"][1] * d["grad_sq"][1]) / 10.0
     assert one["flux_ratio"] == pytest.approx(abs(direct[1]) / bound, rel=1e-12)
@@ -317,12 +317,13 @@ def test_scattering_monitor_flux_above_bound_fails():
     labels = ("t", "M", "grad_sq", "mass_in_ball_10", "eta_flux_10")
     table = np.array([[0.0, 1.0, 2.0], [M] * 3, [grad_sq] * 3, [3.0, 2.0, 1.0],
                       [0.5 * bound, -1.01 * bound, 0.0]])
-    mon = scattering_monitor(DiagnosticsSeries(labels, table), R, 0.5)
+    series = dict(zip(labels, table))
+    mon = scattering_monitor(series, R, 0.5)
     assert mon["flux_ratio"] == pytest.approx(1.01, rel=1e-14)
     assert mon["max_flux"] == pytest.approx(1.01 * bound, rel=1e-14)
     assert not mon["rate_bound_pass"]
-    table[4, 1] = -0.99 * bound
-    assert scattering_monitor(DiagnosticsSeries(labels, table), R, 0.5)["rate_bound_pass"]
+    series["eta_flux_10"][1] = -0.99 * bound
+    assert scattering_monitor(series, R, 0.5)["rate_bound_pass"]
 
 
 def test_morawetz_average_trend(gs32_mid, kern2_mid, params32):
@@ -351,19 +352,20 @@ def test_zpp_potential_term_pointwise_sign(gs32_mid, params32):
         assert np.all(integrand >= 0.0)
 
 
-def test_localized_mass_derivative_identity(gs32_mid, kern2_mid, params32):
+def test_localized_mass_derivative_identity(gs32_desk, kern2_desk, params32):
     # d/dt int eta_R |u|^2 = 2 Im int grad(eta_R).grad(u) conj(u): finite
     # differences in time of eta-masses of the stored fields against the
     # sampled flux column; both the centred difference and the time step are
-    # second order, so halving dt divides the defect by about 4, which a
-    # flux off by a fixed factor would not do
-    grid = gs32_mid.Q.grid
+    # second order, so each halving of dt divides the defect by about 4, which
+    # a flux off by a fixed factor would not do.  The n = 2047 grid keeps its
+    # dt-independent floor below the dt^2 term down to dt = 1.25e-3
+    grid = gs32_desk.Q.grid
     R = 8.0
     eta = radial_cutoff(grid, R)
 
     def defect(dt):
         cfg = EvolveConfig(dt=dt, t_end=0.5, sample_every=1, ball_radii=(R,), store_fields=True)
-        traj = evolve(0.8 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
+        traj = evolve(0.8 * gs32_desk.Q, zero_potential(), kern2_desk, params32, cfg)
         t = traj.diagnostics["t"]
         flux = traj.diagnostics[f"eta_flux_{R:g}"]
         em = np.array([np.sum(grid.weights * eta * np.abs(f.values) ** 2) for f in traj.fields])
@@ -372,5 +374,6 @@ def test_localized_mass_derivative_identity(gs32_mid, kern2_mid, params32):
 
     coarse, scale = defect(5e-3)
     assert coarse <= 1e-3 * scale + 10 * 5e-3 ** 2
-    fine, _ = defect(2.5e-3)
-    assert 3.0 <= coarse / fine <= 5.0, (coarse, fine)
+    mid, _ = defect(2.5e-3)
+    fine, _ = defect(1.25e-3)
+    assert 3.0 <= coarse / mid <= 5.0 and 3.0 <= mid / fine <= 5.0, (coarse, mid, fine)

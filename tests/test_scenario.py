@@ -191,6 +191,23 @@ def test_parse_rejects_bad_choice(key, line, bad):
                  "ball_radii = 5\n", None, id="monitor_R-same-label-as-ball"),
     pytest.param(MINIMAL + "[diagnostics]\nrequests = morawetz\nmorawetz_R = 10, 10.0000001\n",
                  None, id="morawetz_R-same-label"),
+    # a cutoff radius at most 2 dr = 0.125 lacks a node on its plateau or
+    # on its ramp: every ball mass, flux and localized energy on it reads 0
+    # or near it
+    pytest.param(MINIMAL + "[diagnostics]\nrequests = monitor\nmonitor_R = 0.01\n", None,
+                 id="monitor_R-empty-cutoff"),
+    pytest.param(MINIMAL + "[diagnostics]\nrequests = thresholds\ncoercivity_R = 0.01\n", None,
+                 id="coercivity_R-empty-cutoff"),
+    pytest.param(MINIMAL + "[diagnostics]\nrequests = morawetz\nmorawetz_R = 10, 0.125\n", None,
+                 id="morawetz_R-at-two-dr"),
+    pytest.param(MINIMAL + "[diagnostics]\nball_radii = 0.01\n", None,
+                 id="ball_radii-empty-cutoff"),
+    # a run that needs Q needs an intercritical (p, gamma)
+    pytest.param(MINIMAL.replace("p = 3.0", "p = 2.0") + "[diagnostics]\nrequests = thresholds\n",
+                 None, id="thresholds-not-intercritical"),
+    pytest.param(MINIMAL.replace("p = 3.0", "p = 2.0").replace("kind = gaussian",
+                                                               "kind = ground_state"),
+                 None, id="ground_state-not-intercritical"),
 ])
 def test_parse_rejects_before_build(monkeypatch, tmp_path, text, line):
     def forbidden(*args, **kwargs):
@@ -201,6 +218,20 @@ def test_parse_rejects_before_build(monkeypatch, tmp_path, text, line):
     with pytest.raises(ConfigError) as err:
         parse_scenario(text.format(**field_files(tmp_path)))
     assert err.value.line == line
+
+
+def test_parse_checks_only_what_the_run_reads():
+    # 2 dr = 0.125 on the MINIMAL grid; just above it a cutoff holds one
+    # node on its plateau and one on its ramp
+    s = parse_scenario(MINIMAL + "[diagnostics]\nrequests = monitor\nmonitor_R = 0.13\n")
+    assert s.monitor_R == 0.13
+    with pytest.raises(ConfigError, match=r"monitor_R = 0.125 outside \(2 dr, r_max\] = "
+                                          r"\(0.125, 24\]"):
+        parse_scenario(MINIMAL + "[diagnostics]\nrequests = monitor\nmonitor_R = 0.125\n")
+    # a radius no request reads, and a (p, gamma) off the intercritical
+    # range in a run that never solves for Q, parse
+    assert parse_scenario(MINIMAL + "[diagnostics]\nmonitor_R = 0.01\n").monitor_R == 0.01
+    assert not parse_scenario(MINIMAL.replace("p = 3.0", "p = 2.0")).needs_ground_state
 
 
 def test_file_initial_data(tmp_path):
@@ -613,18 +644,25 @@ def test_cli_evolve_and_sweep(tmp_path, capsys):
     assert rc == 0
 
 
-@pytest.mark.parametrize("cmd, extra", [
-    ("evolve", []),
-    ("sweep", ["--axis", "c", "--values", "0.5"]),
+DT_ON = MINIMAL + "[evolve]\ndt = on\n"
+
+
+@pytest.mark.parametrize("cmd, extra, text, msg", [
+    pytest.param("evolve", [], DT_ON, "key 'dt' expects", id="evolve-extra0"),
+    pytest.param("sweep", ["--axis", "c", "--values", "0.5"], DT_ON, "key 'dt' expects",
+                 id="sweep-extra1"),
+    # the run scales Q, which exists only on the intercritical range
+    pytest.param("evolve", [], SCATTER.replace("p = 3.0", "p = 2.0"),
+                 "p = 2, gamma = 2 is not intercritical", id="evolve-not-intercritical"),
 ])
-def test_cli_config_error_is_one_line(tmp_path, capsys, cmd, extra):
+def test_cli_config_error_is_one_line(tmp_path, capsys, cmd, extra, text, msg):
     bad = tmp_path / "bad.ini"
-    bad.write_text(MINIMAL + "[evolve]\ndt = on\n")
+    bad.write_text(text)
     with pytest.raises(SystemExit) as exc:
         cli_main(["--output-dir", str(tmp_path / "out"), cmd, "--config", str(bad), *extra])
     # a string code exits with status 1 and prints the string alone
     assert isinstance(exc.value.code, str)
-    assert exc.value.code.startswith(f"{bad}: key 'dt' expects")
+    assert exc.value.code.startswith(f"{bad}: {msg}")
     assert "\n" not in exc.value.code
     assert capsys.readouterr().err == ""
 
