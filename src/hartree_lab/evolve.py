@@ -2,13 +2,13 @@
 
 Strang splitting with the linear half-steps outside: a half-step of the
 linear flow by sine-transform diagonalization of the Laplacian acting on
-v = r u, a full step of the local phase rotation
-u <- u * exp(i dt [(I_gamma*|u|^p)|u|^{p-2} - V]), then the linear
-half-step again.  The phase flow preserves |u| pointwise (the convolution
-depends only on |u|), so that substep is exact, and the orthonormal DST
-makes the linear substep unitary: discrete mass is conserved to round-off
-whenever the sponge is off.  The step is second order and costs one
-convolution.
+v = r u, a full step of the local phase rotation u <- u * exp(i theta),
+theta = W [(I_gamma*|u|^p)|u|^{p-2} - V_row], then the linear half-step
+again; in the original frame ``evolve`` passes W = dt and V_row = V.
+The phase flow preserves |u| pointwise (the convolution depends only on
+|u|), so that substep is exact, and the orthonormal DST makes the linear
+substep unitary: discrete mass is conserved to round-off whenever the
+sponge is off.  The step is second order and costs one convolution.
 
 The loop state is c = DST(r u) at a step boundary, so the closing
 half-step of one step and the opening one of the next stay in
@@ -99,16 +99,14 @@ class Trajectory:
 
 
 class Stepper:
-    """Holds the precomputed linear propagator and sponge for one setup."""
+    """The half-step propagator E = exp(-i k^2 dt/2) and sponge rows of one grid and dt."""
 
-    def __init__(self, grid: RadialGrid, V: PotentialSpec, kern: RieszKernel,
-                 params: ModelParams, dt: float, sponge: SpongeConfig | None = None):
+    def __init__(self, grid: RadialGrid, kern: RieszKernel, p: float, dt: float,
+                 sponge: SpongeConfig | None = None):
         self.grid = grid
         self.kern = kern
-        self.params = params
-        self.dt = dt
+        self.p = p
         self.phase_lin_half = np.exp(-0.5j * grid.wavenumbers**2 * dt)
-        self.Vr = np.asarray(V(grid.nodes), float)
         if sponge is not None:
             r = grid.nodes
             ramp = np.clip((r - sponge.start) / (grid.r_max - sponge.start),
@@ -118,13 +116,14 @@ class Stepper:
         else:
             self.damp = None
 
-    def step_values(self, c):
-        """One Strang step L(dt/2) P(dt) L(dt/2), sponge between P and the
-        closing half-step, on c = DST(r u) at a step boundary.  Returns the
-        next boundary's coefficients and the mass the sponge absorbed."""
+    def step_values(self, c, weight, V_row):
+        """One Strang step L(dt/2) P L(dt/2) on c = DST(r u) at a step boundary,
+        sponge between P and the closing half-step; P turns u by theta =
+        weight (hartree_factor(|u|, p) - V_row).  Returns the next boundary's
+        coefficients and the mass the sponge absorbed."""
         v = dst1(self.phase_lin_half * c)  # r u
         a = np.abs(v) / self.grid.nodes    # |u|
-        theta = self.dt * (self.kern.hartree_factor(a, self.params.p) - self.Vr)
+        theta = weight * (self.kern.hartree_factor(a, self.p) - V_row)
         rot = np.empty_like(v)
         np.cos(theta, out=rot.real)
         np.sin(theta, out=rot.imag)
@@ -143,13 +142,14 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
     if kern.gamma != params.gamma:
         raise ValueError("kernel gamma does not match params")
     grid = u0.grid
-    stepper = Stepper(grid, V, kern, params, cfg.dt, sponge=cfg.sponge)
+    stepper = Stepper(grid, kern, params.p, cfg.dt, sponge=cfg.sponge)
+    Vr = np.asarray(V(grid.nodes), float)
     sigma_c = ab_exponents(params)[2] if params.intercritical else None
 
     weight = quadratic_weight(grid) if cfg.weight_R is None else build_weight(cfg.weight_R, grid)
     # each diagnostic linear in |u|^2 or in the current: a dot product with a row built here
     w = grid.weights
-    wV = w * stepper.Vr
+    wV = w * Vr
     w_dV_ap = weight.weighted[1] * V.dV(grid.nodes)
     w_ball = [np.where(grid.nodes <= R, w, 0.0) for R in cfg.ball_radii]
     w_flux = [2.0 * w * radial_cutoff_derivative(grid, R) for R in cfg.ball_radii]
@@ -184,7 +184,7 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
     k = 0
     while finite and k < n_steps:
         k += 1
-        c, absorbed = stepper.step_values(c)
+        c, absorbed = stepper.step_values(c, cfg.dt, Vr)
         exported += absorbed
         if k % cfg.sample_every == 0 or k == n_steps:
             finite = sample(-(-k // cfg.sample_every), k * cfg.dt)

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exponents import ab_exponents
+from .exponents import ModelParams, ab_exponents
 from .grid import FieldState, RadialField, RadialGrid
 from .groundstate import GroundStateResult
 from .riesz import RieszKernel
@@ -226,10 +226,10 @@ def coercivity_check(u: RadialField, gs: GroundStateResult, R: float,
 # ---------------------------------------------------------------------------
 # Morawetz averages (time-averaged localized potential energy) and monitors
 
-def morawetz_average(series, gs: GroundStateResult, R: float, T: float) -> dict:
+def morawetz_average(series, params: ModelParams, R: float, T: float) -> dict:
     """(1/T) int_0^T P(chi_R u) dt against the R/T + R^(-(N-1)B/N) shape,
     from the series' p_chi_R column."""
-    _, B, _ = ab_exponents(gs.params)
+    _, B, _ = ab_exponents(params)
     sel = series["t"] <= T + 1e-12
     t = series["t"][sel]
     pc = series[f"p_chi_{R:g}"][sel]

@@ -57,7 +57,7 @@ from .morawetz import coercivity_check, morawetz_average, scattering_monitor
 from .potentials import PotentialSpec, audit_hypotheses
 from .riesz import build_kernel
 
-OUTPUT_FORMAT_VERSION = 6
+OUTPUT_FORMAT_VERSION = 7
 
 
 class ConfigError(ValueError):
@@ -146,10 +146,11 @@ class Scenario:
             raise ConfigError(str(exc)) from None
         if round(self.t_end / self.dt) == 0:  # evolve would sample t = 0 alone
             raise ConfigError(f"t_end = {self.t_end:g} runs no step of dt = {self.dt:g}")
-        if self.needs_ground_state and not self.model.intercritical:
-            raise ConfigError(f"p = {self.p:g}, gamma = {self.gamma:g} is not intercritical, "
-                              "and the run needs the ground state")
         req = self.requests
+        # Q exists, and B of ab_exponents is defined, only on the intercritical range
+        if (self.needs_ground_state or "morawetz" in req) and not self.model.intercritical:
+            raise ConfigError(f"p = {self.p:g}, gamma = {self.gamma:g} is not intercritical, "
+                              "and the run needs the ground state or B")
         # a cutoff of radius R resolves its plateau r <= R/2 and its ramp
         # (R/2, R) only when each holds a node, R > 2 dr; a smaller one reads
         # masses and fluxes of 0 or near it, which pass vacuously
@@ -207,10 +208,8 @@ class Scenario:
 
     @property
     def needs_ground_state(self):
-        """Whether the run solves for Q: to scale it into u(0), or for the
-        thresholds, Morawetz or monitor requests."""
-        return (self.initial_kind == "ground_state"
-                or any(r in self.requests for r in ("thresholds", "morawetz", "monitor")))
+        """Whether the run solves for Q: for ground_state data or a thresholds request."""
+        return self.initial_kind == "ground_state" or "thresholds" in self.requests
 
     @property
     def model(self):
@@ -422,11 +421,12 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> dict:
             "theorem_applies": applies}
     if "monitor" in s.requests:
         mon = scattering_monitor(series, s.monitor_R, s.monitor_eps)
-        got = mon["crossed"] and mon["rate_bound_pass"]
+        # monitor_expect flips the crossing, never the flux bound
         verdicts["monitor"] = {**mon, "expected": s.monitor_expect,
-                               "pass": got == (s.monitor_expect == "pass")}
+                               "pass": mon["rate_bound_pass"]
+                               and mon["crossed"] == (s.monitor_expect == "pass")}
     if "morawetz" in s.requests:
-        verdicts["morawetz"] = {f"R{R:g}": morawetz_average(series, gs, R, s.t_end)
+        verdicts["morawetz"] = {f"R{R:g}": morawetz_average(series, s.model, R, s.t_end)
                                 for R in s.morawetz_R}
         verdicts["morawetz"]["identity_defects"] = _identity_defects(series)
     failures = [name for name, v in verdicts.items() if v.get("pass") is False]

@@ -29,17 +29,17 @@ def test_linear_mode_free_gaussian(grid_desk, kern2_desk, params32):
 
 def test_single_step_mass_exact(gs32_mid, kern2_mid, params32):
     u0 = gs32_mid.Q
-    st = Stepper(u0.grid, zero_potential(), kern2_mid, params32, 1e-3)
-    c1, _ = st.step_values(dst_coeffs(u0))
+    st = Stepper(u0.grid, kern2_mid, params32.p, 1e-3)
+    c1, _ = st.step_values(dst_coeffs(u0), 1e-3, zero_potential()(u0.grid.nodes))
     u1 = from_dst_coeffs(u0.grid, c1)
     assert abs(l2_norm_sq(u1) - l2_norm_sq(u0)) <= 1e-12 * l2_norm_sq(u0)
 
 
 def test_time_reversal(gs32_mid, kern2_mid, params32):
     u0 = 0.7 * gs32_mid.Q
-    V = gaussian_potential(0.3, 1.5)
-    c1, _ = Stepper(u0.grid, V, kern2_mid, params32, 1e-3).step_values(dst_coeffs(u0))
-    c2, _ = Stepper(u0.grid, V, kern2_mid, params32, -1e-3).step_values(c1)
+    Vr = gaussian_potential(0.3, 1.5)(u0.grid.nodes)
+    c1, _ = Stepper(u0.grid, kern2_mid, params32.p, 1e-3).step_values(dst_coeffs(u0), 1e-3, Vr)
+    c2, _ = Stepper(u0.grid, kern2_mid, params32.p, -1e-3).step_values(c1, -1e-3, Vr)
     u2 = from_dst_coeffs(u0.grid, c2).values
     assert np.max(np.abs(u2 - u0.values)) <= 1e-10 * np.max(np.abs(u0.values))
 
@@ -47,10 +47,35 @@ def test_time_reversal(gs32_mid, kern2_mid, params32):
 def test_gauge_covariance(gs32_mid, kern2_mid, params32):
     u0 = 0.6 * gs32_mid.Q
     phase = np.exp(1j * 0.9)
-    st = Stepper(u0.grid, zero_potential(), kern2_mid, params32, 1e-3)
-    a = from_dst_coeffs(u0.grid, st.step_values(dst_coeffs(phase * u0))[0]).values
-    b = phase * from_dst_coeffs(u0.grid, st.step_values(dst_coeffs(u0))[0]).values
+    st = Stepper(u0.grid, kern2_mid, params32.p, 1e-3)
+    V0 = zero_potential()(u0.grid.nodes)
+    a = from_dst_coeffs(u0.grid, st.step_values(dst_coeffs(phase * u0), 1e-3, V0)[0]).values
+    b = phase * from_dst_coeffs(u0.grid, st.step_values(dst_coeffs(u0), 1e-3, V0)[0]).values
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def test_step_of_weight_zero_is_the_free_flow(gs32_mid, kern2_mid, params32):
+    # a phase weight of 0 turns nothing, whatever V_row: two linear
+    # half-steps, E^2 c = exp(-i k^2 dt) c
+    grid = gs32_mid.Q.grid
+    c = dst_coeffs(0.7 * gs32_mid.Q)
+    Vr = gaussian_potential(0.3, 1.5)(grid.nodes)
+    c1, absorbed = Stepper(grid, kern2_mid, params32.p, 1e-2).step_values(c, 0.0, Vr)
+    free = np.exp(-1j * grid.wavenumbers**2 * 1e-2) * c
+    assert absorbed == 0.0
+    assert np.max(np.abs(c1 - free)) <= 1e-14 * np.max(np.abs(free))
+
+
+def test_constant_potential_row_is_a_global_phase(gs32_mid, kern2_mid, params32):
+    # a constant row V0 turns the whole step by exp(-i weight V0)
+    grid = gs32_mid.Q.grid
+    c = dst_coeffs(0.7 * gs32_mid.Q)
+    st = Stepper(grid, kern2_mid, params32.p, 1e-2)
+    weight, V0 = 5e-2, 3.0
+    ref, _ = st.step_values(c, weight, np.zeros(grid.n))
+    c1, _ = st.step_values(c, weight, np.full(grid.n, V0))
+    expected = np.exp(-1j * weight * V0) * ref
+    assert np.max(np.abs(c1 - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_matches_physical_space_strang(gs32_mid, kern2_mid, params32):

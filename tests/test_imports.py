@@ -1,5 +1,6 @@
-"""Every name that a module in src/ or tests/ imports is used in it, and
-every function and class that src/ defines is used in src/ or tests/."""
+"""Every name that a module in src/ or tests/ imports is used in it,
+every function and class that src/ defines is used in src/ or tests/, and
+every function in src/ reads each of its parameters."""
 
 import ast
 from pathlib import Path
@@ -35,6 +36,23 @@ def dead_names(defining, loading):
     return sorted(defined - loaded)
 
 
+def unread_parameters(source):
+    """(line, function, parameter) of each parameter (self and cls aside)
+    that its function's body never reads."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                  args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [(fn.lineno, fn.name, name) for name in params
+                  if name not in read and name not in ("self", "cls")]
+    return sorted(found)
+
+
 def _sources():
     # an __init__.py imports to re-export
     return [p for d in ("src", "tests") for p in sorted((ROOT / d).rglob("*.py"))
@@ -59,3 +77,15 @@ def test_scan_finds_a_dead_name():
 def test_no_dead_names():
     defining = [p.read_text() for p in sorted((ROOT / "src").rglob("*.py"))]
     assert dead_names(defining, [p.read_text() for p in _sources()]) == []
+
+
+def test_scan_finds_an_unread_parameter():
+    src = ("class S:\n    def __init__(self, grid, V):\n        self.grid = grid\n"
+           "def f(a, *rest, k=1, **kw):\n    return a + k + g(*rest)\n")
+    assert unread_parameters(src) == [(2, "__init__", "V"), (4, "f", "kw")]
+
+
+def test_no_unread_parameters():
+    found = {str(p.relative_to(ROOT)): bad for p in _sources()
+             if p.is_relative_to(ROOT / "src") and (bad := unread_parameters(p.read_text()))}
+    assert found == {}

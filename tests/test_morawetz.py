@@ -265,11 +265,7 @@ def test_coercivity_check_paths(gs32_mid, kern2_mid):
 def test_morawetz_average_zero_field(grid_small, params32):
     n = 5
     series = {"t": np.linspace(0, 1, n), "p_chi_5": np.zeros(n)}
-
-    class FakeGS:
-        params = params32
-
-    rep = morawetz_average(series, FakeGS(), 5.0, 1.0)
+    rep = morawetz_average(series, params32, 5.0, 1.0)
     assert rep["average"] == 0.0
 
 
@@ -336,7 +332,7 @@ def test_morawetz_average_trend(gs32_mid, kern2_mid, params32):
                        sponge=sponge, chi_radii=Rs,
                        ball_radii=())
     traj = evolve(0.5 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
-    avgs = [morawetz_average(traj.diagnostics, gs32_mid, R, R**3)["average"]
+    avgs = [morawetz_average(traj.diagnostics, params32, R, R**3)["average"]
             for R in Rs]
     assert avgs[1] < avgs[0]
 

@@ -296,7 +296,7 @@ def test_threshold_verdict_needs_theorem_hypotheses(tmp_path, capsys):
     assert rep["pass"] is False and "thresholds" in rep["failures"]
     # the summary's hypotheses block is the record `hartree-lab kato` prints
     summary = json.loads((tmp_path / "well_summary.json").read_text())
-    assert summary["format_version"] == 6
+    assert summary["format_version"] == 7
     cli_main(["kato", "--potential", "gaussian:amplitude=-4,width=1",
               "--r-max", "24", "--n", "1023"])
     assert summary["hypotheses"] == json.loads(capsys.readouterr().out)
@@ -411,6 +411,43 @@ def test_soliton_negative_control_expectation(tmp_path):
                         out_dir=str(tmp_path), tag="sol2")
     assert rep2["verdicts"]["monitor"]["pass"]
     assert rep2["pass"]
+
+
+def test_monitor_expect_fail_keeps_the_flux_bound(tmp_path, monkeypatch):
+    # monitor_expect = fail flips the crossing only: a flux above its
+    # Cauchy-Schwarz bound fails the verdict either way
+    def broken_bound(*args):
+        return {"crossed": False, "rate_bound_pass": False}
+
+    monkeypatch.setattr(scn, "scattering_monitor", broken_bound)
+    text = (SCATTER.replace("t_end = 6.0", "t_end = 0.1")
+            .replace("requests = conservation, thresholds, monitor",
+                     "requests = conservation, monitor")
+            + "monitor_expect = fail\n")
+    rep = run_scenario(parse_scenario(text), out_dir=str(tmp_path), tag="flux")
+    assert rep["verdicts"]["monitor"]["pass"] is False
+    assert "monitor" in rep["failures"]
+
+
+@pytest.mark.parametrize("requests", ["conservation, monitor", "conservation, morawetz"])
+def test_gaussian_run_without_thresholds_skips_the_solve(tmp_path, monkeypatch, requests):
+    # the monitor reads no Q, and the Morawetz average only B of (p, gamma)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved for Q")
+
+    monkeypatch.setattr(scn, "solve_ground_state", forbidden)
+    text = (MINIMAL + "\n[evolve]\ndt = 1e-2\nt_end = 0.5\nsample_every = 5\n"
+            f"\n[diagnostics]\nrequests = {requests}\nmorawetz_R = 6\n")
+    s = parse_scenario(text)
+    assert not s.needs_ground_state
+    rep = run_scenario(s, out_dir=str(tmp_path), tag="g")
+    assert rep["thresholds"] == {} and rep["verdicts"]["conservation"]["pass"]
+    assert set(rep["verdicts"]) == {"conservation", requests.split(", ")[1]}
+    # B is defined only on the intercritical range, so a Morawetz run still
+    # needs it there
+    if "morawetz" in requests:
+        with pytest.raises(ConfigError, match="not intercritical"):
+            parse_scenario(text.replace("p = 3.0", "p = 2.0"))
 
 
 def test_sweep_threshold_column(tmp_path):
@@ -696,7 +733,7 @@ def test_cli_collapse_is_a_failing_verdict(tmp_path, capsys):
     assert float(rows[-1]["t"]) == 50 * s.dt and len(rows) == 2
     assert not np.isfinite(float(rows[-1]["M"]))
     summary = json.loads((out / "run_summary.json").read_text())
-    assert summary["format_version"] == 6
+    assert summary["format_version"] == 7
     assert summary["verdicts"]["collapse"] == {"collapse_time": 50 * s.dt, "pass": False}
     # E is NaN from t = 0: no sample is in the pre-export window, so no drift is measured
     cons = summary["verdicts"]["conservation"]
