@@ -11,7 +11,7 @@ from .potentials import (PotentialSpec, zero_potential, gaussian_potential,
                          softpower_potential, table_potential, kato_norm,
                          audit_hypotheses, energy)
 from .groundstate import GroundStateResult, solve_ground_state, pohozaev_check
-from .evolve import EvolveConfig, SpongeConfig, Trajectory, evolve
+from .evolve import EvolveConfig, Trajectory, evolve
 from .morawetz import (MorawetzWeight, build_weight, quadratic_weight,
                        morawetz_z, morawetz_zpp, coercivity_check,
                        morawetz_average, scattering_monitor)

@@ -27,11 +27,11 @@ the diagnostics CSV's columns (``column_labels``), and the trajectory's
 diagnostics map each label to its row; the first sample of non-finite
 mass, which only overflow makes, ends the run.
 
-The optional sponge multiplies u by D = exp(-dt sigma(r)) between the
-phase substep and the closing half-step, sigma(r) = strength
-((r - start)/(r_max - start))^power beyond the start radius.  The
-absorbed mass sum(w (1 - D^2) |u|^2) is accumulated as exported_mass;
-every other substep is unitary, so M + exported stays constant.
+The sponge, on or off, multiplies u by D = exp(-dt sigma(r)) between the
+phase substep and the closing half-step, sigma(r) = 5 ((r - 5 r_max/8) /
+(3 r_max/8))^4 beyond r = 5 r_max/8.  The absorbed mass
+sum(w (1 - D^2) |u|^2) is accumulated as exported_mass; every other
+substep is unitary, so M + exported stays constant.
 """
 
 import warnings
@@ -50,23 +50,11 @@ BOUNDARY_WARNING = "boundary amplitude exceeds 1e-6 of max|u| with sponge off"
 
 
 @dataclass
-class SpongeConfig:
-    start: float = 25.0
-    strength: float = 5.0
-    power: float = 4.0
-
-    def __post_init__(self):
-        # strength < 0 amplifies; power <= 0 damps the whole domain (0^0 = 1)
-        if not (self.strength >= 0 and self.power > 0):
-            raise ValueError("sponge needs strength >= 0 and power > 0")
-
-
-@dataclass
 class EvolveConfig:
     dt: float = 1e-3
     t_end: float = 5.0
     sample_every: int = 50
-    sponge: SpongeConfig | None = None   # None: no absorbing layer
+    sponge: bool = False              # absorbing layer beyond r = 5 r_max/8
     store_fields: bool = False        # keep field snapshots at sample times
     weight_R: float | None = None     # truncated Morawetz weight radius; None: quadratic
     ball_radii: tuple = (10.0,)       # mass_in_ball / eta-flux radii
@@ -102,16 +90,15 @@ class Stepper:
     """The half-step propagator E = exp(-i k^2 dt/2) and sponge rows of one grid and dt."""
 
     def __init__(self, grid: RadialGrid, kern: RieszKernel, p: float, dt: float,
-                 sponge: SpongeConfig | None = None):
+                 sponge: bool = False):
         self.grid = grid
         self.kern = kern
         self.p = p
         self.phase_lin_half = np.exp(-0.5j * grid.wavenumbers**2 * dt)
-        if sponge is not None:
-            r = grid.nodes
-            ramp = np.clip((r - sponge.start) / (grid.r_max - sponge.start),
-                           0.0, None)
-            self.damp = np.exp(-dt * sponge.strength * ramp**sponge.power)
+        if sponge:
+            start = 5 * grid.r_max / 8
+            ramp = np.clip((grid.nodes - start) / (grid.r_max - start), 0.0, None)
+            self.damp = np.exp(-dt * 5.0 * ramp**4.0)
             self.loss_weights = grid.weights * (1.0 - self.damp**2)
         else:
             self.damp = None

@@ -48,8 +48,8 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .evolve import (BOUNDARY_WARNING, EvolveConfig, SpongeConfig, column_labels,
-                     conservation_report, evolve)
+from .evolve import (BOUNDARY_WARNING, EvolveConfig, column_labels, conservation_report,
+                     evolve)
 from .exponents import ModelParams, ab_exponents
 from .grid import RadialGrid, l2_norm_sq, load_field_csv, save_field_csv
 from .groundstate import solve_ground_state
@@ -57,7 +57,7 @@ from .morawetz import coercivity_check, morawetz_average, scattering_monitor
 from .potentials import PotentialSpec, audit_hypotheses
 from .riesz import build_kernel
 
-OUTPUT_FORMAT_VERSION = 7
+OUTPUT_FORMAT_VERSION = 8
 
 
 class ConfigError(ValueError):
@@ -77,8 +77,7 @@ SECTIONS = {
     "grid": ("r_max", "n"),
     "potential": ("kind", "amplitude", "width", "power", "core"),
     "initial": ("kind", "c", "amplitude", "width", "path"),
-    "evolve": ("dt", "t_end", "sample_every", "sponge", "sponge_start",
-               "sponge_strength", "sponge_power", "store_fields"),
+    "evolve": ("dt", "t_end", "sample_every", "sponge", "store_fields"),
     "diagnostics": ("requests", "morawetz_R", "monitor_R", "monitor_eps",
                     "monitor_expect", "weight", "weight_R", "ball_radii",
                     "coercivity_R"),
@@ -117,9 +116,6 @@ class Scenario:
     t_end: float = EvolveConfig.t_end
     sample_every: int = EvolveConfig.sample_every
     sponge: bool = False
-    sponge_start: float = SpongeConfig.start
-    sponge_strength: float = SpongeConfig.strength
-    sponge_power: float = SpongeConfig.power
     store_fields: bool = False
     requests: tuple[str, ...] = ("conservation",)
     morawetz_R: tuple[float, ...] = ()
@@ -155,19 +151,19 @@ class Scenario:
         # (R/2, R) only when each holds a node, R > 2 dr; a smaller one reads
         # masses and fluxes of 0 or near it, which pass vacuously
         two_dr = 2 * grid.dr
-        radii_read = (  # (key, radii the run reads, lower bound, open upper bound)
-            ("ball_radii", self.ball_radii, two_dr, False),
-            ("monitor_R", (self.monitor_R,) if "monitor" in req else (), two_dr, False),
-            ("morawetz_R", self.morawetz_R if "morawetz" in req else (), two_dr, False),
-            ("coercivity_R", (self.coercivity_R,) if "thresholds" in req else (), two_dr, False),
-            ("weight_R", (self.weight_R,) if self.weight == "truncated" else (), 0.0, True),
-            ("sponge_start", (self.sponge_start,) if self.sponge else (), 0.0, True))
-        for name, radii, low, open_top in radii_read:
-            top = ")" if open_top else "]"
+        radii_read = (  # (key, radii the run reads)
+            ("ball_radii", self.ball_radii),
+            ("monitor_R", (self.monitor_R,) if "monitor" in req else ()),
+            ("morawetz_R", self.morawetz_R if "morawetz" in req else ()),
+            ("coercivity_R", (self.coercivity_R,) if "thresholds" in req else ()))
+        for name, radii in radii_read:
             for R in radii:
-                if not (low < R < self.grid_r_max if open_top else low < R <= self.grid_r_max):
-                    raise ConfigError(f"{name} = {R:g} outside ({'2 dr' if low else '0'}, "
-                                      f"r_max{top} = ({low:g}, {self.grid_r_max:g}{top}")
+                if not two_dr < R <= self.grid_r_max:
+                    raise ConfigError(f"{name} = {R:g} outside (2 dr, r_max] = "
+                                      f"({two_dr:g}, {self.grid_r_max:g}]")
+        if self.weight == "truncated" and not 0 < self.weight_R < self.grid_r_max:
+            raise ConfigError(f"weight_R = {self.weight_R:g} outside (0, r_max) = "
+                              f"(0, {self.grid_r_max:g})")
         # columns and verdict keys name a radius by f"{R:g}"; the run merges exact repeats
         labels = column_labels(cfg)
         for label in labels:
@@ -230,8 +226,7 @@ class Scenario:
             ball.add(self.monitor_R)
         return EvolveConfig(
             dt=self.dt, t_end=self.t_end, sample_every=self.sample_every,
-            sponge=SpongeConfig(self.sponge_start, self.sponge_strength,
-                                self.sponge_power) if self.sponge else None,
+            sponge=self.sponge,
             weight_R=self.weight_R if self.weight == "truncated" else None,
             ball_radii=tuple(sorted(ball)),
             chi_radii=tuple(sorted(set(self.morawetz_R if "morawetz" in self.requests else ()))))

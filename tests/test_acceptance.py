@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from hartree_lab.evolve import EvolveConfig, SpongeConfig, conservation_report, evolve
+from hartree_lab.evolve import EvolveConfig, conservation_report, evolve
 from hartree_lab.exponents import (ModelParams, ab_exponents, critical_exponent,
                                    is_l2_admissible, scattering_pairs)
 from hartree_lab.grid import FieldState, RadialField, RadialGrid, l2_norm_sq
@@ -37,11 +37,10 @@ def cert_grid():
 def scatter_runs(gs32_desk, kern2_desk, params32):
     """Criterion 7/8 trajectories: c in {0.3, 0.5, 0.8} x V in {0, gaussian}."""
     runs = {}
-    sponge = SpongeConfig(start=25.0, strength=5.0, power=4.0)
     for c in (0.3, 0.5, 0.8):
         for vname, V in (("V0", zero_potential()), ("Vg", V_GAUSS)):
             cfg = EvolveConfig(dt=1e-3, t_end=30.0, sample_every=200,
-                               sponge=sponge,
+                               sponge=True,
                                ball_radii=(10.0,), store_fields=True)
             runs[(c, vname)] = evolve(c * gs32_desk.Q, V, kern2_desk,
                                       params32, cfg)

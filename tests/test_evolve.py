@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.fft as sfft
 
-from hartree_lab.evolve import EvolveConfig, SpongeConfig, Stepper, conservation_report, evolve
+from hartree_lab.evolve import EvolveConfig, Stepper, conservation_report, evolve
 from hartree_lab.exponents import ModelParams, ab_exponents, scattering_pairs
 from hartree_lab.grid import (FieldState, RadialField, dst_coeffs, from_dst_coeffs, l2_norm_sq,
                               mass_in_ball)
@@ -105,14 +105,15 @@ def test_matches_physical_space_strang(gs32_mid, kern2_mid, params32):
 
 @pytest.mark.parametrize("sponge_on", [False, True])
 def test_sampling_leaves_state_alone(gs32_mid, kern2_mid, params32, sponge_on):
-    # 300 steps: cadences 7 and 200 leave a partial last interval
-    sponge = SpongeConfig(start=2.0, strength=50.0, power=1.0) if sponge_on else None
+    # 300 steps: cadences 7 and 200 leave a partial last interval; a
+    # packet of width 12 meets the sponge beyond r = 25 from the first step
+    u0 = (gs32_mid.Q.grid.field_from(lambda r: 0.3 * np.exp(-r**2 / 288)) if sponge_on
+          else 0.8 * gs32_mid.Q)
     finals, exported = [], []
     for every in (1, 7, 200):
-        cfg = EvolveConfig(dt=1e-3, t_end=0.3, sample_every=every, sponge=sponge,
+        cfg = EvolveConfig(dt=1e-3, t_end=0.3, sample_every=every, sponge=sponge_on,
                            ball_radii=())
-        traj = evolve(0.8 * gs32_mid.Q, gaussian_potential(0.2, 2.0),
-                      kern2_mid, params32, cfg)
+        traj = evolve(u0, gaussian_potential(0.2, 2.0), kern2_mid, params32, cfg)
         finals.append(traj.final.values)
         exported.append(traj.diagnostics["exported_mass"][-1])
     assert (exported[0] > 1e-3) == sponge_on
@@ -126,6 +127,9 @@ def test_zero_t_end_single_sample(gs32_mid, kern2_mid, params32):
     cfg = EvolveConfig(dt=1e-3, t_end=0.0, sample_every=10)
     traj = evolve(gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
     assert traj.diagnostics["t"].tolist() == [0.0]
+    # one sample cannot drift
+    with pytest.raises(ValueError, match="need at least two samples"):
+        conservation_report(traj)
 
 
 def test_sample_matches_one_shot_wrappers(grid_mid, kern2_mid, params32):
@@ -257,8 +261,7 @@ def test_h1_bounded_below_threshold(gs32_mid, kern2_mid, params32):
 
 
 def test_sponge_mass_budget(gs32_mid, kern2_mid, params32):
-    sponge = SpongeConfig(start=22.0, strength=5.0, power=4.0)
-    cfg = EvolveConfig(dt=1e-3, t_end=2.0, sample_every=200, sponge=sponge,
+    cfg = EvolveConfig(dt=1e-3, t_end=2.0, sample_every=200, sponge=True,
                        ball_radii=(10.0,))
     traj = evolve(0.3 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
     d = traj.diagnostics
@@ -284,6 +287,15 @@ def test_rejects_kernel_of_another_gamma(grid_small, params32):
     cfg = EvolveConfig(dt=1e-2, t_end=0.1, sample_every=10)
     with pytest.raises(ValueError, match="kernel gamma does not match params"):
         evolve(u0, zero_potential(), build_kernel(1.5, grid_small), params32, cfg)
+
+
+def test_rejects_kernel_of_another_grid(grid_small, kern2_mid, params32, monkeypatch):
+    # the kernel's grid is checked on the t = 0 sample, before any step
+    u0 = grid_small.field_from(lambda r: np.exp(-r**2))
+    cfg = EvolveConfig(dt=1e-2, t_end=0.1, sample_every=10)
+    monkeypatch.setattr(Stepper, "step_values", lambda *a: pytest.fail("a step ran"))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        evolve(u0, zero_potential(), kern2_mid, params32, cfg)
 
 
 def test_boundary_warning(grid_small, params32):

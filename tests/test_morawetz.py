@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hartree_lab.evolve import EvolveConfig, SpongeConfig, evolve
+from hartree_lab.evolve import EvolveConfig, evolve
 from hartree_lab.exponents import ab_exponents
 from hartree_lab.grid import FieldState, RadialField, RadialGrid
 from hartree_lab.morawetz import (build_weight, coercivity_check, morawetz_average,
@@ -271,8 +271,7 @@ def test_morawetz_average_zero_field(grid_small, params32):
 
 def test_scattering_monitor_decay_and_control(gs32_mid, kern2_mid, params32):
     grid = gs32_mid.Q.grid
-    sponge = SpongeConfig(start=25.0)
-    cfg = EvolveConfig(dt=1e-3, t_end=6.0, sample_every=300, sponge=sponge, ball_radii=(10.0,))
+    cfg = EvolveConfig(dt=1e-3, t_end=6.0, sample_every=300, sponge=True, ball_radii=(10.0,))
     traj = evolve(0.3 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
     mon = scattering_monitor(traj.diagnostics, 10.0, 0.5)
     assert mon["final_mass_in_ball"] < 0.5 * mon["initial_mass_in_ball"]
@@ -326,10 +325,9 @@ def test_morawetz_average_trend(gs32_mid, kern2_mid, params32):
     # scattering data: the time average of P(chi_R u) decreases along
     # T = R^3 (noisy constants; trend only)
     grid = gs32_mid.Q.grid
-    sponge = SpongeConfig(start=25.0)
     Rs = (2.5, 3.5)
     cfg = EvolveConfig(dt=2e-3, t_end=float(Rs[-1] ** 3), sample_every=100,
-                       sponge=sponge, chi_radii=Rs,
+                       sponge=True, chi_radii=Rs,
                        ball_radii=())
     traj = evolve(0.5 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
     avgs = [morawetz_average(traj.diagnostics, params32, R, R**3)["average"]
