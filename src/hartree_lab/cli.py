@@ -9,28 +9,8 @@ from .exponents import ModelParams, ab_exponents, identity_report, scattering_pa
 from .grid import RadialGrid, save_field_csv
 from .groundstate import (GroundStateError, pohozaev_check, solve_ground_state,
                           threshold_functions)
-from .potentials import PotentialSpec, audit_hypotheses
+from .potentials import audit_hypotheses
 from .riesz import build_kernel
-
-
-def _parse_potential_arg(text):
-    """Mini-grammar 'kind:key=val,key=val', e.g. 'gaussian:amplitude=0.2,width=2'.
-
-    An unset amplitude is 1; other unset keys take PotentialSpec's defaults.
-    """
-    kind, _, rest = text.partition(":")
-    kv = {}
-    for part in rest.split(","):
-        if part.strip():
-            k, _, v = part.partition("=")
-            kv[k.strip()] = v
-    for k in kv:
-        if k == "kind" or k not in scn.SECTIONS["potential"]:  # the kind precedes the colon
-            raise SystemExit(f"unknown potential key {k!r}")
-    try:
-        return PotentialSpec(kind, **{"amplitude": 1.0, **{k: float(v) for k, v in kv.items()}})
-    except ValueError as exc:
-        raise SystemExit(f"bad potential {text!r}: {exc}")
 
 
 def _model_params(args):
@@ -63,20 +43,8 @@ def cmd_exponents(args):
                "exponents": es,
                "identities": rep,
                "all_pass": all(v["pass"] for v in rep.values())}
-    if args.json:
-        print(scn.strict_json(payload))
-    else:
-        for k, v in sorted(es.items()):
-            print(f"{k:28s} {v}")
-        for k, v in rep.items():
-            print(f"{k:28s} defect={v['defect']:.3e} {'PASS' if v['pass'] else 'FAIL'}")
+    print(scn.strict_json(payload))
     return 0 if payload["all_pass"] else 1
-
-
-def cmd_kato(args):
-    V = _parse_potential_arg(args.potential)
-    print(scn.strict_json(audit_hypotheses(V, _grid(args))))
-    return 0
 
 
 def cmd_ground_state(args):
@@ -117,6 +85,12 @@ def _load_scenario(path):
         raise SystemExit(f"{path}: {exc.strerror or exc}") from None
 
 
+def cmd_kato(args):
+    s = _load_scenario(args.config)
+    print(scn.strict_json(audit_hypotheses(s.potential, RadialGrid(s.grid_r_max, s.grid_n))))
+    return 0
+
+
 def cmd_evolve(args):
     s = _load_scenario(args.config)
     summary = scn.run_scenario(s, out_dir=args.output_dir, tag=args.tag)
@@ -146,14 +120,10 @@ def main(argv=None):
     p1.add_argument("--p", type=float, required=True)
     p1.add_argument("--gamma", type=float, required=True)
     p1.add_argument("--eps", type=float, default=1e-3)
-    p1.add_argument("--json", action="store_true")
     p1.set_defaults(fn=cmd_exponents)
 
-    p2 = sub.add_parser("kato", help="potential hypothesis audit")
-    p2.add_argument("--potential", required=True,
-                    help="kind:key=val,... e.g. gaussian:amplitude=-1,width=1")
-    p2.add_argument("--r-max", type=float, default=40.0)
-    p2.add_argument("--n", type=int, default=2047)
+    p2 = sub.add_parser("kato", help="audit a scenario's potential against the hypotheses")
+    p2.add_argument("--config", required=True)
     p2.set_defaults(fn=cmd_kato)
 
     p3 = sub.add_parser("ground-state", help="solve the ground state")

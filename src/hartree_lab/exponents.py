@@ -52,10 +52,15 @@ def critical_exponent(params: ModelParams):
 
 
 def ab_exponents(params: ModelParams):
-    """(A, B, sigma_c) with A = 3+gamma-p, B = 3p-(3+gamma)."""
+    """(A, B, sigma_c) with A = 3+gamma-p, B = 3p-(3+gamma).
+
+    Defined on ``params.intercritical``, the one test of the range that
+    ``solve_ground_state`` also reads.
+    """
+    if not params.intercritical:
+        raise ValueError(f"p = {params.p}, gamma = {params.gamma} outside "
+                         "(5+gamma)/3 < p < 3+gamma: not intercritical")
     s_c = critical_exponent(params)
-    if not (0 < s_c < 1):
-        raise ValueError(f"s_c = {s_c} outside (0,1): not intercritical")
     sigma_c = (1 - s_c) / s_c
     A = 3 + params.gamma - params.p
     B = 3 * params.p - (3 + params.gamma)

@@ -1,11 +1,12 @@
-"""Radial potentials V(r), the Kato norm, and hypothesis audits.
+"""Radial potentials V(r) and the audit of the theorem's hypotheses on them.
 
 Shipped kinds: zero, gaussian, soft inverse power (amplitude/(r^power +
 core^power)-style with a smooth core), and tabulated values, linear between
 the table's radii and held constant outside them.  Positive amplitude means
 repulsive (V >= 0).  ``audit_hypotheses`` returns one plain record whose
-``checks`` name each standing assumption once: V in K and L^{3/2} with
-x.grad V in L^{3/2}, L^2 and L^inf (read off the kind, as
+``checks`` name each standing assumption once, beside the Kato norms of V
+and of its negative part: V in K and L^{3/2} with x.grad V in L^{3/2},
+L^2 and L^inf (read off the kind, as
 ``PotentialSpec.decays``), the negative-part Kato smallness against 4*pi,
 V >= 0 and x.grad V <= 0 pointwise.  Failures are reported, never raised.
 ``energy`` reads E, E0 and the Lambda norm off a ``FieldState``, with V
@@ -127,12 +128,6 @@ def table_potential(radii, values):
 
 def _kato_sum(vals, grid: RadialGrid):
     return float(FOUR_PI * grid.dr * np.dot(grid.nodes, np.abs(vals)))
-
-
-def kato_norm(V: PotentialSpec, grid: RadialGrid, negative_part=False):
-    """Kato norm of V (or of V_- = min(V,0)) on the grid: 4*pi*dr*sum r|V|."""
-    vals = V(grid.nodes)
-    return _kato_sum(np.minimum(vals, 0.0) if negative_part else vals, grid)
 
 
 def audit_hypotheses(V: PotentialSpec, grid: RadialGrid) -> dict:

@@ -57,7 +57,7 @@ from .morawetz import coercivity_check, morawetz_average, scattering_monitor
 from .potentials import PotentialSpec, audit_hypotheses
 from .riesz import build_kernel
 
-OUTPUT_FORMAT_VERSION = 8
+OUTPUT_FORMAT_VERSION = 9
 
 
 class ConfigError(ValueError):
@@ -79,21 +79,28 @@ SECTIONS = {
     "initial": ("kind", "c", "amplitude", "width", "path"),
     "evolve": ("dt", "t_end", "sample_every", "sponge", "store_fields"),
     "diagnostics": ("requests", "morawetz_R", "monitor_R", "monitor_eps",
-                    "monitor_expect", "weight", "weight_R", "ball_radii",
-                    "coercivity_R"),
+                    "weight", "weight_R", "coercivity_R"),
 }
 _PREFIXED = ("grid", "potential", "initial")
 
 CHOICES = {
     "initial_kind": ("ground_state", "gaussian", "file"),
     "requests": ("conservation", "morawetz", "monitor", "thresholds"),
-    "monitor_expect": ("pass", "fail"),
     "weight": ("quadratic", "truncated"),
 }
 
 
 def _field(section, key):
     return f"{section}_{key}" if section in _PREFIXED else key
+
+
+def _checked_mass(u0):
+    """u0, whose mass M(0) must lie in (0, inf): every relative drift divides by it."""
+    with np.errstate(over="ignore"):
+        M0 = l2_norm_sq(u0)
+    if not 0 < M0 < math.inf:
+        raise ConfigError(f"mass M(0) = {M0:g} is not in (0, inf)")
+    return u0
 
 
 @dataclass(frozen=True)
@@ -121,10 +128,8 @@ class Scenario:
     morawetz_R: tuple[float, ...] = ()
     monitor_R: float = 10.0
     monitor_eps: float = 0.3
-    monitor_expect: str = "pass"
     weight: str = "quadratic"
     weight_R: float = 10.0
-    ball_radii: tuple[float, ...] = ()
     coercivity_R: float = 10.0
 
     def __post_init__(self):
@@ -152,7 +157,6 @@ class Scenario:
         # masses and fluxes of 0 or near it, which pass vacuously
         two_dr = 2 * grid.dr
         radii_read = (  # (key, radii the run reads)
-            ("ball_radii", self.ball_radii),
             ("monitor_R", (self.monitor_R,) if "monitor" in req else ()),
             ("morawetz_R", self.morawetz_R if "morawetz" in req else ()),
             ("coercivity_R", (self.coercivity_R,) if "thresholds" in req else ()))
@@ -173,34 +177,30 @@ class Scenario:
             raise ConfigError(f"monitor_eps = {self.monitor_eps:g} must be > 0")
         if self.initial_kind == "gaussian" and not self.initial_width > 0:
             raise ConfigError(f"initial_width = {self.initial_width:g} must be > 0")
-        # every relative drift divides by M(0), so it must be finite and nonzero
         if self.initial_kind == "ground_state":
             if self.initial_c == 0:
                 raise ConfigError("initial_c = 0 gives zero initial data")
         else:  # c Q needs the solve: initial_field checks its mass at run time
             where = ("initial data" if self.initial_kind == "gaussian"
                      else f"initial data file {self.initial_path}")
-            try:  # built here, so that bad data fails before anything else is
-                self.initial_field(grid)
+            try:  # built once, here: bad data fails before anything else is,
+                # and the run starts from the data that was checked
+                u0 = (grid.field_from(lambda r: self.initial_amplitude
+                                      * np.exp(-((r / self.initial_width) ** 2) / 2))
+                      if self.initial_kind == "gaussian"
+                      else load_field_csv(self.initial_path, grid))
+                object.__setattr__(self, "_u0", _checked_mass(u0))
             except OSError as exc:
                 raise ConfigError(f"{where}: {exc.strerror or exc}") from None
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
 
-    def initial_field(self, grid, gs=None):
-        """u(0) on the grid, of mass M(0) in (0, inf); ground_state scales gs.Q."""
+    def initial_field(self, gs=None):
+        """u(0), of mass M(0) in (0, inf): c gs.Q for ground_state data, else
+        the field built and checked at parse time."""
         if self.initial_kind == "ground_state":
-            u0 = self.initial_c * gs.Q
-        elif self.initial_kind == "gaussian":
-            u0 = grid.field_from(
-                lambda r: self.initial_amplitude * np.exp(-((r / self.initial_width) ** 2) / 2))
-        else:
-            u0 = load_field_csv(self.initial_path, grid)
-        with np.errstate(over="ignore"):
-            M0 = l2_norm_sq(u0)
-        if not 0 < M0 < math.inf:
-            raise ConfigError(f"mass M(0) = {M0:g} is not in (0, inf)")
-        return u0
+            return _checked_mass(self.initial_c * gs.Q)
+        return self._u0
 
     @property
     def needs_ground_state(self):
@@ -221,14 +221,11 @@ class Scenario:
     def evolve_config(self):
         """Everything of the EvolveConfig but the per-sample field snapshots
         (``store_fields`` writes ``traj.final``)."""
-        ball = set(self.ball_radii)
-        if "monitor" in self.requests:
-            ball.add(self.monitor_R)
         return EvolveConfig(
             dt=self.dt, t_end=self.t_end, sample_every=self.sample_every,
             sponge=self.sponge,
             weight_R=self.weight_R if self.weight == "truncated" else None,
-            ball_radii=tuple(sorted(ball)),
+            ball_radii=(self.monitor_R,) if "monitor" in self.requests else (),
             chi_radii=tuple(sorted(set(self.morawetz_R if "morawetz" in self.requests else ()))))
 
     def resolved(self):
@@ -374,7 +371,7 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> dict:
 
     gs = solve_ground_state(s.model, grid, kern) if s.needs_ground_state else None
 
-    traj = evolve(s.initial_field(grid, gs), s.potential, kern, s.model, s.evolve_config)
+    traj = evolve(s.initial_field(gs), s.potential, kern, s.model, s.evolve_config)
     series = traj.diagnostics
     # the theorem's hypotheses on V: the threshold verdict passes only where they hold
     hypotheses = audit_hypotheses(s.potential, grid)
@@ -416,10 +413,7 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> dict:
             "theorem_applies": applies}
     if "monitor" in s.requests:
         mon = scattering_monitor(series, s.monitor_R, s.monitor_eps)
-        # monitor_expect flips the crossing, never the flux bound
-        verdicts["monitor"] = {**mon, "expected": s.monitor_expect,
-                               "pass": mon["rate_bound_pass"]
-                               and mon["crossed"] == (s.monitor_expect == "pass")}
+        verdicts["monitor"] = {**mon, "pass": mon["rate_bound_pass"] and mon["crossed"]}
     if "morawetz" in s.requests:
         verdicts["morawetz"] = {f"R{R:g}": morawetz_average(series, s.model, R, s.t_end)
                                 for R in s.morawetz_R}

@@ -3,15 +3,14 @@ import pytest
 
 from hartree_lab.grid import FOUR_PI, FieldState, RadialField, RadialGrid
 from hartree_lab.potentials import (PotentialSpec, audit_hypotheses, energy,
-                                    gaussian_potential, kato_norm,
-                                    softpower_potential, table_potential,
-                                    zero_potential)
+                                    gaussian_potential, softpower_potential,
+                                    table_potential, zero_potential)
 from hartree_lab.riesz import build_kernel
 from oracles import quad_1d, random_smooth_field
 
 
 def test_kato_zero(grid_small):
-    kn = kato_norm(zero_potential(), grid_small)
+    kn = audit_hypotheses(zero_potential(), grid_small)["kato_norm"]
     assert kn == 0.0
 
 
@@ -19,13 +18,12 @@ def test_kato_unit_ball():
     # aligned grid: 1/dr = 51.5, Kato norm = 2*pi at the center probe
     g = RadialGrid(40.0, 2059)
     V = table_potential(g.nodes, (g.nodes <= 1.0).astype(float))
-    kn = kato_norm(V, g)
+    kn = audit_hypotheses(V, g)["kato_norm"]
     assert abs(kn - 2 * np.pi) < 1e-3
     # scaled, nonnegative: negative-part norm is 0, hypothesis passes
     V2 = table_potential(g.nodes, 2.0 * (g.nodes <= 1.0).astype(float))
-    knm = kato_norm(V2, g, negative_part=True)
-    assert knm == 0.0
     audit = audit_hypotheses(V2, g)
+    assert audit["kato_norm_negative_part"] == 0.0
     assert audit["checks"]["negative_part_below_4pi"]
     assert audit["theorem_hypotheses_pass"]
 
@@ -34,11 +32,11 @@ def test_kato_gaussian_against_quadrature(grid_mid):
     # center-probe value 4*pi int s e^{-s^2} ds = 2*pi for the unit Gaussian;
     # the Kato integrals are plain O(dr^2) Riemann sums
     V = gaussian_potential(1.0, 1.0)
-    kn = kato_norm(V, grid_mid)
+    kn = audit_hypotheses(V, grid_mid)["kato_norm"]
     assert kn == pytest.approx(2 * np.pi, rel=1e-3)
     # attractive version has the same absolute Kato norm
     Vm = gaussian_potential(-1.0, 1.0)
-    knm = kato_norm(Vm, grid_mid, negative_part=True)
+    knm = audit_hypotheses(Vm, grid_mid)["kato_norm_negative_part"]
     assert knm == pytest.approx(2 * np.pi, rel=1e-3)
     assert knm < 4 * np.pi
 
@@ -56,7 +54,8 @@ def test_kato_newton_profile_peaks_at_origin(grid_mid, values, negative_part):
     absV = np.abs(np.minimum(V(r), 0.0) if negative_part else V(r))
     rho = np.concatenate(([0.0], r))
     prof = FOUR_PI * grid_mid.dr * (r**2 * absV) @ (1.0 / np.maximum.outer(r, rho))
-    kn = kato_norm(V, grid_mid, negative_part=negative_part)
+    kn = audit_hypotheses(V, grid_mid)["kato_norm_negative_part" if negative_part
+                                       else "kato_norm"]
     assert prof[0] > 0
     assert np.max(prof) <= prof[0] * (1 + 1e-14)
     assert kn == pytest.approx(prof[0], rel=1e-13)
@@ -232,7 +231,7 @@ def test_audit_internal_invariants(grid_small):
 
 def test_audit_evaluates_v_once(grid_small, monkeypatch):
     # every figure of the audit reads one evaluation of V on the nodes,
-    # and its Kato norms are kato_norm's
+    # and its Kato norms are 4 pi dr sum r|V| of V and of min(V, 0)
     V = gaussian_potential(-0.7, 1.2)
     calls = []
     call = PotentialSpec.__call__
@@ -240,5 +239,9 @@ def test_audit_evaluates_v_once(grid_small, monkeypatch):
                         lambda self, r: calls.append(1) or call(self, r))
     audit = audit_hypotheses(V, grid_small)
     assert len(calls) == 1
-    assert audit["kato_norm"] == kato_norm(V, grid_small)
-    assert audit["kato_norm_negative_part"] == kato_norm(V, grid_small, negative_part=True)
+    r, dr = grid_small.nodes, grid_small.dr
+    vals = V(r)
+    assert audit["kato_norm"] == pytest.approx(FOUR_PI * dr * np.sum(r * np.abs(vals)),
+                                               rel=1e-14)
+    assert audit["kato_norm_negative_part"] == pytest.approx(
+        FOUR_PI * dr * np.sum(r * np.abs(np.minimum(vals, 0.0))), rel=1e-14)

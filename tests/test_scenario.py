@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from hartree_lab import scenario as scn
-from hartree_lab.cli import _parse_potential_arg, main as cli_main
+from hartree_lab.cli import main as cli_main
 from hartree_lab.evolve import BOUNDARY_WARNING
 from hartree_lab.exponents import ModelParams, ab_exponents, identity_report, scattering_pairs
 from hartree_lab.grid import RadialGrid, load_field_csv, save_field_csv
-from hartree_lab.potentials import PotentialSpec
 from hartree_lab.scenario import (ConfigError, Scenario, parse_document,
                                   parse_scenario, run_scenario, sweep)
 
@@ -108,7 +107,11 @@ def test_parse_rejects_unknown_key():
                  MINIMAL.replace("gamma = 2.0", "gamma = 2.0\neps = 1e-3"),
                  # the sponge has one profile: it is on or off
                  *(MINIMAL + f"[evolve]\nsponge = on\n{key} = 4\n"
-                   for key in ("sponge_start", "sponge_strength", "sponge_power"))):
+                   for key in ("sponge_start", "sponge_strength", "sponge_power")),
+                 # the monitor passes when it crosses; no key flips that
+                 MINIMAL + "[diagnostics]\nmonitor_expect = fail\n",
+                 # the ball columns are the monitor's, at monitor_R
+                 MINIMAL + "[diagnostics]\nball_radii = 5\n"):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_scenario(text)
 
@@ -134,7 +137,6 @@ def test_parse_rejects_unknown_section():
 
 
 @pytest.mark.parametrize("key, line, bad", [
-    ("monitor_expect", "[diagnostics]\nmonitor_expect = {}\n", "maybe"),
     ("weight", "[diagnostics]\nweight = {}\n", "cubic"),
 ])
 def test_parse_rejects_bad_choice(key, line, bad):
@@ -142,7 +144,7 @@ def test_parse_rejects_bad_choice(key, line, bad):
     with pytest.raises(ConfigError, match=key):
         parse_scenario(MINIMAL + line.format(bad))
     # the valid spellings still parse
-    good = {"monitor_expect": "fail", "weight": "truncated"}[key]
+    good = {"weight": "truncated"}[key]
     assert getattr(parse_scenario(MINIMAL + line.format(good)), key) == good
 
 
@@ -192,12 +194,7 @@ def test_parse_rejects_bad_choice(key, line, bad):
     pytest.param(MINIMAL + "[evolve]\nt_end = 0.0004\ndt = 1e-3\n"
                  "[diagnostics]\nrequests = morawetz\nmorawetz_R = 10\n", None,
                  id="t_end-under-half-step"),
-    # radii that print the same under :g would name two columns alike;
-    # the monitor's radius joins the ball radii
-    pytest.param(MINIMAL + "[diagnostics]\nball_radii = 5, 5.0000001\n", None,
-                 id="ball_radii-same-label"),
-    pytest.param(MINIMAL + "[diagnostics]\nrequests = monitor\nmonitor_R = 5.0000001\n"
-                 "ball_radii = 5\n", None, id="monitor_R-same-label-as-ball"),
+    # radii that print the same under :g would name two columns alike
     pytest.param(MINIMAL + "[diagnostics]\nrequests = morawetz\nmorawetz_R = 10, 10.0000001\n",
                  None, id="morawetz_R-same-label"),
     # a cutoff radius at most 2 dr = 0.125 lacks a node on its plateau or
@@ -209,8 +206,6 @@ def test_parse_rejects_bad_choice(key, line, bad):
                  id="coercivity_R-empty-cutoff"),
     pytest.param(MINIMAL + "[diagnostics]\nrequests = morawetz\nmorawetz_R = 10, 0.125\n", None,
                  id="morawetz_R-at-two-dr"),
-    pytest.param(MINIMAL + "[diagnostics]\nball_radii = 0.01\n", None,
-                 id="ball_radii-empty-cutoff"),
     # a run that needs Q needs an intercritical (p, gamma)
     pytest.param(MINIMAL.replace("p = 3.0", "p = 2.0") + "[diagnostics]\nrequests = thresholds\n",
                  None, id="thresholds-not-intercritical"),
@@ -243,12 +238,18 @@ def test_parse_checks_only_what_the_run_reads():
     assert not parse_scenario(MINIMAL.replace("p = 3.0", "p = 2.0")).needs_ground_state
 
 
-def test_file_initial_data(tmp_path):
+def test_file_initial_data(tmp_path, monkeypatch):
     files = field_files(tmp_path)
     with pytest.raises(ConfigError, match="non-finite field value on line 12"):
         parse_scenario(FROM_FILE.format(path=files["nan"]))
+    # the run starts from the field checked at parse: the file is read once,
+    # and rewriting it after the parse does not change the run
+    reads, load = [], scn.load_field_csv
+    monkeypatch.setattr(scn, "load_field_csv", lambda *a: reads.append(a) or load(*a))
     s = parse_scenario(FROM_FILE.format(path=files["good"]) + "[evolve]\nt_end = 0.01\n")
+    files["good"].write_text(files["zero"].read_text())
     run_scenario(s, out_dir=str(tmp_path), tag="file")
+    assert len(reads) == 1
     csv = (tmp_path / "file_diagnostics.csv").read_text().splitlines()
     M0 = float(csv[3].split(",")[1])
     assert M0 == pytest.approx(np.pi**1.5 / 2**1.5, rel=1e-6)  # int e^(-2 r^2) dx
@@ -305,30 +306,35 @@ def test_threshold_verdict_needs_theorem_hypotheses(tmp_path, capsys):
     assert rep["pass"] is False and "thresholds" in rep["failures"]
     # the summary's hypotheses block is the record `hartree-lab kato` prints
     summary = json.loads((tmp_path / "well_summary.json").read_text())
-    assert summary["format_version"] == 8
-    cli_main(["kato", "--potential", "gaussian:amplitude=-4,width=1",
-              "--r-max", "24", "--n", "1023"])
+    assert summary["format_version"] == 9
+    cfg = tmp_path / "well.ini"
+    cfg.write_text(text)
+    assert cli_main(["kato", "--config", str(cfg)]) == 0
     assert summary["hypotheses"] == json.loads(capsys.readouterr().out)
     assert not summary["hypotheses"]["theorem_hypotheses_pass"]
     assert not set(summary["hypotheses"]["checks"]) & set(summary["hypotheses"])
 
 
 def test_diagnostics_header_pinned(tmp_path):
-    # the monitor's radius joins the ball radii in sorted order, and an exact
-    # repeat among the Morawetz radii is one column
+    # the ball and flux columns are the monitor's, at monitor_R; the Morawetz
+    # radii are sorted, and an exact repeat among them is one column
     text = (SCATTER.replace("t_end = 6.0", "t_end = 0.1")
             .replace("requests = conservation, thresholds, monitor",
                      "requests = conservation, monitor, morawetz")
-            .replace("monitor_R = 6.0", "monitor_R = 10\nball_radii = 12, 5\n"
-                     "morawetz_R = 12, 6, 6"))
+            .replace("monitor_R = 6.0", "monitor_R = 10\nmorawetz_R = 12, 6, 6"))
     run_scenario(parse_scenario(text), out_dir=str(tmp_path), tag="h")
     rows = list(csv.reader((tmp_path / "h_diagnostics.csv").read_text().splitlines()[2:]))
     assert rows[0] == ["t", "M", "E", "E0", "P", "grad_sq", "lambda_sq", "z", "zp", "zpp",
-                       "mass_in_ball_5", "mass_in_ball_10", "mass_in_ball_12",
-                       "exported_mass", "threshold_track",
-                       "eta_flux_5", "eta_flux_10", "eta_flux_12", "p_chi_6", "p_chi_12"]
+                       "mass_in_ball_10", "exported_mass", "threshold_track",
+                       "eta_flux_10", "p_chi_6", "p_chi_12"]
     assert len(rows) > 2
-    assert all(len(row) == 20 for row in rows)
+    assert all(len(row) == 16 for row in rows)
+    # without the monitor there is no ball column
+    run_scenario(parse_scenario(text.replace("conservation, monitor, morawetz",
+                                             "conservation, morawetz")),
+                 out_dir=str(tmp_path), tag="m")
+    header = (tmp_path / "m_diagnostics.csv").read_text().splitlines()[2].split(",")
+    assert header == [*rows[0][:10], "exported_mass", "threshold_track", "p_chi_6", "p_chi_12"]
 
 
 def test_run_scenario_deterministic(tmp_path):
@@ -406,8 +412,7 @@ def test_run_scenario_returns_its_summary(tmp_path):
 
 
 def test_soliton_negative_control_expectation(tmp_path):
-    # the soliton never evacuates: monitor crossing fails; with
-    # monitor_expect = fail the run exits 0
+    # the soliton never evacuates: the monitor does not cross, so it fails
     text = SCATTER.replace("c = 0.5", "c = 1.0") \
                   .replace("monitor_eps = 0.6", "monitor_eps = 0.05") \
                   .replace("requests = conservation, thresholds, monitor",
@@ -415,25 +420,22 @@ def test_soliton_negative_control_expectation(tmp_path):
                   .replace("t_end = 6.0", "t_end = 1.0")
     s = parse_scenario(text)
     rep = run_scenario(s, out_dir=str(tmp_path), tag="sol")
-    assert not rep["verdicts"]["monitor"]["crossed"]
-    assert rep["pass"] is False
-    rep2 = run_scenario(dataclasses.replace(s, monitor_expect="fail"),
-                        out_dir=str(tmp_path), tag="sol2")
-    assert rep2["verdicts"]["monitor"]["pass"]
-    assert rep2["pass"]
+    assert rep["verdicts"]["monitor"]["crossed"] is False
+    assert rep["verdicts"]["monitor"]["rate_bound_pass"]
+    assert rep["verdicts"]["monitor"]["pass"] is False
+    assert rep["pass"] is False and rep["failures"] == ["monitor"]
 
 
-def test_monitor_expect_fail_keeps_the_flux_bound(tmp_path, monkeypatch):
-    # monitor_expect = fail flips the crossing only: a flux above its
-    # Cauchy-Schwarz bound fails the verdict either way
+def test_monitor_flux_bound_fails_a_crossed_run(tmp_path, monkeypatch):
+    # a flux above its Cauchy-Schwarz bound fails the verdict, however low
+    # the ball mass falls
     def broken_bound(*args):
-        return {"crossed": False, "rate_bound_pass": False}
+        return {"crossed": True, "rate_bound_pass": False}
 
     monkeypatch.setattr(scn, "scattering_monitor", broken_bound)
     text = (SCATTER.replace("t_end = 6.0", "t_end = 0.1")
             .replace("requests = conservation, thresholds, monitor",
-                     "requests = conservation, monitor")
-            + "monitor_expect = fail\n")
+                     "requests = conservation, monitor"))
     rep = run_scenario(parse_scenario(text), out_dir=str(tmp_path), tag="flux")
     assert rep["verdicts"]["monitor"]["pass"] is False
     assert "monitor" in rep["failures"]
@@ -554,7 +556,7 @@ def test_sweep_rejects_fractional_grid_size(tmp_path):
 
 
 def test_cli_exponents_json(capsys):
-    rc = cli_main(["exponents", "--p", "3", "--gamma", "2", "--json"])
+    rc = cli_main(["exponents", "--p", "3", "--gamma", "2"])
     out = capsys.readouterr().out
 
     def reject(name):
@@ -570,9 +572,8 @@ def test_cli_exponents_json(capsys):
 
 @pytest.mark.parametrize("p, gamma, eps", [(3.0, 2.0, 0.0), (2.4, 2.0, 1e-3), (4.75, 2.0, 1e-3)])
 def test_cli_exponents_prints_the_records(capsys, p, gamma, eps):
-    # `exponents --json` prints scattering_pairs and identity_report as they are
-    rc = cli_main(["exponents", "--p", str(p), "--gamma", str(gamma), "--eps", str(eps),
-                   "--json"])
+    # `exponents` prints scattering_pairs and identity_report as they are
+    rc = cli_main(["exponents", "--p", str(p), "--gamma", str(gamma), "--eps", str(eps)])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     params = ModelParams(p, gamma)
@@ -592,6 +593,11 @@ def test_cli_exponents_prints_the_records(capsys, p, gamma, eps):
                  id="ground-state-gamma"),
     pytest.param(["ground-state", "--p", "2", "--gamma", "2"], "not intercritical",
                  id="ground-state-mass-critical"),
+    # p = (5 + gamma)/3 up to rounding, where s_c rounds to 2.2e-16 > 0: the
+    # range test is intercritical's, the one the solve reads
+    pytest.param(["ground-state", "--p", "2.0003380031131868", "--gamma", "1.0010140093395599",
+                  "--n", "511", "--r-max", "20"], "not intercritical",
+                 id="ground-state-boundary"),
     # a bad grid or tolerance, rejected before anything is built, and a failed solve
     pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--n", "16"], "n=16 too small",
                  id="ground-state-coarse-grid"),
@@ -616,8 +622,6 @@ def test_cli_exponents_prints_the_records(capsys, p, gamma, eps):
     pytest.param(["exponents", "--p", "3", "--gamma", "2", "--eps", "0.2"],
                  "--eps 0.2 at --p 3 --gamma 2: epsilon in [0, 1/10) required",
                  id="exponents-eps-out-of-range"),
-    pytest.param(["kato", "--potential", "gaussian:amplitude=1", "--n", "16"], "n=16 too small",
-                 id="kato-coarse-grid"),
 ])
 def test_cli_bad_model_is_one_line(tmp_path, capsys, argv, msg):
     with pytest.raises(SystemExit) as exc:
@@ -639,6 +643,23 @@ def test_cli_ground_state_takes_no_eps(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, usage", [
+    ([], "[-h] [--output-dir OUTPUT_DIR] {exponents,kato,ground-state,evolve,sweep} ..."),
+    (["exponents"], "exponents [-h] --p P --gamma GAMMA [--eps EPS]"),
+    (["kato"], "kato [-h] --config CONFIG"),
+    (["ground-state"], "ground-state [-h] --p P --gamma GAMMA [--tol TOL] [--r-max R_MAX] [--n N]"),
+    (["evolve"], "evolve [-h] --config CONFIG [--tag TAG]"),
+    (["sweep"], "sweep [-h] --config CONFIG --axis {c,p,gamma,R,dt,n} --values VALUES"),
+])
+def test_cli_usage_pinned(capsys, monkeypatch, argv, usage):
+    # every option of every subcommand: a new or lost one shows here
+    monkeypatch.setenv("COLUMNS", "200")  # one usage line, unwrapped
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"usage: hartree-lab {usage}"
+
+
 def test_cli_ground_state_fine_grid(tmp_path, capsys):
     # dr = 2e-3 certifies: the residual is read off the sine coefficients
     out = tmp_path / "out"
@@ -650,35 +671,27 @@ def test_cli_ground_state_fine_grid(tmp_path, capsys):
     assert (out / "ground_state.csv").exists()
 
 
-def test_cli_kato(capsys):
-    rc = cli_main(["kato", "--potential", "gaussian:amplitude=-1,width=1",
-                   "--n", "511", "--r-max", "24"])
+def test_cli_kato(tmp_path, capsys):
+    cfg = tmp_path / "well.ini"
+    cfg.write_text(MINIMAL + "[potential]\nkind = gaussian\namplitude = -1\nwidth = 1\n")
+    rc = cli_main(["kato", "--config", str(cfg)])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert not out["checks"]["nonneg"]
     assert out["checks"]["negative_part_below_4pi"]
-    # an unset amplitude is the command line's 1, not PotentialSpec's 0
-    assert _parse_potential_arg("gaussian:width=2") == PotentialSpec("gaussian", 1.0, 2.0)
 
 
-def test_cli_kato_slow_softpower_fails(capsys):
+def test_cli_kato_slow_softpower_fails(tmp_path, capsys):
     # V = 1/(1+r) lies outside L^{3/2} and the Kato class
-    rc = cli_main(["kato", "--potential", "softpower:amplitude=1,power=1,core=1",
-                   "--n", "511", "--r-max", "24"])
+    cfg = tmp_path / "slow.ini"
+    cfg.write_text(MINIMAL + "[potential]\nkind = softpower\namplitude = 1\npower = 1\n"
+                   "core = 1\n")
+    rc = cli_main(["kato", "--config", str(cfg)])
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert out["checks"]["nonneg"] and out["checks"]["x_grad_V_nonpositive"]
     assert out["checks"]["decays"] is False
     assert out["theorem_hypotheses_pass"] is False
-
-
-@pytest.mark.parametrize("spec, word", [
-    ("gaussian:amplitdue=-3,width=1", "amplitdue"),
-    ("table:amplitude=1", "table"),
-])
-def test_cli_kato_rejects_unknown_potential(spec, word):
-    with pytest.raises(SystemExit, match=word):
-        cli_main(["kato", "--potential", spec, "--n", "511", "--r-max", "24"])
 
 
 def test_cli_evolve_and_sweep(tmp_path, capsys):
@@ -707,6 +720,14 @@ DT_ON = MINIMAL + "[evolve]\ndt = on\n"
     # the run scales Q, which exists only on the intercritical range
     pytest.param("evolve", [], SCATTER.replace("p = 3.0", "p = 2.0"),
                  "p = 2, gamma = 2 is not intercritical", id="evolve-not-intercritical"),
+    # kato audits the potential of a scenario that parses
+    pytest.param("kato", [], MINIMAL.replace("n = 383", "n = 16"),
+                 "quadrature weights deviate from ball volume by >1% (n=16 too small)",
+                 id="kato-coarse-grid"),
+    pytest.param("kato", [], MINIMAL + "[potential]\nkind = gaussian\namplitdue = -3\n",
+                 "unknown key 'amplitdue' in [potential]", id="kato-unknown-key"),
+    pytest.param("kato", [], MINIMAL + "[potential]\nkind = table\n",
+                 "table kind needs radii and values", id="kato-table-without-values"),
 ])
 def test_cli_config_error_is_one_line(tmp_path, capsys, cmd, extra, text, msg):
     bad = tmp_path / "bad.ini"
@@ -723,6 +744,7 @@ def test_cli_config_error_is_one_line(tmp_path, capsys, cmd, extra, text, msg):
 @pytest.mark.parametrize("cmd, extra", [
     ("evolve", []),
     ("sweep", ["--axis", "c", "--values", "0.5"]),
+    ("kato", []),
 ])
 def test_cli_missing_config_is_one_line(tmp_path, capsys, cmd, extra):
     with pytest.raises(SystemExit) as exc:
@@ -749,7 +771,7 @@ def test_cli_collapse_is_a_failing_verdict(tmp_path, capsys):
     assert float(rows[-1]["t"]) == 50 * s.dt and len(rows) == 2
     assert not np.isfinite(float(rows[-1]["M"]))
     summary = json.loads((out / "run_summary.json").read_text())
-    assert summary["format_version"] == 8
+    assert summary["format_version"] == 9
     assert summary["verdicts"]["collapse"] == {"collapse_time": 50 * s.dt, "pass": False}
     # E is NaN from t = 0: no sample is in the pre-export window, so no drift is measured
     cons = summary["verdicts"]["conservation"]
