@@ -139,8 +139,7 @@ def distant_past_pairs(params: ModelParams, eps=1e-3):
     """
     _check_eps(eps)
     p, g = params.p, params.gamma
-    if not params.intercritical:
-        raise ValueError("intercritical parameters required")
+    ab_exponents(params)  # raises "not intercritical" off the range
     r_bar = 12 * (p - 1) / (3 + 2 * g - 2 * eps)
     theta_floor = (g + 4 - 2 * p) / (p - 1)  # p_bar > 2 needs theta > this
     lower = 2 / r_bar

@@ -96,8 +96,7 @@ def elliptic_residual(st: FieldState) -> float:
 
 def solve_ground_state(params: ModelParams, grid: RadialGrid, kern: RieszKernel,
                        tol: float = 1e-9) -> GroundStateResult:
-    if not params.intercritical:
-        raise ValueError("intercritical parameters required")
+    ab_exponents(params)  # raises "not intercritical" off the range, where Q does not exist
     if kern.gamma != params.gamma:
         raise ValueError("kernel gamma does not match params")
     p = params.p

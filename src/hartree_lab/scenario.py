@@ -138,11 +138,14 @@ class Scenario:
             for v in value if isinstance(value, tuple) else (value,):
                 if v not in allowed:
                     raise ConfigError(f"{name} must be one of {', '.join(allowed)}, got {v!r}")
+        if not self.requests:  # a run that checks nothing would pass vacuously
+            raise ConfigError("requests must list one or more of "
+                              + ", ".join(CHOICES["requests"]))
         try:
             # the model, potential, evolve and grid types check their own fields
             self.model, self.potential
             cfg = self.evolve_config
-            grid = RadialGrid(self.grid_r_max, self.grid_n)
+            grid = self.grid
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if round(self.t_end / self.dt) == 0:  # evolve would sample t = 0 alone
@@ -210,6 +213,10 @@ class Scenario:
     @property
     def model(self):
         return ModelParams(self.p, self.gamma)
+
+    @property
+    def grid(self):
+        return RadialGrid(self.grid_r_max, self.grid_n)
 
     @property
     def potential(self):
@@ -366,7 +373,7 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> dict:
     and return the summary (non-finite floats as they are; the JSON writes
     them as null)."""
     os.makedirs(out_dir, exist_ok=True)
-    grid = RadialGrid(s.grid_r_max, s.grid_n)
+    grid = s.grid
     kern = build_kernel(s.gamma, grid)
 
     gs = solve_ground_state(s.model, grid, kern) if s.needs_ground_state else None
@@ -453,10 +460,16 @@ def sweep(s: Scenario, axis, values, out_dir="./out"):
     A failing run becomes a row with its error, and the runs after it
     still run.  Each run writes under its tag; values whose tags collide
     (duplicates, or floats equal to 6 significant digits) are rejected
-    before any run.  A swept value passes the same checks as a parsed one.
+    before any run, and so is an axis whose key the scenario does not
+    read, whose runs would all be one run.  A swept value passes the same
+    checks as a parsed one.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}")
+    reads = {"c": s.initial_kind == "ground_state", "R": "monitor" in s.requests}
+    if not reads.get(axis, True):
+        raise ValueError(f"axis {axis} sets {SWEEP_AXES[axis]}, which this scenario does not "
+                         "read (c needs initial kind = ground_state, R a monitor request)")
     values = list(values)
     tags = [f"{axis}_{v:g}" if isinstance(v, float) else f"{axis}_{v}" for v in values]
     if len(set(tags)) < len(tags):

@@ -178,3 +178,15 @@ def test_model_params_validation():
         for eps in (0.2, 0.1, -1e-3):
             with pytest.raises(ValueError, match=r"epsilon in \[0, 1/10\) required"):
                 fn(ModelParams(3.0, 2.0), eps)
+
+
+def test_off_range_is_one_message():
+    # every reader of the range reports it with ab_exponents' message
+    params = ModelParams(2.0, 2.5)
+    with pytest.raises(ValueError) as ref:
+        ab_exponents(params)
+    assert "not intercritical" in str(ref.value)
+    for fn in (scattering_pairs, distant_past_pairs, identity_report):
+        with pytest.raises(ValueError) as err:
+            fn(params)
+        assert str(err.value) == str(ref.value), fn.__name__

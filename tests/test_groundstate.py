@@ -219,7 +219,8 @@ def test_kernel_params_mismatch(grid_small, params32):
 
 def test_non_intercritical_rejected(grid_small):
     kern = build_kernel(2.5, grid_small)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"p = 2.0, gamma = 2.5 outside \(5\+gamma\)/3 < p < "
+                                         r"3\+gamma: not intercritical"):
         solve_ground_state(ModelParams(2.0, 2.5), grid_small, kern)
 
 

@@ -212,6 +212,8 @@ def test_parse_rejects_bad_choice(key, line, bad):
     pytest.param(MINIMAL.replace("p = 3.0", "p = 2.0").replace("kind = gaussian",
                                                                "kind = ground_state"),
                  None, id="ground_state-not-intercritical"),
+    # a run that requests nothing would check nothing and pass
+    pytest.param(MINIMAL + "[diagnostics]\nrequests =\n", None, id="requests-empty"),
 ])
 def test_parse_rejects_before_build(monkeypatch, tmp_path, text, line):
     def forbidden(*args, **kwargs):
@@ -515,7 +517,7 @@ def test_sweep_csv_reads_back(tmp_path):
 
 def test_sweep_empty(tmp_path):
     s = parse_scenario(MINIMAL)
-    rep = sweep(s, "c", [], out_dir=str(tmp_path))
+    rep = sweep(s, "dt", [], out_dir=str(tmp_path))
     assert rep["pass"]
     assert os.path.exists(rep["csv"])
 
@@ -528,7 +530,25 @@ def test_sweep_rejects_colliding_tags(tmp_path, monkeypatch, values):
     monkeypatch.setattr(scn, "run_scenario", forbidden)
     s = parse_scenario(MINIMAL)
     with pytest.raises(ValueError, match="share output tags"):
-        sweep(s, "c", values, out_dir=str(tmp_path / "sw"))
+        sweep(s, "gamma", values, out_dir=str(tmp_path / "sw"))
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("text, axis", [
+    pytest.param(MINIMAL, "c", id="c-gaussian-data"),
+    pytest.param(MINIMAL.replace("kind = gaussian", "kind = ground_state"), "R",
+                 id="R-without-monitor"),
+])
+def test_sweep_rejects_an_axis_the_scenario_does_not_read(tmp_path, monkeypatch, text, axis):
+    # c scales only ground_state data and R is only the monitor's radius:
+    # elsewhere every run of the sweep would be the same run
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(scn, "run_scenario", forbidden)
+    with pytest.raises(ValueError, match=f"axis {axis} sets .*, which this scenario does not "
+                                         "read"):
+        sweep(parse_scenario(text), axis, [0.3, 0.5], out_dir=str(tmp_path / "sw"))
     assert not (tmp_path / "sw").exists()
 
 
@@ -555,8 +575,15 @@ def test_sweep_rejects_fractional_grid_size(tmp_path):
     assert "integer" in rep["rows"][0]["error"]
 
 
-def test_cli_exponents_json(capsys):
-    rc = cli_main(["exponents", "--p", "3", "--gamma", "2"])
+# a scenario document of the model alone, for the subcommands that read
+# only [model] (and [grid])
+MODEL = "[model]\np = {p}\ngamma = {gamma}\n"
+
+
+def test_cli_exponents_json(tmp_path, capsys):
+    cfg = tmp_path / "model.ini"
+    cfg.write_text(MODEL.format(p=3, gamma=2))
+    rc = cli_main(["exponents", "--config", str(cfg)])
     out = capsys.readouterr().out
 
     def reject(name):
@@ -571,9 +598,11 @@ def test_cli_exponents_json(capsys):
 
 
 @pytest.mark.parametrize("p, gamma, eps", [(3.0, 2.0, 0.0), (2.4, 2.0, 1e-3), (4.75, 2.0, 1e-3)])
-def test_cli_exponents_prints_the_records(capsys, p, gamma, eps):
+def test_cli_exponents_prints_the_records(tmp_path, capsys, p, gamma, eps):
     # `exponents` prints scattering_pairs and identity_report as they are
-    rc = cli_main(["exponents", "--p", str(p), "--gamma", str(gamma), "--eps", str(eps)])
+    cfg = tmp_path / "model.ini"
+    cfg.write_text(MODEL.format(p=p, gamma=gamma))
+    rc = cli_main(["exponents", "--config", str(cfg), "--eps", str(eps)])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     params = ModelParams(p, gamma)
@@ -584,48 +613,49 @@ def test_cli_exponents_prints_the_records(capsys, p, gamma, eps):
     assert payload["identities"] == identity_report(params, eps)
 
 
-@pytest.mark.parametrize("argv, msg", [
-    pytest.param(["exponents", "--p", "3", "--gamma", "3.5"], "gamma in (0,3) required",
+@pytest.mark.parametrize("cmd, text, extra, msg", [
+    pytest.param("exponents", MODEL.format(p=3, gamma=3.5), [], "gamma in (0,3) required",
                  id="exponents-gamma"),
-    pytest.param(["exponents", "--p", "2", "--gamma", "2"], "not intercritical",
+    pytest.param("exponents", MODEL.format(p=2, gamma=2), [],
+                 "p = 2.0, gamma = 2.0 outside (5+gamma)/3 < p < 3+gamma: not intercritical",
                  id="exponents-mass-critical"),
-    pytest.param(["ground-state", "--p", "3", "--gamma", "3.5"], "gamma in (0,3) required",
+    pytest.param("ground-state", MODEL.format(p=3, gamma=3.5), [], "gamma in (0,3) required",
                  id="ground-state-gamma"),
-    pytest.param(["ground-state", "--p", "2", "--gamma", "2"], "not intercritical",
+    pytest.param("ground-state", MODEL.format(p=2, gamma=2), [],
+                 "p = 2.0, gamma = 2.0 outside (5+gamma)/3 < p < 3+gamma: not intercritical",
                  id="ground-state-mass-critical"),
     # p = (5 + gamma)/3 up to rounding, where s_c rounds to 2.2e-16 > 0: the
     # range test is intercritical's, the one the solve reads
-    pytest.param(["ground-state", "--p", "2.0003380031131868", "--gamma", "1.0010140093395599",
-                  "--n", "511", "--r-max", "20"], "not intercritical",
+    pytest.param("ground-state", MODEL.format(p=2.0003380031131868, gamma=1.0010140093395599)
+                 + "[grid]\nr_max = 20\nn = 511\n", [], "not intercritical",
                  id="ground-state-boundary"),
-    # a bad grid or tolerance, rejected before anything is built, and a failed solve
-    pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--n", "16"], "n=16 too small",
-                 id="ground-state-coarse-grid"),
-    pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--n", "0"], "n >= 1",
-                 id="ground-state-empty-grid"),
-    pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--r-max", "nan"], "finite r_max",
-                 id="ground-state-nan-radius"),
-    pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--tol", "0"], "--tol 0",
-                 id="ground-state-zero-tol"),
-    pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--tol", "1e-20"],
-                 "ground state: no convergence", id="ground-state-unmet-tol"),
+    # a bad grid, rejected at parse, and a failed solve
+    pytest.param("ground-state", MODEL.format(p=3, gamma=2) + "[grid]\nn = 16\n", [],
+                 "n=16 too small", id="ground-state-coarse-grid"),
+    pytest.param("ground-state", MODEL.format(p=3, gamma=2) + "[grid]\nn = 0\n", [],
+                 "n >= 1", id="ground-state-empty-grid"),
+    pytest.param("ground-state", MODEL.format(p=3, gamma=2) + "[grid]\nr_max = nan\n", [],
+                 "key 'r_max' expects a finite number", id="ground-state-nan-radius"),
     # the solve converges on the ball r <= 2, but Q there has not decayed
-    pytest.param(["ground-state", "--p", "3", "--gamma", "2", "--r-max", "2"],
-                 "ground state: Q has not decayed", id="ground-state-small-domain"),
+    pytest.param("ground-state", MODEL.format(p=3, gamma=2) + "[grid]\nr_max = 2\nn = 3071\n",
+                 [], "ground state: Q has not decayed", id="ground-state-small-domain"),
     # a solve that converges on a grid too coarse for it fails certification
-    pytest.param(["ground-state", "--p", "3.5", "--gamma", "1", "--r-max", "30", "--n", "1023"],
+    pytest.param("ground-state", MODEL.format(p=3.5, gamma=1)
+                 + "[grid]\nr_max = 30\nn = 1023\n", [],
                  "ground state: Pohozaev defects too large", id="ground-state-uncertified"),
     # an eps too large for the scattering pairs at (p, gamma)
-    pytest.param(["exponents", "--p", "2.05", "--gamma", "1.1", "--eps", "0.05"],
-                 "--eps 0.05 at --p 2.05 --gamma 1.1: theta", id="exponents-large-eps"),
+    pytest.param("exponents", MODEL.format(p=2.05, gamma=1.1), ["--eps", "0.05"],
+                 "--eps 0.05 at p = 2.05, gamma = 1.1: theta", id="exponents-large-eps"),
     # an eps outside [0, 1/10), rejected by the pairs that read it
-    pytest.param(["exponents", "--p", "3", "--gamma", "2", "--eps", "0.2"],
-                 "--eps 0.2 at --p 3 --gamma 2: epsilon in [0, 1/10) required",
+    pytest.param("exponents", MODEL.format(p=3, gamma=2), ["--eps", "0.2"],
+                 "--eps 0.2 at p = 3, gamma = 2: epsilon in [0, 1/10) required",
                  id="exponents-eps-out-of-range"),
 ])
-def test_cli_bad_model_is_one_line(tmp_path, capsys, argv, msg):
+def test_cli_bad_model_is_one_line(tmp_path, capsys, cmd, text, extra, msg):
+    cfg = tmp_path / "model.ini"
+    cfg.write_text(text)
     with pytest.raises(SystemExit) as exc:
-        cli_main(["--output-dir", str(tmp_path / "out"), *argv])
+        cli_main(["--output-dir", str(tmp_path / "out"), cmd, "--config", str(cfg), *extra])
     # a string code exits with status 1 and prints the string alone
     assert isinstance(exc.value.code, str)
     assert msg in exc.value.code and "\n" not in exc.value.code
@@ -635,9 +665,11 @@ def test_cli_bad_model_is_one_line(tmp_path, capsys, argv, msg):
 
 def test_cli_ground_state_takes_no_eps(tmp_path, capsys):
     # the solve never reads eps: only `exponents` takes --eps
+    cfg = tmp_path / "model.ini"
+    cfg.write_text(MODEL.format(p=3, gamma=2))
     with pytest.raises(SystemExit) as exc:
-        cli_main(["--output-dir", str(tmp_path / "out"), "ground-state", "--p", "3",
-                  "--gamma", "2", "--eps", "0.01"])
+        cli_main(["--output-dir", str(tmp_path / "out"), "ground-state", "--config", str(cfg),
+                  "--eps", "0.01"])
     assert exc.value.code == 2  # argparse's usage error
     assert "unrecognized arguments: --eps 0.01" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -645,9 +677,9 @@ def test_cli_ground_state_takes_no_eps(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, usage", [
     ([], "[-h] [--output-dir OUTPUT_DIR] {exponents,kato,ground-state,evolve,sweep} ..."),
-    (["exponents"], "exponents [-h] --p P --gamma GAMMA [--eps EPS]"),
+    (["exponents"], "exponents [-h] --config CONFIG [--eps EPS]"),
     (["kato"], "kato [-h] --config CONFIG"),
-    (["ground-state"], "ground-state [-h] --p P --gamma GAMMA [--tol TOL] [--r-max R_MAX] [--n N]"),
+    (["ground-state"], "ground-state [-h] --config CONFIG"),
     (["evolve"], "evolve [-h] --config CONFIG [--tag TAG]"),
     (["sweep"], "sweep [-h] --config CONFIG --axis {c,p,gamma,R,dt,n} --values VALUES"),
 ])
@@ -662,13 +694,30 @@ def test_cli_usage_pinned(capsys, monkeypatch, argv, usage):
 
 def test_cli_ground_state_fine_grid(tmp_path, capsys):
     # dr = 2e-3 certifies: the residual is read off the sine coefficients
+    cfg = tmp_path / "fine.ini"
+    cfg.write_text(MODEL.format(p=3, gamma=2) + "[grid]\nr_max = 32\nn = 16383\n")
     out = tmp_path / "out"
-    rc = cli_main(["--output-dir", str(out), "ground-state", "--p", "3", "--gamma", "2",
-                   "--n", "16383"])
+    rc = cli_main(["--output-dir", str(out), "ground-state", "--config", str(cfg)])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0 and payload["residual"] <= 1e-9
     assert payload["threshold_functions"]["pass"]
     assert (out / "ground_state.csv").exists()
+
+
+def test_cli_ground_state_is_the_runs(tmp_path, capsys):
+    # ground-state solves Q for the scenario's model on its grid, as the run
+    # does: its thresholds are the run's, bit for bit
+    cfg = tmp_path / "scatter.ini"
+    cfg.write_text(SCATTER)
+    assert cli_main(["--output-dir", str(tmp_path / "gs"), "ground-state",
+                     "--config", str(cfg)]) == 0
+    printed = json.loads(capsys.readouterr().out)["thresholds"]
+    summary = run_scenario(parse_scenario(SCATTER), out_dir=str(tmp_path / "run"))
+    run = {k: v for k, v in summary["thresholds"].items()
+           if k not in ("sup_track", "track_initial")}
+    assert printed and set(printed) == set(run)
+    for name, value in run.items():
+        assert printed[name] == value and type(printed[name]) is float, name
 
 
 def test_cli_kato(tmp_path, capsys):
@@ -728,6 +777,9 @@ DT_ON = MINIMAL + "[evolve]\ndt = on\n"
                  "unknown key 'amplitdue' in [potential]", id="kato-unknown-key"),
     pytest.param("kato", [], MINIMAL + "[potential]\nkind = table\n",
                  "table kind needs radii and values", id="kato-table-without-values"),
+    pytest.param("evolve", [], MINIMAL + "[diagnostics]\nrequests =\n",
+                 "requests must list one or more of conservation, morawetz, monitor, thresholds",
+                 id="evolve-empty-requests"),
 ])
 def test_cli_config_error_is_one_line(tmp_path, capsys, cmd, extra, text, msg):
     bad = tmp_path / "bad.ini"
@@ -745,6 +797,8 @@ def test_cli_config_error_is_one_line(tmp_path, capsys, cmd, extra, text, msg):
     ("evolve", []),
     ("sweep", ["--axis", "c", "--values", "0.5"]),
     ("kato", []),
+    ("ground-state", []),
+    ("exponents", []),
 ])
 def test_cli_missing_config_is_one_line(tmp_path, capsys, cmd, extra):
     with pytest.raises(SystemExit) as exc:
@@ -798,6 +852,24 @@ def test_cli_sweep_rejects_fractional_n(tmp_path):
     with pytest.raises(SystemExit, match="383.5"):
         cli_main(["--output-dir", str(tmp_path / "sw"), "sweep", "--config", str(cfg),
                   "--axis", "n", "--values", "383.5"])
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("axis, values, msg", [
+    pytest.param("c", "0.3,0.5", "--axis c --values 0.3,0.5: axis c sets initial_c, which "
+                 "this scenario does not read", id="axis-not-read"),
+    pytest.param("dt", "1e-3,0.001", "--axis dt --values 1e-3,0.001: sweep values "
+                 "[0.001, 0.001] share output tags", id="colliding-tags"),
+])
+def test_cli_sweep_rejects_before_any_run(tmp_path, capsys, axis, values, msg):
+    cfg = tmp_path / "minimal.ini"
+    cfg.write_text(MINIMAL)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--output-dir", str(tmp_path / "sw"), "sweep", "--config", str(cfg),
+                  "--axis", axis, "--values", values])
+    assert isinstance(exc.value.code, str)
+    assert exc.value.code.startswith(msg) and "\n" not in exc.value.code
+    assert capsys.readouterr().err == ""
     assert not (tmp_path / "sw").exists()
 
 
