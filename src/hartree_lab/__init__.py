@@ -7,9 +7,7 @@ __version__ = "0.1.0"
 from .exponents import ModelParams, critical_exponent, ab_exponents
 from .grid import RadialGrid, RadialField, FieldState
 from .riesz import RieszKernel, build_kernel
-from .potentials import (PotentialSpec, zero_potential, gaussian_potential,
-                         softpower_potential, table_potential, audit_hypotheses,
-                         energy)
+from .potentials import PotentialSpec, audit_hypotheses, energy
 from .groundstate import GroundStateResult, solve_ground_state, pohozaev_check
 from .evolve import EvolveConfig, Trajectory, evolve
 from .morawetz import (MorawetzWeight, build_weight, quadratic_weight,

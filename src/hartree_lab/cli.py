@@ -43,7 +43,7 @@ def cmd_exponents(args):
 
 
 def cmd_ground_state(args):
-    # the run's Q: the scenario's model and grid, at the solve's default tol
+    # the run's Q: the scenario's model and grid, certified as a run certifies it
     s = args.scenario
     grid = s.grid
     gs = solve_ground_state(_intercritical(s), grid, build_kernel(s.gamma, grid))

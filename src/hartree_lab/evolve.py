@@ -51,6 +51,8 @@ BOUNDARY_WARNING = "boundary amplitude exceeds 1e-6 of max|u| with sponge off"
 
 @dataclass
 class EvolveConfig:
+    """t_end is a whole number of steps of dt (to 1e-9 relative): a run stops at t_end."""
+
     dt: float = 1e-3
     t_end: float = 5.0
     sample_every: int = 50
@@ -61,8 +63,11 @@ class EvolveConfig:
     chi_radii: tuple = ()             # P(chi_R u) radii for Morawetz averages
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_end < 0:
-            raise ValueError("dt > 0 and t_end >= 0 required")
+        if not (0 < self.dt < np.inf and 0 <= self.t_end < np.inf):
+            raise ValueError("finite dt > 0 and t_end >= 0 required")
+        steps = self.t_end / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"t_end = {self.t_end:g} is not a multiple of dt = {self.dt:g}")
         if self.sample_every < 1:
             raise ValueError("sample_every >= 1")
 

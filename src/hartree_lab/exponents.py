@@ -67,27 +67,27 @@ def ab_exponents(params: ModelParams):
     return A, B, sigma_c
 
 
-def is_l2_admissible(q, r, tol: float = IDENTITY_TOL) -> bool:
-    """2/q + 3/r = 3/2 with q >= 2, 2 <= r <= 6 (ranges up to tol)."""
+def is_l2_admissible(q, r) -> bool:
+    """2/q + 3/r = 3/2 with q >= 2, 2 <= r <= 6 (each up to IDENTITY_TOL)."""
     if q <= 0 or r <= 0:
         return False
-    if not (q >= 2 - tol and 2 - tol <= r <= 6 + tol):
+    if not (q >= 2 - IDENTITY_TOL and 2 - IDENTITY_TOL <= r <= 6 + IDENTITY_TOL):
         return False
     lhs = (0 if (isinstance(q, float) and math.isinf(q)) else 2 / q) + 3 / r
-    return abs(lhs - _half(lhs)) <= tol
+    return abs(lhs - _half(lhs)) <= IDENTITY_TOL
 
 
-def is_hs_admissible(q, r, s, tol: float = IDENTITY_TOL) -> bool:
-    """2/q + 3/r = 3/2 - s with q > 2/(1-s), 6/(3-2s) <= r < 6."""
+def is_hs_admissible(q, r, s) -> bool:
+    """2/q + 3/r = 3/2 - s (up to IDENTITY_TOL) with q > 2/(1-s), 6/(3-2s) <= r < 6."""
     if q <= 0 or r <= 0 or not (0 < s < 1):
         return False
     lhs = (0 if math.isinf(q) else 2 / q) + 3 / r
-    if abs(lhs - (1.5 - s)) > tol:
+    if abs(lhs - (1.5 - s)) > IDENTITY_TOL:
         return False
     return q > 2 / (1 - s) and 6 / (3 - 2 * s) <= r < 6
 
 
-def scattering_pairs(params: ModelParams, eps=1e-3) -> dict:
+def scattering_pairs(params: ModelParams, eps) -> dict:
     """All exponents used by the small-data/scattering machinery, by name:
     the record `hartree-lab exponents` prints under ``exponents``.
 
@@ -130,12 +130,16 @@ def scattering_pairs(params: ModelParams, eps=1e-3) -> dict:
     }
 
 
-def distant_past_pairs(params: ModelParams, eps=1e-3):
+def distant_past_pairs(params: ModelParams, eps):
     """(theta, k, l, p_bar) for the distant-past interpolation.
 
     For p >= (gamma+4)/2 the choice theta = 2/r_bar gives l = 2, k = inf;
     below that threshold theta sits just above (gamma+4-2p)/(p-1) so that
     p_bar > 2, still respecting l = r_bar*theta in [2, 6].
+
+    Raises ValueError when theta leaves (0, 1) or the p_bar denominator
+    2+gamma-3*theta*(p-1) is not positive; l in [2, 6], p_bar > 2 and the
+    L2-admissibility of (k, l) hold by construction for eps in [0, 1/10).
     """
     _check_eps(eps)
     p, g = params.p, params.gamma
@@ -151,8 +155,6 @@ def distant_past_pairs(params: ModelParams, eps=1e-3):
     if not (0 < theta < 1):
         failures.append(f"theta = {theta} outside (0,1)")
     l = r_bar * theta
-    if not (2 - IDENTITY_TOL <= l <= 6):
-        failures.append(f"l = r_bar*theta = {l} outside [2,6]")
     k = _INF if abs(l - 2) <= IDENTITY_TOL else 4 * l / (3 * l - 6)
     denom = 2 + g - 3 * theta * (p - 1)
     if denom <= 0:
@@ -160,16 +162,12 @@ def distant_past_pairs(params: ModelParams, eps=1e-3):
         p_bar = _INF
     else:
         p_bar = 4 * (1 - theta) * (p - 1) / denom
-        if not p_bar > 2:
-            failures.append(f"p_bar = {p_bar} <= 2")
-    if not is_l2_admissible(k, l):
-        failures.append(f"(k, l) = ({k}, {l}) not L2-admissible")
     if failures:
         raise ValueError("; ".join(failures))
     return theta, k, l, p_bar
 
 
-def identity_report(params: ModelParams, eps=1e-3) -> dict:
+def identity_report(params: ModelParams, eps) -> dict:
     """Pass/fail of every algebraic identity at these parameters."""
     es = scattering_pairs(params, eps)
     s_c, A, B, sigma_c = es["s_c"], es["A"], es["B"], es["sigma_c"]

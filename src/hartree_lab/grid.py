@@ -18,7 +18,6 @@ of the sine coefficients of r*u by one real FFT
 caller asks for it.
 """
 
-import io
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -58,10 +57,6 @@ class RadialGrid:
             val.setflags(write=False)
             object.__setattr__(self, name, val)
         object.__setattr__(self, "dr", dr)
-
-    def field_from(self, fn):
-        """Sample a callable of radius into a RadialField."""
-        return RadialField(self, np.asarray(fn(self.nodes), dtype=complex))
 
 
 @dataclass
@@ -249,40 +244,28 @@ class FieldState:
 # ---------------------------------------------------------------------------
 # field serialization: CSV with columns r, re(u), im(u)
 
-def save_field_csv(f: RadialField, path_or_buf):
-    buf = io.StringIO()
-    buf.write(f"hartree-lab-field,{FIELD_FORMAT_VERSION},{float(f.grid.r_max)!r},{f.grid.n}\n")
-    buf.write("r,re_u,im_u\n")
-    for r, u in zip(f.grid.nodes, f.values):
-        buf.write(f"{float(r)!r},{float(u.real)!r},{float(u.imag)!r}\n")
-    data = buf.getvalue()
-    if hasattr(path_or_buf, "write"):
-        path_or_buf.write(data)
-    else:
-        with open(path_or_buf, "w") as fh:
-            fh.write(data)
+def save_field_csv(f: RadialField, path):
+    with open(path, "w") as fh:
+        fh.write(f"hartree-lab-field,{FIELD_FORMAT_VERSION},{float(f.grid.r_max)!r},{f.grid.n}\n")
+        fh.write("r,re_u,im_u\n")
+        for r, u in zip(f.grid.nodes, f.values):
+            fh.write(f"{float(r)!r},{float(u.real)!r},{float(u.imag)!r}\n")
 
 
-def load_field_csv(path_or_buf, grid: RadialGrid | None = None) -> RadialField:
-    if hasattr(path_or_buf, "read"):
-        lines = path_or_buf.read().splitlines()
-    else:
-        with open(path_or_buf) as fh:
-            lines = fh.read().splitlines()
+def load_field_csv(path, grid: RadialGrid) -> RadialField:
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     if not lines:
         raise ValueError("empty field file")
     tag, ver, r_max, n = lines[0].split(",")
     if tag != "hartree-lab-field" or int(ver) != FIELD_FORMAT_VERSION:
         raise ValueError("unrecognized field file format")
-    r_max, n = float(r_max), int(n)
-    if grid is None:
-        grid = RadialGrid(r_max, n)
-    elif grid.n != n or grid.r_max != r_max:
+    if (grid.r_max, grid.n) != (float(r_max), int(n)):
         raise ValueError("field file grid does not match requested grid")
-    if len(lines) < n + 2:
-        raise ValueError(f"field file has {len(lines) - 2} rows, its header says {n}")
-    vals = np.empty(n, dtype=complex)
-    for i, line in enumerate(lines[2 : 2 + n]):
+    if len(lines) < grid.n + 2:
+        raise ValueError(f"field file has {len(lines) - 2} rows, its header says {grid.n}")
+    vals = np.empty(grid.n, dtype=complex)
+    for i, line in enumerate(lines[2 : 2 + grid.n]):
         _, re, im = line.split(",")
         vals[i] = float(re) + 1j * float(im)
         if not np.isfinite(vals[i]):

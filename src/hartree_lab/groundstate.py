@@ -10,8 +10,8 @@ the last step, q <- q + f - (df.f/df.df)(dq + df).  The stop rule max|f| <
 1e-14 max|T(q)| reads the unmixed step, which unlike the mixed one is not
 small by chance.  The seed is exp(-r^2).
 
-Every result is certified where it is solved: the residual against the
-caller's tol, then ``certify`` (decay at r_max, positivity and radial
+Every result is certified where it is solved: the residual against
+``RESIDUAL_TOL``, then ``certify`` (decay at r_max, positivity and radial
 monotonicity up to a round-off floor, Pohozaev).
 The residual, mass, |grad Q|^2 and P come from one FieldState of q, as a
 diagnostics sample's come from one of its coefficients.
@@ -29,6 +29,9 @@ from .riesz import RieszKernel
 POSITIVITY_FLOOR = 1e-12   # relative to max(Q): the true tail is below round-off
 MAX_ITER = 2000
 BOUNDARY_TOL = 1e-8        # certify: |Q(r_n)| relative to max|Q|
+RESIDUAL_TOL = 1e-9        # solve: the elliptic residual, relative to max|Q|
+POHOZAEV_TOL = 1e-6        # certify: each relative Pohozaev defect
+THRESHOLD_TOL = 1e-6       # threshold_functions: g(x0), f(1) and f against g
 
 
 def _dst(x):  # orthonormal DST-I of a real x, its own inverse
@@ -64,7 +67,7 @@ class GroundStateResult:
     def certify(self):
         """Raise GroundStateError if an invariant fails.  The two sharp-constant
         forms differ by the factor (P/((2p/B)|grad Q|^2))^(B/2), B < 12, so
-        Pohozaev's P_vs_grad check at 1e-6 also bounds their disagreement."""
+        Pohozaev's P_vs_grad check at POHOZAEV_TOL also bounds their disagreement."""
         q = self.Q.values.real
         mx = float(np.max(np.abs(q)))
         if abs(q[-1]) > BOUNDARY_TOL * mx:
@@ -94,8 +97,8 @@ def elliptic_residual(st: FieldState) -> float:
     return float(np.max(np.abs(res)) / np.max(np.abs(Q)))
 
 
-def solve_ground_state(params: ModelParams, grid: RadialGrid, kern: RieszKernel,
-                       tol: float = 1e-9) -> GroundStateResult:
+def solve_ground_state(params: ModelParams, grid: RadialGrid,
+                       kern: RieszKernel) -> GroundStateResult:
     ab_exponents(params)  # raises "not intercritical" off the range, where Q does not exist
     if kern.gamma != params.gamma:
         raise ValueError("kernel gamma does not match params")
@@ -124,9 +127,9 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid, kern: RieszKernel,
             break
     st = FieldState.from_coeffs(grid, q, kern, p)
     res = elliptic_residual(st)
-    if res > tol:
+    if res > RESIDUAL_TOL:
         raise GroundStateError(
-            f"no convergence after {it} iterations: residual {res} > {tol}")
+            f"no convergence after {it} iterations: residual {res} > {RESIDUAL_TOL}")
     gsq, P = st.grad_sq, st.P
     gs = GroundStateResult(Q=RadialField(grid, Q), residual=res, iterations=it, mass=st.mass,
                            grad_norm_sq=gsq, P=P, E0=0.5 * gsq - P / (2 * p), params=params)
@@ -134,8 +137,8 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid, kern: RieszKernel,
     return gs
 
 
-def pohozaev_check(gs: GroundStateResult, tol: float = 1e-6) -> dict:
-    """Relative defects of the three Pohozaev identities; pass iff <= tol."""
+def pohozaev_check(gs: GroundStateResult) -> dict:
+    """Relative defects of the three Pohozaev identities; pass iff <= POHOZAEV_TOL."""
     A, B, _ = ab_exponents(gs.params)
     d1 = abs(gs.E0 - (B - 2) / (2 * B) * gs.grad_norm_sq) / abs(gs.E0)
     d2 = abs(gs.E0 - (B - 2) / (2 * A) * gs.mass) / abs(gs.E0)
@@ -144,7 +147,7 @@ def pohozaev_check(gs: GroundStateResult, tol: float = 1e-6) -> dict:
         "E0_vs_grad": d1,
         "E0_vs_mass": d2,
         "P_vs_grad": d3,
-        "pass": bool(max(d1, d2, d3) <= tol),
+        "pass": bool(max(d1, d2, d3) <= POHOZAEV_TOL),
     }
 
 
@@ -177,12 +180,13 @@ def threshold_f(y, B: float):
     return (B * y**2 - 2 * y**B) / (B - 2)
 
 
-def threshold_functions(gs: GroundStateResult, tol: float = 1e-6) -> dict:
+def threshold_functions(gs: GroundStateResult) -> dict:
     """Checks on g(x) = x^2/2 - (C/2p) x^B and f = ``threshold_f``.
 
     Verifies the critical point x0 = |Q|^sigma |grad Q|, g(x0) equal to
-    M(Q)^sigma E0(Q) within tol, f(1) = 1, monotonicity of f on (0,1) and
-    f(y) = g(x0 y)/g(x0) there within tol, each f read off ``threshold_f``.
+    M(Q)^sigma E0(Q), f(1) = 1, monotonicity of f on (0,1) and f(y) =
+    g(x0 y)/g(x0) there, each within THRESHOLD_TOL and each f read off
+    ``threshold_f``.
     """
     p = gs.params.p
     A, B, sigma_c = ab_exponents(gs.params)
@@ -210,6 +214,6 @@ def threshold_functions(gs: GroundStateResult, tol: float = 1e-6) -> dict:
         "f_at_1": f_at_1,
         "f_increasing_on_01": f_increasing,
         "f_g_defect": f_g_defect,
-        "pass": bool(g_defect <= tol and gprime_small and f_increasing
-                     and abs(f_at_1 - 1) <= tol and f_g_defect <= tol),
+        "pass": bool(g_defect <= THRESHOLD_TOL and gprime_small and f_increasing
+                     and abs(f_at_1 - 1) <= THRESHOLD_TOL and f_g_defect <= THRESHOLD_TOL),
     }

@@ -102,22 +102,6 @@ class PotentialSpec:
         return out if out.shape else float(out)
 
 
-def zero_potential():
-    return PotentialSpec("zero")
-
-
-def gaussian_potential(amplitude, width=1.0):
-    return PotentialSpec("gaussian", amplitude=amplitude, width=width)
-
-
-def softpower_potential(amplitude, power, core):
-    return PotentialSpec("softpower", amplitude=amplitude, power=power, core=core)
-
-
-def table_potential(radii, values):
-    return PotentialSpec("table", radii=radii, values=values)
-
-
 # ---------------------------------------------------------------------------
 # Kato norm: sup_x int |V(y)| / |x-y| dy.  For radial V, Newton's theorem gives
 # the inner integral at |x| = rho as

@@ -51,7 +51,7 @@ import numpy as np
 from .evolve import (BOUNDARY_WARNING, EvolveConfig, column_labels, conservation_report,
                      evolve)
 from .exponents import ModelParams, ab_exponents
-from .grid import RadialGrid, l2_norm_sq, load_field_csv, save_field_csv
+from .grid import RadialField, RadialGrid, l2_norm_sq, load_field_csv, save_field_csv
 from .groundstate import solve_ground_state
 from .morawetz import coercivity_check, morawetz_average, scattering_monitor
 from .potentials import PotentialSpec, audit_hypotheses
@@ -148,8 +148,8 @@ class Scenario:
             grid = self.grid
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if round(self.t_end / self.dt) == 0:  # evolve would sample t = 0 alone
-            raise ConfigError(f"t_end = {self.t_end:g} runs no step of dt = {self.dt:g}")
+        if self.t_end == 0:  # evolve would sample t = 0 alone
+            raise ConfigError("t_end = 0 runs no step")
         req = self.requests
         # Q exists, and B of ab_exponents is defined, only on the intercritical range
         if (self.needs_ground_state or "morawetz" in req) and not self.model.intercritical:
@@ -188,8 +188,8 @@ class Scenario:
                      else f"initial data file {self.initial_path}")
             try:  # built once, here: bad data fails before anything else is,
                 # and the run starts from the data that was checked
-                u0 = (grid.field_from(lambda r: self.initial_amplitude
-                                      * np.exp(-((r / self.initial_width) ** 2) / 2))
+                u0 = (RadialField(grid, self.initial_amplitude
+                                  * np.exp(-((grid.nodes / self.initial_width) ** 2) / 2))
                       if self.initial_kind == "gaussian"
                       else load_field_csv(self.initial_path, grid))
                 object.__setattr__(self, "_u0", _checked_mass(u0))
@@ -220,9 +220,9 @@ class Scenario:
 
     @property
     def potential(self):
-        return PotentialSpec(self.potential_kind, self.potential_amplitude,
-                             self.potential_width, self.potential_power,
-                             self.potential_core)
+        return PotentialSpec(self.potential_kind, amplitude=self.potential_amplitude,
+                             width=self.potential_width, power=self.potential_power,
+                             core=self.potential_core)
 
     @property
     def evolve_config(self):

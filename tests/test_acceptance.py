@@ -16,16 +16,15 @@ from hartree_lab.evolve import EvolveConfig, conservation_report, evolve
 from hartree_lab.exponents import (ModelParams, ab_exponents, critical_exponent,
                                    is_l2_admissible, scattering_pairs)
 from hartree_lab.grid import FieldState, RadialField, RadialGrid, l2_norm_sq
-from hartree_lab.groundstate import (pohozaev_check, sharp_constant_defect,
+from hartree_lab.groundstate import (POHOZAEV_TOL, RESIDUAL_TOL, THRESHOLD_TOL,
+                                     pohozaev_check, sharp_constant_defect,
                                      solve_ground_state, threshold_functions)
 from hartree_lab.morawetz import coercivity_check, morawetz_zpp, quadratic_weight
-from hartree_lab.potentials import (audit_hypotheses, gaussian_potential,
-                                    softpower_potential, table_potential,
-                                    zero_potential)
+from hartree_lab.potentials import PotentialSpec, audit_hypotheses
 from hartree_lab.riesz import build_kernel
 from oracles import mc_riesz_potential, newton_ball_potential, random_smooth_field
 
-V_GAUSS = gaussian_potential(0.2, 2.0)
+V_GAUSS = PotentialSpec("gaussian", amplitude=0.2, width=2.0)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +37,7 @@ def scatter_runs(gs32_desk, kern2_desk, params32):
     """Criterion 7/8 trajectories: c in {0.3, 0.5, 0.8} x V in {0, gaussian}."""
     runs = {}
     for c in (0.3, 0.5, 0.8):
-        for vname, V in (("V0", zero_potential()), ("Vg", V_GAUSS)):
+        for vname, V in (("V0", PotentialSpec("zero")), ("Vg", V_GAUSS)):
             cfg = EvolveConfig(dt=1e-3, t_end=30.0, sample_every=200,
                                sponge=True,
                                ball_radii=(10.0,), store_fields=True)
@@ -134,9 +133,10 @@ def test_acceptance_3_ground_state_certification(cert_grid, p, gamma):
     t0 = time.time()
     params = ModelParams(p, gamma)
     kern = build_kernel(gamma, cert_grid)
-    gs = solve_ground_state(params, cert_grid, kern, tol=1e-9)
+    assert (RESIDUAL_TOL, POHOZAEV_TOL) == (1e-9, 1e-6)  # the tolerances of this criterion
+    gs = solve_ground_state(params, cert_grid, kern)
     assert gs.residual <= 1e-9
-    rep = pohozaev_check(gs, tol=1e-6)
+    rep = pohozaev_check(gs)
     assert rep["pass"], rep
     cdef = sharp_constant_defect(gs)
     assert cdef <= 1e-6
@@ -227,14 +227,14 @@ def test_acceptance_6_soliton_controls(grid_desk, kern2_desk):
     Q = gs.Q.values.real
     cfg = EvolveConfig(dt=4e-4, t_end=5.0, sample_every=2500,
                        ball_radii=(10.0,), store_fields=True)
-    traj = evolve(gs.Q, zero_potential(), kern2_desk, params, cfg)
+    traj = evolve(gs.Q, PotentialSpec("zero"), kern2_desk, params, cfg)
     drift = max(np.max(np.abs(np.abs(f.values) - Q)) for f in traj.fields) / Q.max()
     assert drift <= 1e-5
 
     # quadratic-weight virial of the soliton vanishes
     qw = quadratic_weight(grid_desk)
     zpp = morawetz_zpp(FieldState(gs.Q, kern2_desk, params.p), qw,
-                       qw.weighted[1] * zero_potential().dV(grid_desk.nodes))
+                       qw.weighted[1] * PotentialSpec("zero").dV(grid_desk.nodes))
     scale = 8 * gs.grad_norm_sq
     assert abs(zpp) <= 1e-5 * scale
 
@@ -296,7 +296,8 @@ def test_acceptance_8_corollary_chain(scatter_runs, gs32_desk, params32,
     # threshold-function identities on the certification grid
     kern = build_kernel(params32.gamma, cert_grid)
     gs = solve_ground_state(params32, cert_grid, kern)
-    rep = threshold_functions(gs, tol=1e-6)
+    assert THRESHOLD_TOL == 1e-6  # the tolerance of this criterion
+    rep = threshold_functions(gs)
     assert rep["f_at_1"] == 1.0
     assert rep["g_x0_defect"] <= 1e-6
     assert rep["pass"]
@@ -311,26 +312,27 @@ def test_acceptance_9_kato_audits():
     t0 = time.time()
     # aligned grid so the sharp ball sits on a cell boundary
     grid = RadialGrid(40.0, 2059)
-    ball = table_potential(grid.nodes, (grid.nodes <= 1.0).astype(float))
+    ball = PotentialSpec("table", radii=grid.nodes, values=(grid.nodes <= 1.0).astype(float))
     kn = audit_hypotheses(ball, grid)["kato_norm"]
     assert abs(kn - 2 * np.pi) <= 1e-3
 
     passing = {"gaussian(0.2, 2)": V_GAUSS,
-               "softpower(0.5, 3, 1)": softpower_potential(0.5, 3.0, 1.0)}
+               "softpower(0.5, 3, 1)": PotentialSpec("softpower", amplitude=0.5, power=3.0,
+                                                     core=1.0)}
     for name, V in passing.items():
         audit = audit_hypotheses(V, grid)
         assert audit["theorem_hypotheses_pass"], name
         assert audit["checks"]["negative_part_below_4pi"], name
 
     reasons = {}
-    attract = gaussian_potential(-1.0, 1.0)
+    attract = PotentialSpec("gaussian", amplitude=-1.0, width=1.0)
     a1 = audit_hypotheses(attract, grid)
     assert not a1["theorem_hypotheses_pass"]
     reasons["attractive gaussian"] = [k for k, v in a1["checks"].items() if not v]
     assert "nonneg" in reasons["attractive gaussian"]
     assert "x_grad_V_nonpositive" in reasons["attractive gaussian"]
 
-    deep = gaussian_potential(-2.5, 1.0)   # |V_-| Kato norm = 5*pi > 4*pi
+    deep = PotentialSpec("gaussian", amplitude=-2.5, width=1.0)   # |V_-| Kato norm = 5*pi > 4*pi
     a2 = audit_hypotheses(deep, grid)
     assert not a2["checks"]["negative_part_below_4pi"]
     reasons["deep well"] = [k for k, v in a2["checks"].items() if not v]
@@ -338,7 +340,7 @@ def test_acceptance_9_kato_audits():
 
     # V = 0.5/(1+r^2) is neither in L^{3/2} nor in the Kato class, however
     # finite its sums on the grid
-    slow = audit_hypotheses(softpower_potential(0.5, 2.0, 1.0), grid)
+    slow = audit_hypotheses(PotentialSpec("softpower", amplitude=0.5, power=2.0, core=1.0), grid)
     assert not slow["theorem_hypotheses_pass"]
     reasons["softpower(0.5, 2, 1)"] = [k for k, v in slow["checks"].items() if not v]
     assert "decays" in reasons["softpower(0.5, 2, 1)"]

@@ -8,7 +8,7 @@ from hartree_lab.grid import (FieldState, RadialField, dst_coeffs, from_dst_coef
                               mass_in_ball)
 from hartree_lab.morawetz import (build_weight, cutoff_field, morawetz_z, morawetz_zpp,
                                   quadratic_weight)
-from hartree_lab.potentials import energy, gaussian_potential, zero_potential
+from hartree_lab.potentials import PotentialSpec, energy
 from hartree_lab.riesz import build_kernel
 from oracles import free_gaussian
 
@@ -16,9 +16,9 @@ from oracles import free_gaussian
 def test_linear_mode_free_gaussian(grid_desk, kern2_desk, params32):
     # at amplitude a the nonlinear term is a^(2p-2) = 1e-16 of the linear one
     a = 1e-4
-    u0 = grid_desk.field_from(lambda r: a * np.exp(-r**2 / 2))
+    u0 = RadialField(grid_desk, a * np.exp(-grid_desk.nodes**2 / 2))
     cfg = EvolveConfig(dt=1e-3, t_end=1.0, sample_every=1000, ball_radii=())
-    traj = evolve(u0, zero_potential(), kern2_desk, params32, cfg)
+    traj = evolve(u0, PotentialSpec("zero"), kern2_desk, params32, cfg)
     exact = a * free_gaussian(grid_desk.nodes, 1.0)
     err = np.sqrt(np.sum(grid_desk.weights
                          * np.abs(traj.final.values - exact) ** 2))
@@ -30,14 +30,14 @@ def test_linear_mode_free_gaussian(grid_desk, kern2_desk, params32):
 def test_single_step_mass_exact(gs32_mid, kern2_mid, params32):
     u0 = gs32_mid.Q
     st = Stepper(u0.grid, kern2_mid, params32.p, 1e-3)
-    c1, _ = st.step_values(dst_coeffs(u0), 1e-3, zero_potential()(u0.grid.nodes))
+    c1, _ = st.step_values(dst_coeffs(u0), 1e-3, PotentialSpec("zero")(u0.grid.nodes))
     u1 = from_dst_coeffs(u0.grid, c1)
     assert abs(l2_norm_sq(u1) - l2_norm_sq(u0)) <= 1e-12 * l2_norm_sq(u0)
 
 
 def test_time_reversal(gs32_mid, kern2_mid, params32):
     u0 = 0.7 * gs32_mid.Q
-    Vr = gaussian_potential(0.3, 1.5)(u0.grid.nodes)
+    Vr = PotentialSpec("gaussian", amplitude=0.3, width=1.5)(u0.grid.nodes)
     c1, _ = Stepper(u0.grid, kern2_mid, params32.p, 1e-3).step_values(dst_coeffs(u0), 1e-3, Vr)
     c2, _ = Stepper(u0.grid, kern2_mid, params32.p, -1e-3).step_values(c1, -1e-3, Vr)
     u2 = from_dst_coeffs(u0.grid, c2).values
@@ -48,7 +48,7 @@ def test_gauge_covariance(gs32_mid, kern2_mid, params32):
     u0 = 0.6 * gs32_mid.Q
     phase = np.exp(1j * 0.9)
     st = Stepper(u0.grid, kern2_mid, params32.p, 1e-3)
-    V0 = zero_potential()(u0.grid.nodes)
+    V0 = PotentialSpec("zero")(u0.grid.nodes)
     a = from_dst_coeffs(u0.grid, st.step_values(dst_coeffs(phase * u0), 1e-3, V0)[0]).values
     b = phase * from_dst_coeffs(u0.grid, st.step_values(dst_coeffs(u0), 1e-3, V0)[0]).values
     assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
@@ -59,7 +59,7 @@ def test_step_of_weight_zero_is_the_free_flow(gs32_mid, kern2_mid, params32):
     # half-steps, E^2 c = exp(-i k^2 dt) c
     grid = gs32_mid.Q.grid
     c = dst_coeffs(0.7 * gs32_mid.Q)
-    Vr = gaussian_potential(0.3, 1.5)(grid.nodes)
+    Vr = PotentialSpec("gaussian", amplitude=0.3, width=1.5)(grid.nodes)
     c1, absorbed = Stepper(grid, kern2_mid, params32.p, 1e-2).step_values(c, 0.0, Vr)
     free = np.exp(-1j * grid.wavenumbers**2 * 1e-2) * c
     assert absorbed == 0.0
@@ -82,7 +82,7 @@ def test_matches_physical_space_strang(gs32_mid, kern2_mid, params32):
     # reference: k steps L(dt/2) P(dt) L(dt/2), each substep on the grid
     grid = gs32_mid.Q.grid
     u0 = 0.8 * gs32_mid.Q
-    V = gaussian_potential(0.2, 2.0)
+    V = PotentialSpec("gaussian", amplitude=0.2, width=2.0)
     dt, k, p = 1e-3, 300, params32.p
     r = grid.nodes
     half = np.exp(-0.5j * grid.wavenumbers**2 * dt)
@@ -107,13 +107,14 @@ def test_matches_physical_space_strang(gs32_mid, kern2_mid, params32):
 def test_sampling_leaves_state_alone(gs32_mid, kern2_mid, params32, sponge_on):
     # 300 steps: cadences 7 and 200 leave a partial last interval; a
     # packet of width 12 meets the sponge beyond r = 25 from the first step
-    u0 = (gs32_mid.Q.grid.field_from(lambda r: 0.3 * np.exp(-r**2 / 288)) if sponge_on
-          else 0.8 * gs32_mid.Q)
+    grid = gs32_mid.Q.grid
+    u0 = RadialField(grid, 0.3 * np.exp(-grid.nodes**2 / 288)) if sponge_on else 0.8 * gs32_mid.Q
     finals, exported = [], []
     for every in (1, 7, 200):
         cfg = EvolveConfig(dt=1e-3, t_end=0.3, sample_every=every, sponge=sponge_on,
                            ball_radii=())
-        traj = evolve(u0, gaussian_potential(0.2, 2.0), kern2_mid, params32, cfg)
+        traj = evolve(u0, PotentialSpec("gaussian", amplitude=0.2, width=2.0), kern2_mid,
+                      params32, cfg)
         finals.append(traj.final.values)
         exported.append(traj.diagnostics["exported_mass"][-1])
     assert (exported[0] > 1e-3) == sponge_on
@@ -125,11 +126,25 @@ def test_sampling_leaves_state_alone(gs32_mid, kern2_mid, params32, sponge_on):
 
 def test_zero_t_end_single_sample(gs32_mid, kern2_mid, params32):
     cfg = EvolveConfig(dt=1e-3, t_end=0.0, sample_every=10)
-    traj = evolve(gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
+    traj = evolve(gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32, cfg)
     assert traj.diagnostics["t"].tolist() == [0.0]
     # one sample cannot drift
     with pytest.raises(ValueError, match="need at least two samples"):
         conservation_report(traj)
+
+
+def test_t_end_is_whole_steps():
+    # a run stops at t_end: 0.105 and 0.115 are 10.5 and 11.5 steps of 0.01,
+    # which rounding would turn into 10 and 12
+    for t_end in (0.105, 0.115):
+        with pytest.raises(ValueError, match=f"t_end = {t_end:g} is not a multiple of dt = 0.01"):
+            EvolveConfig(dt=0.01, t_end=t_end)
+    # 0.3/0.1 = 2.9999999999999996 is 3 steps up to round-off
+    assert EvolveConfig(dt=0.1, t_end=0.3).t_end == 0.3
+    # t_end/dt = 0 is whole for dt = inf, which would run no step
+    for dt in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite dt > 0"):
+            EvolveConfig(dt=dt, t_end=1.0)
 
 
 def test_sample_matches_one_shot_wrappers(grid_mid, kern2_mid, params32):
@@ -140,7 +155,7 @@ def test_sample_matches_one_shot_wrappers(grid_mid, kern2_mid, params32):
     rng = np.random.default_rng(21)
     noise = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
     chirp = np.exp(-grid.nodes**2 / 8 + 0.7j * grid.nodes**2)
-    V = gaussian_potential(0.3, 1.5)
+    V = PotentialSpec("gaussian", amplitude=0.3, width=1.5)
     u0 = RadialField(grid, chirp * (1 + 0.3 * noise))
 
     def close(got, want):
@@ -157,7 +172,7 @@ def test_sample_matches_one_shot_wrappers(grid_mid, kern2_mid, params32):
         close(d["zp"], morawetz_z(st, wgt)[1])
         close(d["zpp"], morawetz_zpp(st, wgt, wgt.weighted[1] * V.dV(grid.nodes)))
 
-    es = scattering_pairs(params32)
+    es = scattering_pairs(params32, 1e-3)
     M, P = l2_norm_sq(u), st.P
     close(d["M"], M)
     close(d["P"], P)
@@ -185,8 +200,8 @@ def test_transform_budget(grid_small, params32, monkeypatch, weight_R, per_sampl
     # truncated weight, one rfft for (h, h'): each sample evaluates the
     # field once, whatever the chi_R and ball radii
     kern = build_kernel(2.0, grid_small)
-    u0 = grid_small.field_from(lambda r: 0.5 * np.exp(-r**2 / 2))
-    V = gaussian_potential(0.3, 1.5)
+    u0 = RadialField(grid_small, 0.5 * np.exp(-grid_small.nodes**2 / 2))
+    V = PotentialSpec("gaussian", amplitude=0.3, width=1.5)
     calls = []
     for name in ("dst", "rfft"):
         fn = getattr(sfft, name)
@@ -211,8 +226,8 @@ def test_threshold_track_without_scattering_pairs(grid_mid, kern2_mid):
     params = ModelParams(2.35, 2.0)
     with pytest.raises(ValueError):
         scattering_pairs(params, 0.05)
-    u0 = grid_mid.field_from(lambda r: np.exp(-r**2 / 2))
-    traj = evolve(u0, zero_potential(), kern2_mid, params,
+    u0 = RadialField(grid_mid, np.exp(-grid_mid.nodes**2 / 2))
+    traj = evolve(u0, PotentialSpec("zero"), kern2_mid, params,
                   EvolveConfig(t_end=0.0, store_fields=True))
     d, u = traj.diagnostics, traj.fields[0]
     want = FieldState(u, kern2_mid, params.p).P * l2_norm_sq(u) ** ab_exponents(params)[2]
@@ -221,7 +236,7 @@ def test_threshold_track_without_scattering_pairs(grid_mid, kern2_mid):
 
 def test_conservation_window(gs32_mid, kern2_mid, params32):
     cfg = EvolveConfig(dt=1e-3, t_end=0.5, sample_every=100)
-    traj = evolve(0.8 * gs32_mid.Q, gaussian_potential(0.2, 2.0),
+    traj = evolve(0.8 * gs32_mid.Q, PotentialSpec("gaussian", amplitude=0.2, width=2.0),
                   kern2_mid, params32, cfg)
     rep = conservation_report(traj)
     assert rep["mass_drift"] <= 1e-11
@@ -230,7 +245,7 @@ def test_conservation_window(gs32_mid, kern2_mid, params32):
 
 
 def test_dt_refinement_second_order(gs32_mid, kern2_mid, params32):
-    V = gaussian_potential(0.2, 2.0)
+    V = PotentialSpec("gaussian", amplitude=0.2, width=2.0)
     drifts = []
     for dt in (2e-3, 1e-3):
         cfg = EvolveConfig(dt=dt, t_end=0.5, sample_every=int(0.05 / dt))
@@ -244,7 +259,7 @@ def test_soliton_short_horizon(gs32_mid, kern2_mid, params32):
     # modulus stationarity is checkable only on a short window
     Q = gs32_mid.Q.values.real
     cfg = EvolveConfig(dt=2e-4, t_end=0.25, sample_every=250)
-    traj = evolve(gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
+    traj = evolve(gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32, cfg)
     drift = np.max(np.abs(np.abs(traj.final.values) - Q)) / Q.max()
     assert drift < 1e-5
     # modulus stationarity makes P(u(t)) constant
@@ -254,7 +269,7 @@ def test_soliton_short_horizon(gs32_mid, kern2_mid, params32):
 
 def test_h1_bounded_below_threshold(gs32_mid, kern2_mid, params32):
     cfg = EvolveConfig(dt=1e-3, t_end=1.0, sample_every=100)
-    traj = evolve(0.5 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
+    traj = evolve(0.5 * gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32, cfg)
     d = traj.diagnostics
     h1 = d["M"] + d["grad_sq"]
     assert np.max(h1) < 2.0 * h1[0]
@@ -263,7 +278,7 @@ def test_h1_bounded_below_threshold(gs32_mid, kern2_mid, params32):
 def test_sponge_mass_budget(gs32_mid, kern2_mid, params32):
     cfg = EvolveConfig(dt=1e-3, t_end=2.0, sample_every=200, sponge=True,
                        ball_radii=(10.0,))
-    traj = evolve(0.3 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
+    traj = evolve(0.3 * gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32, cfg)
     d = traj.diagnostics
     budget = d["M"] + d["exported_mass"]
     assert np.max(np.abs(budget - budget[0])) <= 1e-10 * budget[0]
@@ -279,30 +294,30 @@ def test_rejects_non_finite_initial_data(grid_small, params32, monkeypatch):
     cfg = EvolveConfig(dt=1e-2, t_end=1.0, sample_every=10)
     monkeypatch.setattr(Stepper, "step_values", lambda *a: pytest.fail("a step ran"))
     with pytest.raises(ValueError, match="non-finite mass"):
-        evolve(RadialField(grid_small, vals), zero_potential(), kern, params32, cfg)
+        evolve(RadialField(grid_small, vals), PotentialSpec("zero"), kern, params32, cfg)
 
 
 def test_rejects_kernel_of_another_gamma(grid_small, params32):
-    u0 = grid_small.field_from(lambda r: np.exp(-r**2))
+    u0 = RadialField(grid_small, np.exp(-grid_small.nodes**2))
     cfg = EvolveConfig(dt=1e-2, t_end=0.1, sample_every=10)
     with pytest.raises(ValueError, match="kernel gamma does not match params"):
-        evolve(u0, zero_potential(), build_kernel(1.5, grid_small), params32, cfg)
+        evolve(u0, PotentialSpec("zero"), build_kernel(1.5, grid_small), params32, cfg)
 
 
 def test_rejects_kernel_of_another_grid(grid_small, kern2_mid, params32, monkeypatch):
     # the kernel's grid is checked on the t = 0 sample, before any step
-    u0 = grid_small.field_from(lambda r: np.exp(-r**2))
+    u0 = RadialField(grid_small, np.exp(-grid_small.nodes**2))
     cfg = EvolveConfig(dt=1e-2, t_end=0.1, sample_every=10)
     monkeypatch.setattr(Stepper, "step_values", lambda *a: pytest.fail("a step ran"))
     with pytest.raises(ValueError, match="grid mismatch"):
-        evolve(u0, zero_potential(), kern2_mid, params32, cfg)
+        evolve(u0, PotentialSpec("zero"), kern2_mid, params32, cfg)
 
 
 def test_boundary_warning(grid_small, params32):
     kern = build_kernel(2.0, grid_small)
     # fast-dispersing packet hits the wall with the sponge off
-    u0 = grid_small.field_from(lambda r: np.exp(-((r - 18) / 2) ** 2))
+    u0 = RadialField(grid_small, np.exp(-((grid_small.nodes - 18) / 2) ** 2))
     cfg = EvolveConfig(dt=1e-3, t_end=1.0, sample_every=500)
     with pytest.warns(UserWarning):
-        traj = evolve(u0, zero_potential(), kern, params32, cfg)
+        traj = evolve(u0, PotentialSpec("zero"), kern, params32, cfg)
     assert traj.boundary_warning

@@ -161,7 +161,7 @@ def test_large_eps_reports_constraint():
 
 
 def test_identity_report_all_pass():
-    rep = identity_report(ModelParams(2.7, 1.3))
+    rep = identity_report(ModelParams(2.7, 1.3), 1e-3)
     assert all(v["pass"] for v in rep.values())
 
 
@@ -188,5 +188,5 @@ def test_off_range_is_one_message():
     assert "not intercritical" in str(ref.value)
     for fn in (scattering_pairs, distant_past_pairs, identity_report):
         with pytest.raises(ValueError) as err:
-            fn(params)
+            fn(params, 1e-3)
         assert str(err.value) == str(ref.value), fn.__name__

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -13,7 +11,7 @@ from oracles import (quad_1d, random_smooth_field, sine_series_reference,
 
 
 def gaussian_field(grid, a=0.5):
-    return grid.field_from(lambda r: np.exp(-a * r**2))
+    return RadialField(grid, np.exp(-a * grid.nodes**2))
 
 
 def joined(rows):
@@ -51,7 +49,7 @@ def test_l2_sharp_ball():
 
 def test_grad_norm_gaussian():
     g = RadialGrid(12.0, 2047)
-    f = g.field_from(lambda r: np.exp(-r**2 / 2))
+    f = RadialField(g, np.exp(-g.nodes**2 / 2))
     exact = 1.5 * np.pi**1.5  # int |grad e^{-r^2/2}|^2 = int r^2 e^{-r^2}
     assert FieldState(f).grad_sq == pytest.approx(exact, rel=1e-12)
     assert FieldState(RadialField(g, np.zeros(g.n))).grad_sq == 0.0
@@ -61,8 +59,8 @@ def test_grad_scaling_law():
     # f_lam(r) = f(lam r) has |grad f_lam|^2 = lam^{-1} |grad f|^2
     g = RadialGrid(30.0, 1023)
     lam = 1.7
-    f = g.field_from(lambda r: np.exp(-r**2 / 2))
-    flam = g.field_from(lambda r: np.exp(-(lam * r) ** 2 / 2))
+    f = RadialField(g, np.exp(-g.nodes**2 / 2))
+    flam = RadialField(g, np.exp(-(lam * g.nodes) ** 2 / 2))
     assert FieldState(flam).grad_sq == pytest.approx(
         FieldState(f).grad_sq / lam, rel=1e-10)
 
@@ -72,7 +70,7 @@ def test_mass_in_ball():
     f = gaussian_field(g)
     assert mass_in_ball(f, g.r_max) == pytest.approx(l2_norm_sq(f), rel=1e-14)
     # support beyond R contributes nothing
-    shell = g.field_from(lambda r: np.exp(-((r - 10) / 0.5) ** 2))
+    shell = RadialField(g, np.exp(-((g.nodes - 10) / 0.5) ** 2))
     assert mass_in_ball(shell, 5.0) <= 1e-20
     # monotone in R
     vals = [mass_in_ball(f, R) for R in (1.0, 2.0, 5.0, 10.0)]
@@ -160,14 +158,14 @@ def test_fused_value_and_derivative():
 def test_laplacian_eigenfunction():
     g = RadialGrid(10.0, 255)
     k = 3 * np.pi / g.r_max
-    f = g.field_from(lambda r: np.sin(k * r) / r)
+    f = RadialField(g, np.sin(k * g.nodes) / g.nodes)
     lap = coeff_laplacian(g, dst_coeffs(f).real)
     assert np.max(np.abs(lap + k**2 * f.values)) < 1e-10
 
 
 def test_spectral_derivative():
     g = RadialGrid(12.0, 511)
-    f = g.field_from(lambda r: np.exp(-r**2 / 2))
+    f = RadialField(g, np.exp(-g.nodes**2 / 2))
     exact = -g.nodes * np.exp(-g.nodes**2 / 2)
     assert np.max(np.abs(joined(FieldState(f).du_rows) - exact)) < 1e-11
 
@@ -208,17 +206,12 @@ def test_radial_sobolev_lp_tail_audit():
 
 def test_field_csv_roundtrip(tmp_path):
     g = RadialGrid(15.0, 255)
-    f = g.field_from(lambda r: np.exp(-r**2) * (1 + 0.5j))
+    f = RadialField(g, np.exp(-g.nodes**2) * (1 + 0.5j))
     path = tmp_path / "field.csv"
-    save_field_csv(f, str(path))
-    f2 = load_field_csv(str(path))
-    assert f2.grid.n == g.n and f2.grid.r_max == g.r_max
-    assert np.array_equal(f2.values, f.values)  # repr round-trip is exact
-    buf = io.StringIO()
-    save_field_csv(f, buf)
-    buf.seek(0)
-    f3 = load_field_csv(buf, grid=g)
-    assert np.array_equal(f3.values, f.values)
+    save_field_csv(f, path)
+    assert np.array_equal(load_field_csv(path, g).values, f.values)  # repr round-trip is exact
+    with pytest.raises(ValueError, match="does not match"):
+        load_field_csv(path, RadialGrid(16.0, 255))
 
 
 def test_field_validation():

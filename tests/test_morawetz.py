@@ -8,7 +8,7 @@ from hartree_lab.morawetz import (build_weight, coercivity_check, morawetz_avera
                                   morawetz_z, morawetz_zpp, nonlocal_pair_term,
                                   quadratic_weight, radial_cutoff, radial_cutoff_derivative,
                                   scattering_monitor)
-from hartree_lab.potentials import gaussian_potential, zero_potential
+from hartree_lab.potentials import PotentialSpec
 from hartree_lab.riesz import build_kernel
 from oracles import quad_1d
 
@@ -103,8 +103,8 @@ def test_z_scaling_law(grid_mid):
     # u_lam(r) = u(lam r): z[u_lam] = lam^-5 z[u] for the quadratic weight
     w = quadratic_weight(grid_mid)
     lam = 1.4
-    u = grid_mid.field_from(lambda r: np.exp(-r**2 / 2))
-    ul = grid_mid.field_from(lambda r: np.exp(-(lam * r) ** 2 / 2))
+    u = RadialField(grid_mid, np.exp(-grid_mid.nodes**2 / 2))
+    ul = RadialField(grid_mid, np.exp(-(lam * grid_mid.nodes) ** 2 / 2))
     z1, _ = morawetz_z(FieldState(u), w)
     z2, _ = morawetz_z(FieldState(ul), w)
     assert z2 == pytest.approx(z1 / lam**5, rel=1e-10)
@@ -116,9 +116,9 @@ def test_zpp_quadratic_reduction_gaussian(params32):
     # agreement needs the sharp grid
     grid = RadialGrid(32.0, 3071)
     kern = build_kernel(2.0, grid)
-    u = grid.field_from(lambda r: np.exp(-r**2 / 2))
+    u = RadialField(grid, np.exp(-grid.nodes**2 / 2))
     w = quadratic_weight(grid)
-    zpp = zpp_of(u, w, zero_potential(), kern, params32)
+    zpp = zpp_of(u, w, PotentialSpec("zero"), kern, params32)
     _, B, _ = ab_exponents(params32)
     gsq = quad_1d(lambda s: 4 * np.pi * s**2 * (s * np.exp(-s**2 / 2)) ** 2, 0, 40)
     # P via the same two-sided quadrature oracle used in test_potentials
@@ -138,7 +138,7 @@ def test_zpp_quadratic_reduction_gaussian(params32):
 def test_zpp_soliton_virial_nullity(gs32_desk, kern2_desk, params32):
     grid = kern2_desk.grid
     w = quadratic_weight(grid)
-    zpp = zpp_of(gs32_desk.Q, w, zero_potential(), kern2_desk, params32)
+    zpp = zpp_of(gs32_desk.Q, w, PotentialSpec("zero"), kern2_desk, params32)
     scale = 8 * gs32_desk.grad_norm_sq
     assert abs(zpp) <= 1e-5 * scale
 
@@ -159,7 +159,7 @@ def test_quadratic_term_a_by_parseval(gs32_desk, kern2_desk, params32):
         dre, dim = st.du_rows
         term_c = 8.0 * float(np.sum(grid.weights * np.abs(dre + 1j * dim) ** 2))
         term_d = -(4.0 * (3.0 - gamma) / p) * st.P
-        zpp = zpp_of(u, w, zero_potential(), kern2_desk, params32)
+        zpp = zpp_of(u, w, PotentialSpec("zero"), kern2_desk, params32)
         assert abs(zpp - (term_a + term_c + term_d)) <= 1e-12 * abs(term_a)
 
 
@@ -184,7 +184,7 @@ def test_pair_term_truncated_newton_oracle(grid_mid, R, rel):
 
     kern = build_kernel(2.0, grid_mid)
     w = build_weight(R, grid_mid)
-    st = FieldState(grid_mid.field_from(lambda r: np.exp(-r**2 / 2)), kern, 2.0)
+    st = FieldState(RadialField(grid_mid, np.exp(-grid_mid.nodes**2 / 2)), kern, 2.0)
     S = nonlocal_pair_term(st, w)
     x0, x1 = R / 2 - w.band, R / 2 + w.band
 
@@ -212,16 +212,16 @@ def test_zpp_potential_term_sign(gs32_mid, kern2_mid, params32):
     # V >= 0 with x.grad V <= 0 makes the potential term nonnegative
     grid = gs32_mid.Q.grid
     w = quadratic_weight(grid)
-    V = gaussian_potential(0.4, 2.0)
+    V = PotentialSpec("gaussian", amplitude=0.4, width=2.0)
     zpp_v = zpp_of(gs32_mid.Q, w, V, kern2_mid, params32)
-    zpp_0 = zpp_of(gs32_mid.Q, w, zero_potential(), kern2_mid, params32)
+    zpp_0 = zpp_of(gs32_mid.Q, w, PotentialSpec("zero"), kern2_mid, params32)
     assert zpp_v - zpp_0 >= 0.0
 
 
 def test_identity_chain_orders(gs32_mid, kern2_mid, params32):
     # d/dt z = z' and d/dt z' = z'' at second order in the sampling step,
     # for both weights (smoke-scale version of the acceptance criterion)
-    V = gaussian_potential(0.2, 2.0)
+    V = PotentialSpec("gaussian", amplitude=0.2, width=2.0)
 
     def defects(dt):
         # one run per weight: the trajectory does not depend on the weight
@@ -272,7 +272,7 @@ def test_morawetz_average_zero_field(grid_small, params32):
 def test_scattering_monitor_decay_and_control(gs32_mid, kern2_mid, params32):
     grid = gs32_mid.Q.grid
     cfg = EvolveConfig(dt=1e-3, t_end=6.0, sample_every=300, sponge=True, ball_radii=(10.0,))
-    traj = evolve(0.3 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
+    traj = evolve(0.3 * gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32, cfg)
     mon = scattering_monitor(traj.diagnostics, 10.0, 0.5)
     assert mon["final_mass_in_ball"] < 0.5 * mon["initial_mass_in_ball"]
     assert mon["rate_bound_pass"]
@@ -283,10 +283,10 @@ def test_scattering_monitor_rate_on_two_samples(grid_small, params32):
     # sample included, and it is the flux 2 Im int eta_R' u_r conj(u) of
     # the stored field, with no difference quotient between samples
     kern = build_kernel(2.0, grid_small)
-    u0 = grid_small.field_from(lambda r: 0.5 * np.exp(-r**2 / 2))
+    u0 = RadialField(grid_small, 0.5 * np.exp(-grid_small.nodes**2 / 2))
     cfg = EvolveConfig(dt=1e-3, t_end=0.2, sample_every=200, ball_radii=(10.0,),
                        store_fields=True)
-    traj = evolve(u0, zero_potential(), kern, params32, cfg)
+    traj = evolve(u0, PotentialSpec("zero"), kern, params32, cfg)
     d = traj.diagnostics
     assert len(d["t"]) == 2
     etap = radial_cutoff_derivative(grid_small, 10.0)
@@ -326,10 +326,11 @@ def test_morawetz_average_trend(gs32_mid, kern2_mid, params32):
     # T = R^3 (noisy constants; trend only)
     grid = gs32_mid.Q.grid
     Rs = (2.5, 3.5)
-    cfg = EvolveConfig(dt=2e-3, t_end=float(Rs[-1] ** 3), sample_every=100,
+    # 21,438 steps, past T = 3.5^3 = 42.875, which is no whole number of steps
+    cfg = EvolveConfig(dt=2e-3, t_end=42.876, sample_every=100,
                        sponge=True, chi_radii=Rs,
                        ball_radii=())
-    traj = evolve(0.5 * gs32_mid.Q, zero_potential(), kern2_mid, params32, cfg)
+    traj = evolve(0.5 * gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32, cfg)
     avgs = [morawetz_average(traj.diagnostics, params32, R, R**3)["average"]
             for R in Rs]
     assert avgs[1] < avgs[0]
@@ -339,7 +340,7 @@ def test_zpp_potential_term_pointwise_sign(gs32_mid, params32):
     # for V >= 0 with x.grad V <= 0 the integrand of -2 int V'(r) a'(r) |u|^2
     # is nonnegative at every node, for both weights
     grid = gs32_mid.Q.grid
-    V = gaussian_potential(0.4, 2.0)
+    V = PotentialSpec("gaussian", amplitude=0.4, width=2.0)
     usq = np.abs(gs32_mid.Q.values) ** 2
     for w in (quadratic_weight(grid), build_weight(10.0, grid)):
         integrand = -2.0 * grid.weights * V.dV(grid.nodes) * w.ap * usq
@@ -359,7 +360,7 @@ def test_localized_mass_derivative_identity(gs32_desk, kern2_desk, params32):
 
     def defect(dt):
         cfg = EvolveConfig(dt=dt, t_end=0.5, sample_every=1, ball_radii=(R,), store_fields=True)
-        traj = evolve(0.8 * gs32_desk.Q, zero_potential(), kern2_desk, params32, cfg)
+        traj = evolve(0.8 * gs32_desk.Q, PotentialSpec("zero"), kern2_desk, params32, cfg)
         t = traj.diagnostics["t"]
         flux = traj.diagnostics[f"eta_flux_{R:g}"]
         em = np.array([np.sum(grid.weights * eta * np.abs(f.values) ** 2) for f in traj.fields])

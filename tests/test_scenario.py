@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -12,7 +11,7 @@ from hartree_lab import scenario as scn
 from hartree_lab.cli import main as cli_main
 from hartree_lab.evolve import BOUNDARY_WARNING
 from hartree_lab.exponents import ModelParams, ab_exponents, identity_report, scattering_pairs
-from hartree_lab.grid import RadialGrid, load_field_csv, save_field_csv
+from hartree_lab.grid import RadialField, RadialGrid, load_field_csv, save_field_csv
 from hartree_lab.scenario import (ConfigError, Scenario, parse_document,
                                   parse_scenario, run_scenario, sweep)
 
@@ -70,17 +69,13 @@ def field_files(tmp_path):
     """A good field file on the MINIMAL grid, two bad copies of it, an
     all-zero file and a finite file whose mass overflows."""
     grid = RadialGrid(24.0, 383)
-    buf, zero, huge = io.StringIO(), io.StringIO(), io.StringIO()
-    save_field_csv(grid.field_from(lambda r: np.exp(-r**2)), buf)
-    save_field_csv(grid.field_from(np.zeros_like), zero)
-    save_field_csv(grid.field_from(lambda r: 1e200 * np.exp(-r**2)), huge)
-    rows = buf.getvalue().splitlines(keepends=True)
-    files = {"good": rows, "nan": rows[:11] + ["1.0,nan,0.0\n"] + rows[12:],
-             "short": rows[:-1], "zero": zero.getvalue().splitlines(keepends=True),
-             "huge": huge.getvalue().splitlines(keepends=True)}
-    for name, text in files.items():
+    gauss = np.exp(-grid.nodes**2)
+    for name, values in (("good", gauss), ("zero", 0 * gauss), ("huge", 1e200 * gauss)):
+        save_field_csv(RadialField(grid, values), tmp_path / f"{name}.csv")
+    rows = (tmp_path / "good.csv").read_text().splitlines(keepends=True)
+    for name, text in (("nan", rows[:11] + ["1.0,nan,0.0\n"] + rows[12:]), ("short", rows[:-1])):
         (tmp_path / f"{name}.csv").write_text("".join(text))
-    return {name: tmp_path / f"{name}.csv" for name in files}
+    return {name: tmp_path / f"{name}.csv" for name in ("good", "nan", "short", "zero", "huge")}
 
 
 def test_parse_minimal_defaults():
@@ -194,6 +189,9 @@ def test_parse_rejects_bad_choice(key, line, bad):
     pytest.param(MINIMAL + "[evolve]\nt_end = 0.0004\ndt = 1e-3\n"
                  "[diagnostics]\nrequests = morawetz\nmorawetz_R = 10\n", None,
                  id="t_end-under-half-step"),
+    # 10.5 steps of dt: the run would stop at t = 0.1 and its verdicts read 0.105
+    pytest.param(MINIMAL + "[evolve]\nt_end = 0.105\ndt = 0.01\n", None,
+                 id="t_end-not-whole-steps"),
     # radii that print the same under :g would name two columns alike
     pytest.param(MINIMAL + "[diagnostics]\nrequests = morawetz\nmorawetz_R = 10, 10.0000001\n",
                  None, id="morawetz_R-same-label"),
@@ -365,7 +363,7 @@ def test_store_fields_writes_final_without_snapshots(tmp_path, monkeypatch):
     monkeypatch.undo()
     (traj,) = trajs
     assert traj.fields is None
-    saved = load_field_csv(str(tmp_path / "f_final_field.csv"))
+    saved = load_field_csv(tmp_path / "f_final_field.csv", traj.final.grid)
     assert np.array_equal(saved.values, traj.final.values)
 
 
