@@ -45,8 +45,7 @@ def cmd_exponents(args):
 def cmd_ground_state(args):
     # the run's Q: the scenario's model and grid, certified as a run certifies it
     s = args.scenario
-    grid = s.grid
-    gs = solve_ground_state(_intercritical(s), grid, build_kernel(s.gamma, grid))
+    gs = solve_ground_state(_intercritical(s).p, build_kernel(s.gamma, s.grid))
     os.makedirs(args.output_dir, exist_ok=True)
     field_path = os.path.join(args.output_dir, "ground_state.csv")
     save_field_csv(gs.Q, field_path)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import ModelParams, ab_exponents
-from .grid import FieldState, RadialField, RadialGrid, dst1, dst_coeffs, from_dst_coeffs
+from .grid import FieldState, RadialField, dst1, dst_coeffs, from_dst_coeffs
 from .morawetz import (build_weight, morawetz_z, morawetz_zpp, quadratic_weight,
                        radial_cutoff, radial_cutoff_derivative)
 from .potentials import PotentialSpec, energy
@@ -92,11 +92,11 @@ class Trajectory:
 
 
 class Stepper:
-    """The half-step propagator E = exp(-i k^2 dt/2) and sponge rows of one grid and dt."""
+    """The half-step propagator E = exp(-i k^2 dt/2) and sponge rows of the
+    kernel's grid and one dt."""
 
-    def __init__(self, grid: RadialGrid, kern: RieszKernel, p: float, dt: float,
-                 sponge: bool = False):
-        self.grid = grid
+    def __init__(self, kern: RieszKernel, p: float, dt: float, sponge: bool = False):
+        self.grid = grid = kern.grid
         self.kern = kern
         self.p = p
         self.phase_lin_half = np.exp(-0.5j * grid.wavenumbers**2 * dt)
@@ -128,13 +128,13 @@ class Stepper:
         return self.phase_lin_half * dst1(v), absorbed
 
 
-def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
-           params: ModelParams, cfg: EvolveConfig) -> Trajectory:
-    """Run the splitting integrator, sampling diagnostics every sample_every steps."""
-    if kern.gamma != params.gamma:
-        raise ValueError("kernel gamma does not match params")
+def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel, p: float,
+           cfg: EvolveConfig) -> Trajectory:
+    """Run the splitting integrator at (p, kern.gamma), sampling diagnostics
+    every sample_every steps."""
+    params = ModelParams(p, kern.gamma)
     grid = u0.grid
-    stepper = Stepper(grid, kern, params.p, cfg.dt, sponge=cfg.sponge)
+    stepper = Stepper(kern, p, cfg.dt, sponge=cfg.sponge)
     Vr = np.asarray(V(grid.nodes), float)
     sigma_c = ab_exponents(params)[2] if params.intercritical else None
 
@@ -145,7 +145,7 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
     w_dV_ap = weight.weighted[1] * V.dV(grid.nodes)
     w_ball = [np.where(grid.nodes <= R, w, 0.0) for R in cfg.ball_radii]
     w_flux = [2.0 * w * radial_cutoff_derivative(grid, R) for R in cfg.ball_radii]
-    chi_p = [radial_cutoff(grid, R) ** params.p for R in cfg.chi_radii]
+    chi_p = [radial_cutoff(grid, R) ** p for R in cfg.chi_radii]
 
     n_steps = int(round(cfg.t_end / cfg.dt))
     labels = column_labels(cfg)
@@ -157,7 +157,7 @@ def evolve(u0: RadialField, V: PotentialSpec, kern: RieszKernel,
 
     def sample(j, tcur):
         """Fill column j from one state; False when its mass is not finite."""
-        st = FieldState.from_coeffs(grid, c, kern, params.p, chi_p)
+        st = FieldState.from_coeffs(grid, c, kern, p, chi_p)
         M = st.mass
         E, E0, lam = energy(st, wV)
         table[:, j] = (

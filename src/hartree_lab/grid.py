@@ -262,11 +262,14 @@ def load_field_csv(path, grid: RadialGrid) -> RadialField:
         raise ValueError("unrecognized field file format")
     if (grid.r_max, grid.n) != (float(r_max), int(n)):
         raise ValueError("field file grid does not match requested grid")
-    if len(lines) < grid.n + 2:
+    if len(lines) != grid.n + 2:
         raise ValueError(f"field file has {len(lines) - 2} rows, its header says {grid.n}")
     vals = np.empty(grid.n, dtype=complex)
-    for i, line in enumerate(lines[2 : 2 + grid.n]):
-        _, re, im = line.split(",")
+    for i, line in enumerate(lines[2:]):
+        r, re, im = line.split(",")
+        node = float(grid.nodes[i])
+        if float(r) != node:  # written as repr of the node: exact
+            raise ValueError(f"r = {r} on line {i + 3} is not the grid node {node!r}")
         vals[i] = float(re) + 1j * float(im)
         if not np.isfinite(vals[i]):
             raise ValueError(f"non-finite field value on line {i + 3}")

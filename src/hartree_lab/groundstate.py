@@ -51,7 +51,8 @@ class GroundStateResult:
     grad_norm_sq: float        # spectral
     P: float
     E0: float
-    params: ModelParams
+    params: ModelParams        # (p, kern.gamma)
+    kern: RieszKernel          # the kernel Q was solved with, on Q's grid
     C_op: float = dfield(init=False)
     thresholds: dict = dfield(init=False)
 
@@ -97,12 +98,11 @@ def elliptic_residual(st: FieldState) -> float:
     return float(np.max(np.abs(res)) / np.max(np.abs(Q)))
 
 
-def solve_ground_state(params: ModelParams, grid: RadialGrid,
-                       kern: RieszKernel) -> GroundStateResult:
+def solve_ground_state(p: float, kern: RieszKernel) -> GroundStateResult:
+    """Q at (p, kern.gamma) on the kernel's grid, certified."""
+    params = ModelParams(p, kern.gamma)
     ab_exponents(params)  # raises "not intercritical" off the range, where Q does not exist
-    if kern.gamma != params.gamma:
-        raise ValueError("kernel gamma does not match params")
-    p = params.p
+    grid = kern.grid
     alpha = (2 * p - 1) / (2 * p - 2)
     r, ksq1 = grid.nodes, 1.0 + grid.wavenumbers**2
     Q = np.exp(-r**2)
@@ -132,7 +132,8 @@ def solve_ground_state(params: ModelParams, grid: RadialGrid,
             f"no convergence after {it} iterations: residual {res} > {RESIDUAL_TOL}")
     gsq, P = st.grad_sq, st.P
     gs = GroundStateResult(Q=RadialField(grid, Q), residual=res, iterations=it, mass=st.mass,
-                           grad_norm_sq=gsq, P=P, E0=0.5 * gsq - P / (2 * p), params=params)
+                           grad_norm_sq=gsq, P=P, E0=0.5 * gsq - P / (2 * p), params=params,
+                           kern=kern)
     gs.certify()
     return gs
 

@@ -29,7 +29,6 @@ import numpy as np
 from .exponents import ModelParams, ab_exponents
 from .grid import FieldState, RadialField, RadialGrid
 from .groundstate import GroundStateResult
-from .riesz import RieszKernel
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +181,15 @@ def morawetz_zpp(st: FieldState, weight: MorawetzWeight, w_dV_ap: np.ndarray) ->
 # ---------------------------------------------------------------------------
 # coercivity (localized)
 
-def coercivity_check(u: RadialField, gs: GroundStateResult, R: float,
-                     kern: RieszKernel) -> dict:
-    """Localized coercivity |grad(chi_R u)|^2 - (B/2p) P(chi_R u) >= delta' P(chi_R u).
+def coercivity_check(u: RadialField, gs: GroundStateResult, R: float) -> dict:
+    """Localized coercivity |grad(chi_R u)|^2 - (B/2p) P(chi_R u) >= delta' P(chi_R u),
+    P by Q's kernel ``gs.kern``.
 
     delta comes from the threshold ratio P(u)M(u)^sigma / (P(Q)M(Q)^sigma);
     the report carries the hypothesis state instead of raising.
     """
-    params = gs.params
-    p = params.p
-    A, B, sigma_c = ab_exponents(params)
+    p, kern = gs.params.p, gs.kern
+    A, B, sigma_c = ab_exponents(gs.params)
     st = FieldState(u, kern, p)
     ratio = st.P * st.mass**sigma_c / gs.thresholds["PQ_MQ_sigma"]
     if not ratio < 1.0:  # a NaN ratio measures nothing

@@ -373,15 +373,14 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> dict:
     and return the summary (non-finite floats as they are; the JSON writes
     them as null)."""
     os.makedirs(out_dir, exist_ok=True)
-    grid = s.grid
-    kern = build_kernel(s.gamma, grid)
+    kern = build_kernel(s.gamma, s.grid)
 
-    gs = solve_ground_state(s.model, grid, kern) if s.needs_ground_state else None
+    gs = solve_ground_state(s.p, kern) if s.needs_ground_state else None
 
-    traj = evolve(s.initial_field(gs), s.potential, kern, s.model, s.evolve_config)
+    traj = evolve(s.initial_field(gs), s.potential, kern, s.p, s.evolve_config)
     series = traj.diagnostics
     # the theorem's hypotheses on V: the threshold verdict passes only where they hold
-    hypotheses = audit_hypotheses(s.potential, grid)
+    hypotheses = audit_hypotheses(s.potential, kern.grid)
     applies = hypotheses["theorem_hypotheses_pass"]
 
     verdicts = {}
@@ -416,7 +415,7 @@ def run_scenario(s: Scenario, out_dir="./out", tag="run") -> dict:
             "pass": bool(cond1 and cond2 and cond_sup and track_ok and applies),
         }
         verdicts["coercivity_final"] = {
-            **coercivity_check(traj.final, gs, s.coercivity_R, kern=kern),
+            **coercivity_check(traj.final, gs, s.coercivity_R),
             "theorem_applies": applies}
     if "monitor" in s.requests:
         mon = scattering_monitor(series, s.monitor_R, s.monitor_eps)

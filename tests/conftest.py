@@ -43,10 +43,10 @@ def params32():
 
 
 @pytest.fixture(scope="session")
-def gs32_mid(params32, grid_mid, kern2_mid):
-    return solve_ground_state(params32, grid_mid, kern2_mid)
+def gs32_mid(params32, kern2_mid):
+    return solve_ground_state(params32.p, kern2_mid)
 
 
 @pytest.fixture(scope="session")
-def gs32_desk(params32, grid_desk, kern2_desk):
-    return solve_ground_state(params32, grid_desk, kern2_desk)
+def gs32_desk(params32, kern2_desk):
+    return solve_ground_state(params32.p, kern2_desk)

@@ -42,7 +42,7 @@ def scatter_runs(gs32_desk, kern2_desk, params32):
                                sponge=True,
                                ball_radii=(10.0,), store_fields=True)
             runs[(c, vname)] = evolve(c * gs32_desk.Q, V, kern2_desk,
-                                      params32, cfg)
+                                      params32.p, cfg)
     return runs
 
 
@@ -134,7 +134,7 @@ def test_acceptance_3_ground_state_certification(cert_grid, p, gamma):
     params = ModelParams(p, gamma)
     kern = build_kernel(gamma, cert_grid)
     assert (RESIDUAL_TOL, POHOZAEV_TOL) == (1e-9, 1e-6)  # the tolerances of this criterion
-    gs = solve_ground_state(params, cert_grid, kern)
+    gs = solve_ground_state(p, kern)
     assert gs.residual <= 1e-9
     rep = pohozaev_check(gs)
     assert rep["pass"], rep
@@ -163,7 +163,7 @@ def test_acceptance_4_conservation(gs32_desk, kern2_desk, params32):
     with pytest.warns(UserWarning, match="boundary amplitude"):
         for dt in (1e-3, 5e-4):
             cfg = EvolveConfig(dt=dt, t_end=5.0, sample_every=max(1, int(0.05 / dt)))
-            traj = evolve(0.8 * gs32_desk.Q, V_GAUSS, kern2_desk, params32, cfg)
+            traj = evolve(0.8 * gs32_desk.Q, V_GAUSS, kern2_desk, params32.p, cfg)
             drifts[dt] = conservation_report(traj)
     mass = drifts[1e-3]["mass_drift"]
     ener = drifts[1e-3]["energy_drift"]
@@ -188,7 +188,7 @@ def test_acceptance_5_identity_chain(gs32_desk, kern2_desk, params32):
         for lbl, weight_R in (("quadratic", None), ("truncated_R15", 15.0)):
             cfg = EvolveConfig(dt=dt, t_end=1.2, sample_every=1,
                                weight_R=weight_R, ball_radii=())
-            d = evolve(0.8 * gs32_desk.Q, V_GAUSS, kern2_desk, params32, cfg).diagnostics
+            d = evolve(0.8 * gs32_desk.Q, V_GAUSS, kern2_desk, params32.p, cfg).diagnostics
             t, z, zp, zpp = (d[k] for k in ("t", "z", "zp", "zpp"))
             dz = (z[2:] - z[:-2]) / (t[2:] - t[:-2])
             dzp = (zp[2:] - zp[:-2]) / (t[2:] - t[:-2])
@@ -223,11 +223,11 @@ def test_acceptance_6_soliton_controls(grid_desk, kern2_desk):
     """
     t0 = time.time()
     params = ModelParams(2.4, 2.0)
-    gs = solve_ground_state(params, grid_desk, kern2_desk)
+    gs = solve_ground_state(params.p, kern2_desk)
     Q = gs.Q.values.real
     cfg = EvolveConfig(dt=4e-4, t_end=5.0, sample_every=2500,
                        ball_radii=(10.0,), store_fields=True)
-    traj = evolve(gs.Q, PotentialSpec("zero"), kern2_desk, params, cfg)
+    traj = evolve(gs.Q, PotentialSpec("zero"), kern2_desk, params.p, cfg)
     drift = max(np.max(np.abs(np.abs(f.values) - Q)) for f in traj.fields) / Q.max()
     assert drift <= 1e-5
 
@@ -265,7 +265,7 @@ def test_acceptance_7_threshold_dichotomy(scatter_runs, gs32_desk, kern2_desk,
         assert frac <= 0.20, (c, vname, frac)
         worst_frac = max(worst_frac, frac)
         for f in traj.fields:
-            cc = coercivity_check(f, gs32_desk, 10.0, kern=kern2_desk)
+            cc = coercivity_check(f, gs32_desk, 10.0)
             assert cc["hypothesis_satisfied"], (c, vname)
             assert cc["pass"], (c, vname, cc)
             if worst_cc is None or cc["margin"] < worst_cc:
@@ -295,7 +295,7 @@ def test_acceptance_8_corollary_chain(scatter_runs, gs32_desk, params32,
 
     # threshold-function identities on the certification grid
     kern = build_kernel(params32.gamma, cert_grid)
-    gs = solve_ground_state(params32, cert_grid, kern)
+    gs = solve_ground_state(params32.p, kern)
     assert THRESHOLD_TOL == 1e-6  # the tolerance of this criterion
     rep = threshold_functions(gs)
     assert rep["f_at_1"] == 1.0

@@ -18,7 +18,7 @@ def test_linear_mode_free_gaussian(grid_desk, kern2_desk, params32):
     a = 1e-4
     u0 = RadialField(grid_desk, a * np.exp(-grid_desk.nodes**2 / 2))
     cfg = EvolveConfig(dt=1e-3, t_end=1.0, sample_every=1000, ball_radii=())
-    traj = evolve(u0, PotentialSpec("zero"), kern2_desk, params32, cfg)
+    traj = evolve(u0, PotentialSpec("zero"), kern2_desk, params32.p, cfg)
     exact = a * free_gaussian(grid_desk.nodes, 1.0)
     err = np.sqrt(np.sum(grid_desk.weights
                          * np.abs(traj.final.values - exact) ** 2))
@@ -27,9 +27,16 @@ def test_linear_mode_free_gaussian(grid_desk, kern2_desk, params32):
     assert conservation_report(traj)["mass_drift"] <= 1e-12
 
 
+def test_stepper_runs_on_the_kernels_grid(kern2_mid, params32):
+    st = Stepper(kern2_mid, params32.p, 1e-3)
+    assert st.grid is kern2_mid.grid
+    assert np.array_equal(st.phase_lin_half,
+                          np.exp(-0.5j * kern2_mid.grid.wavenumbers**2 * 1e-3))
+
+
 def test_single_step_mass_exact(gs32_mid, kern2_mid, params32):
     u0 = gs32_mid.Q
-    st = Stepper(u0.grid, kern2_mid, params32.p, 1e-3)
+    st = Stepper(kern2_mid, params32.p, 1e-3)
     c1, _ = st.step_values(dst_coeffs(u0), 1e-3, PotentialSpec("zero")(u0.grid.nodes))
     u1 = from_dst_coeffs(u0.grid, c1)
     assert abs(l2_norm_sq(u1) - l2_norm_sq(u0)) <= 1e-12 * l2_norm_sq(u0)
@@ -38,8 +45,8 @@ def test_single_step_mass_exact(gs32_mid, kern2_mid, params32):
 def test_time_reversal(gs32_mid, kern2_mid, params32):
     u0 = 0.7 * gs32_mid.Q
     Vr = PotentialSpec("gaussian", amplitude=0.3, width=1.5)(u0.grid.nodes)
-    c1, _ = Stepper(u0.grid, kern2_mid, params32.p, 1e-3).step_values(dst_coeffs(u0), 1e-3, Vr)
-    c2, _ = Stepper(u0.grid, kern2_mid, params32.p, -1e-3).step_values(c1, -1e-3, Vr)
+    c1, _ = Stepper(kern2_mid, params32.p, 1e-3).step_values(dst_coeffs(u0), 1e-3, Vr)
+    c2, _ = Stepper(kern2_mid, params32.p, -1e-3).step_values(c1, -1e-3, Vr)
     u2 = from_dst_coeffs(u0.grid, c2).values
     assert np.max(np.abs(u2 - u0.values)) <= 1e-10 * np.max(np.abs(u0.values))
 
@@ -47,7 +54,7 @@ def test_time_reversal(gs32_mid, kern2_mid, params32):
 def test_gauge_covariance(gs32_mid, kern2_mid, params32):
     u0 = 0.6 * gs32_mid.Q
     phase = np.exp(1j * 0.9)
-    st = Stepper(u0.grid, kern2_mid, params32.p, 1e-3)
+    st = Stepper(kern2_mid, params32.p, 1e-3)
     V0 = PotentialSpec("zero")(u0.grid.nodes)
     a = from_dst_coeffs(u0.grid, st.step_values(dst_coeffs(phase * u0), 1e-3, V0)[0]).values
     b = phase * from_dst_coeffs(u0.grid, st.step_values(dst_coeffs(u0), 1e-3, V0)[0]).values
@@ -60,7 +67,7 @@ def test_step_of_weight_zero_is_the_free_flow(gs32_mid, kern2_mid, params32):
     grid = gs32_mid.Q.grid
     c = dst_coeffs(0.7 * gs32_mid.Q)
     Vr = PotentialSpec("gaussian", amplitude=0.3, width=1.5)(grid.nodes)
-    c1, absorbed = Stepper(grid, kern2_mid, params32.p, 1e-2).step_values(c, 0.0, Vr)
+    c1, absorbed = Stepper(kern2_mid, params32.p, 1e-2).step_values(c, 0.0, Vr)
     free = np.exp(-1j * grid.wavenumbers**2 * 1e-2) * c
     assert absorbed == 0.0
     assert np.max(np.abs(c1 - free)) <= 1e-14 * np.max(np.abs(free))
@@ -70,7 +77,7 @@ def test_constant_potential_row_is_a_global_phase(gs32_mid, kern2_mid, params32)
     # a constant row V0 turns the whole step by exp(-i weight V0)
     grid = gs32_mid.Q.grid
     c = dst_coeffs(0.7 * gs32_mid.Q)
-    st = Stepper(grid, kern2_mid, params32.p, 1e-2)
+    st = Stepper(kern2_mid, params32.p, 1e-2)
     weight, V0 = 5e-2, 3.0
     ref, _ = st.step_values(c, weight, np.zeros(grid.n))
     c1, _ = st.step_values(c, weight, np.full(grid.n, V0))
@@ -99,7 +106,7 @@ def test_matches_physical_space_strang(gs32_mid, kern2_mid, params32):
     for _ in range(k):
         ref = lin(phase(lin(ref)))
     cfg = EvolveConfig(dt=dt, t_end=k * dt, sample_every=k, ball_radii=())
-    traj = evolve(u0, V, kern2_mid, params32, cfg)
+    traj = evolve(u0, V, kern2_mid, params32.p, cfg)
     assert np.max(np.abs(traj.final.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -114,7 +121,7 @@ def test_sampling_leaves_state_alone(gs32_mid, kern2_mid, params32, sponge_on):
         cfg = EvolveConfig(dt=1e-3, t_end=0.3, sample_every=every, sponge=sponge_on,
                            ball_radii=())
         traj = evolve(u0, PotentialSpec("gaussian", amplitude=0.2, width=2.0), kern2_mid,
-                      params32, cfg)
+                      params32.p, cfg)
         finals.append(traj.final.values)
         exported.append(traj.diagnostics["exported_mass"][-1])
     assert (exported[0] > 1e-3) == sponge_on
@@ -126,7 +133,7 @@ def test_sampling_leaves_state_alone(gs32_mid, kern2_mid, params32, sponge_on):
 
 def test_zero_t_end_single_sample(gs32_mid, kern2_mid, params32):
     cfg = EvolveConfig(dt=1e-3, t_end=0.0, sample_every=10)
-    traj = evolve(gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32, cfg)
+    traj = evolve(gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32.p, cfg)
     assert traj.diagnostics["t"].tolist() == [0.0]
     # one sample cannot drift
     with pytest.raises(ValueError, match="need at least two samples"):
@@ -165,7 +172,7 @@ def test_sample_matches_one_shot_wrappers(grid_mid, kern2_mid, params32):
     for weight_R, wgt in ((None, quadratic_weight(grid)), (15.0, build_weight(15.0, grid))):
         cfg = EvolveConfig(t_end=0.0, ball_radii=(5.0, 10.0), chi_radii=(6.0, 12.0),
                            weight_R=weight_R, store_fields=True)
-        traj = evolve(u0, V, kern, params32, cfg)
+        traj = evolve(u0, V, kern, params32.p, cfg)
         d, u = traj.diagnostics, traj.fields[0]
         st = FieldState(u, kern, p)
         close(d["z"], morawetz_z(st, wgt)[0])
@@ -211,7 +218,7 @@ def test_transform_budget(grid_small, params32, monkeypatch, weight_R, per_sampl
         cfg = EvolveConfig(dt=1e-3, t_end=n_steps * 1e-3, sample_every=sample_every,
                            weight_R=weight_R, ball_radii=(5.0, 10.0), chi_radii=(6.0, 12.0))
         calls.clear()
-        evolve(u0, V, kern, params32, cfg)
+        evolve(u0, V, kern, params32.p, cfg)
         return len(calls)
 
     # two samples each (t = 0 and the end), 3 steps apart
@@ -227,7 +234,7 @@ def test_threshold_track_without_scattering_pairs(grid_mid, kern2_mid):
     with pytest.raises(ValueError):
         scattering_pairs(params, 0.05)
     u0 = RadialField(grid_mid, np.exp(-grid_mid.nodes**2 / 2))
-    traj = evolve(u0, PotentialSpec("zero"), kern2_mid, params,
+    traj = evolve(u0, PotentialSpec("zero"), kern2_mid, params.p,
                   EvolveConfig(t_end=0.0, store_fields=True))
     d, u = traj.diagnostics, traj.fields[0]
     want = FieldState(u, kern2_mid, params.p).P * l2_norm_sq(u) ** ab_exponents(params)[2]
@@ -237,7 +244,7 @@ def test_threshold_track_without_scattering_pairs(grid_mid, kern2_mid):
 def test_conservation_window(gs32_mid, kern2_mid, params32):
     cfg = EvolveConfig(dt=1e-3, t_end=0.5, sample_every=100)
     traj = evolve(0.8 * gs32_mid.Q, PotentialSpec("gaussian", amplitude=0.2, width=2.0),
-                  kern2_mid, params32, cfg)
+                  kern2_mid, params32.p, cfg)
     rep = conservation_report(traj)
     assert rep["mass_drift"] <= 1e-11
     assert rep["energy_drift"] <= 1e-5
@@ -249,7 +256,7 @@ def test_dt_refinement_second_order(gs32_mid, kern2_mid, params32):
     drifts = []
     for dt in (2e-3, 1e-3):
         cfg = EvolveConfig(dt=dt, t_end=0.5, sample_every=int(0.05 / dt))
-        traj = evolve(0.8 * gs32_mid.Q, V, kern2_mid, params32, cfg)
+        traj = evolve(0.8 * gs32_mid.Q, V, kern2_mid, params32.p, cfg)
         drifts.append(conservation_report(traj)["energy_drift"])
     assert 3.0 < drifts[0] / drifts[1] < 5.0
 
@@ -259,7 +266,7 @@ def test_soliton_short_horizon(gs32_mid, kern2_mid, params32):
     # modulus stationarity is checkable only on a short window
     Q = gs32_mid.Q.values.real
     cfg = EvolveConfig(dt=2e-4, t_end=0.25, sample_every=250)
-    traj = evolve(gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32, cfg)
+    traj = evolve(gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32.p, cfg)
     drift = np.max(np.abs(np.abs(traj.final.values) - Q)) / Q.max()
     assert drift < 1e-5
     # modulus stationarity makes P(u(t)) constant
@@ -269,7 +276,7 @@ def test_soliton_short_horizon(gs32_mid, kern2_mid, params32):
 
 def test_h1_bounded_below_threshold(gs32_mid, kern2_mid, params32):
     cfg = EvolveConfig(dt=1e-3, t_end=1.0, sample_every=100)
-    traj = evolve(0.5 * gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32, cfg)
+    traj = evolve(0.5 * gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32.p, cfg)
     d = traj.diagnostics
     h1 = d["M"] + d["grad_sq"]
     assert np.max(h1) < 2.0 * h1[0]
@@ -278,7 +285,7 @@ def test_h1_bounded_below_threshold(gs32_mid, kern2_mid, params32):
 def test_sponge_mass_budget(gs32_mid, kern2_mid, params32):
     cfg = EvolveConfig(dt=1e-3, t_end=2.0, sample_every=200, sponge=True,
                        ball_radii=(10.0,))
-    traj = evolve(0.3 * gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32, cfg)
+    traj = evolve(0.3 * gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32.p, cfg)
     d = traj.diagnostics
     budget = d["M"] + d["exported_mass"]
     assert np.max(np.abs(budget - budget[0])) <= 1e-10 * budget[0]
@@ -294,14 +301,7 @@ def test_rejects_non_finite_initial_data(grid_small, params32, monkeypatch):
     cfg = EvolveConfig(dt=1e-2, t_end=1.0, sample_every=10)
     monkeypatch.setattr(Stepper, "step_values", lambda *a: pytest.fail("a step ran"))
     with pytest.raises(ValueError, match="non-finite mass"):
-        evolve(RadialField(grid_small, vals), PotentialSpec("zero"), kern, params32, cfg)
-
-
-def test_rejects_kernel_of_another_gamma(grid_small, params32):
-    u0 = RadialField(grid_small, np.exp(-grid_small.nodes**2))
-    cfg = EvolveConfig(dt=1e-2, t_end=0.1, sample_every=10)
-    with pytest.raises(ValueError, match="kernel gamma does not match params"):
-        evolve(u0, PotentialSpec("zero"), build_kernel(1.5, grid_small), params32, cfg)
+        evolve(RadialField(grid_small, vals), PotentialSpec("zero"), kern, params32.p, cfg)
 
 
 def test_rejects_kernel_of_another_grid(grid_small, kern2_mid, params32, monkeypatch):
@@ -310,7 +310,7 @@ def test_rejects_kernel_of_another_grid(grid_small, kern2_mid, params32, monkeyp
     cfg = EvolveConfig(dt=1e-2, t_end=0.1, sample_every=10)
     monkeypatch.setattr(Stepper, "step_values", lambda *a: pytest.fail("a step ran"))
     with pytest.raises(ValueError, match="grid mismatch"):
-        evolve(u0, PotentialSpec("zero"), kern2_mid, params32, cfg)
+        evolve(u0, PotentialSpec("zero"), kern2_mid, params32.p, cfg)
 
 
 def test_boundary_warning(grid_small, params32):
@@ -319,5 +319,5 @@ def test_boundary_warning(grid_small, params32):
     u0 = RadialField(grid_small, np.exp(-((grid_small.nodes - 18) / 2) ** 2))
     cfg = EvolveConfig(dt=1e-3, t_end=1.0, sample_every=500)
     with pytest.warns(UserWarning):
-        traj = evolve(u0, PotentialSpec("zero"), kern, params32, cfg)
+        traj = evolve(u0, PotentialSpec("zero"), kern, params32.p, cfg)
     assert traj.boundary_warning

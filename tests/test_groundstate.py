@@ -163,8 +163,8 @@ def test_coercivity_on_balls(gs32_mid, kern2_mid, params32):
 
 def test_solver_determinism(params32, grid_small):
     kern = build_kernel(2.0, grid_small)
-    gs1 = solve_ground_state(params32, grid_small, kern)
-    gs2 = solve_ground_state(params32, grid_small, kern)
+    gs1 = solve_ground_state(params32.p, kern)
+    gs2 = solve_ground_state(params32.p, kern)
     assert np.array_equal(gs1.Q.values, gs2.Q.values)
     assert gs1.mass == gs2.mass
 
@@ -174,17 +174,15 @@ def test_grid_refinement_self_convergence(params32):
     for n in (511, 1023):
         g = RadialGrid(24.0, n)
         kern = build_kernel(2.0, g)
-        gs = solve_ground_state(params32, g, kern)
+        gs = solve_ground_state(params32.p, kern)
         masses.append(gs.mass)
     dr = 24.0 / 512
     assert abs(masses[1] - masses[0]) <= 10.0 * dr**2 * masses[0]
 
 
 def test_second_parameter_point():
-    params = ModelParams(2.5, 1.5)
     g = RadialGrid(24.0, 767)
-    kern = build_kernel(1.5, g)
-    gs = solve_ground_state(params, g, kern)
+    gs = solve_ground_state(2.5, build_kernel(1.5, g))
     assert gs.residual <= 1e-9
     rep = pohozaev_check(gs)
     assert max(rep["E0_vs_grad"], rep["E0_vs_mass"], rep["P_vs_grad"]) <= 1e-12
@@ -208,21 +206,22 @@ def scan_kernels():
 @pytest.mark.parametrize("p, gamma", SCAN)
 def test_solver_convergence_scan(scan_kernels, p, gamma):
     kern = scan_kernels[gamma]
-    gs = solve_ground_state(ModelParams(p, gamma), kern.grid, kern)  # certifies or raises
+    gs = solve_ground_state(p, kern)  # certifies or raises
     assert gs.iterations <= SCAN_MAX_ITER
 
 
-def test_kernel_params_mismatch(grid_small, params32):
-    kern = build_kernel(1.5, grid_small)
-    with pytest.raises(ValueError):
-        solve_ground_state(params32, grid_small, kern)
+def test_result_carries_its_kernel(gs32_mid, kern2_mid):
+    # gamma and the grid come off the kernel, which the result keeps
+    assert gs32_mid.kern is kern2_mid
+    assert gs32_mid.params == ModelParams(3.0, kern2_mid.gamma)
+    assert gs32_mid.Q.grid is kern2_mid.grid
 
 
 def test_non_intercritical_rejected(grid_small):
     kern = build_kernel(2.5, grid_small)
     with pytest.raises(ValueError, match=r"p = 2.0, gamma = 2.5 outside \(5\+gamma\)/3 < p < "
                                          r"3\+gamma: not intercritical"):
-        solve_ground_state(ModelParams(2.0, 2.5), grid_small, kern)
+        solve_ground_state(2.0, kern)
 
 
 def test_fine_grid_certifies():
@@ -230,7 +229,7 @@ def test_fine_grid_certifies():
     # scaled by k_max^2: through a transform of Q back, this grid
     # (dr = 2e-3) read 3.6e-9 and failed the solve's default tol
     grid = RadialGrid(32.0, 16383)
-    gs = solve_ground_state(ModelParams(3.0, 2.0), grid, build_kernel(2.0, grid))
+    gs = solve_ground_state(3.0, build_kernel(2.0, grid))
     assert gs.residual <= 1e-9
     gs.certify()
 

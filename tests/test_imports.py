@@ -1,7 +1,8 @@
 """Every name that a module in src/ or tests/ imports is used in it,
 every function and class that src/ defines is used in src/ or tests/ (in
-tests/ alone only if it is a reference the tests check against), and
-every function in src/ reads each of its parameters."""
+tests/ alone only if it is a reference the tests check against),
+every function in src/ reads each of its parameters, and no public
+function in src/ that takes a kernel also takes what the kernel carries."""
 
 import ast
 from pathlib import Path
@@ -51,6 +52,31 @@ def unread_parameters(source):
                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
         found += [(fn.lineno, fn.name, name) for name in params
                   if name not in read and name not in ("self", "cls")]
+    return sorted(found)
+
+
+# what a RieszKernel carries (gamma, its grid, so (p, gamma) with p) or
+# what carries a kernel (a solved ground state)
+CARRIED_BY_KERN = ("grid", "gamma", "params", "gs")
+
+
+def kernel_and_what_it_carries(source):
+    """(line, function, parameter) of each parameter in CARRIED_BY_KERN of a
+    public function or method (``__init__`` included) with a required kern:
+    a second way in for a value the kernel holds, which nothing checks
+    against it."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or fn.name.startswith("_") and fn.name != "__init__"):
+            continue
+        args = fn.args
+        positional = [*args.posonlyargs, *args.args]
+        required = {a.arg for a in positional[:len(positional) - len(args.defaults)]}
+        required |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is None}
+        if "kern" in required:
+            found += [(fn.lineno, fn.name, a.arg) for a in (*positional, *args.kwonlyargs)
+                      if a.arg in CARRIED_BY_KERN]
     return sorted(found)
 
 
@@ -106,4 +132,18 @@ def test_scan_finds_an_unread_parameter():
 def test_no_unread_parameters():
     found = {str(p.relative_to(ROOT)): bad for p in _sources()
              if p.is_relative_to(ROOT / "src") and (bad := unread_parameters(p.read_text()))}
+    assert found == {}
+
+
+def test_scan_finds_a_kernel_with_what_it_carries():
+    src = ("class S:\n    def __init__(self, grid, kern):\n        pass\n"
+           "def f(kern, *, gs):\n    pass\n"
+           "def g(grid, kern=None):\n    pass\n"
+           "def _h(kern, gamma):\n    pass\n")
+    assert kernel_and_what_it_carries(src) == [(2, "__init__", "grid"), (4, "f", "gs")]
+
+
+def test_no_kernel_with_what_it_carries():
+    found = {str(p.relative_to(ROOT)): bad for p in sorted((ROOT / "src").rglob("*.py"))
+             if (bad := kernel_and_what_it_carries(p.read_text()))}
     assert found == {}

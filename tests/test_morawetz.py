@@ -4,10 +4,10 @@ import pytest
 from hartree_lab.evolve import EvolveConfig, evolve
 from hartree_lab.exponents import ab_exponents
 from hartree_lab.grid import FieldState, RadialField, RadialGrid
-from hartree_lab.morawetz import (build_weight, coercivity_check, morawetz_average,
-                                  morawetz_z, morawetz_zpp, nonlocal_pair_term,
-                                  quadratic_weight, radial_cutoff, radial_cutoff_derivative,
-                                  scattering_monitor)
+from hartree_lab.morawetz import (build_weight, coercivity_check, cutoff_field,
+                                  morawetz_average, morawetz_z, morawetz_zpp,
+                                  nonlocal_pair_term, quadratic_weight, radial_cutoff,
+                                  radial_cutoff_derivative, scattering_monitor)
 from hartree_lab.potentials import PotentialSpec
 from hartree_lab.riesz import build_kernel
 from oracles import quad_1d
@@ -229,7 +229,7 @@ def test_identity_chain_orders(gs32_mid, kern2_mid, params32):
         for weight_R in (None, 15.0):
             cfg = EvolveConfig(dt=dt, t_end=0.6, sample_every=1,
                                weight_R=weight_R, ball_radii=())
-            d = evolve(0.8 * gs32_mid.Q, V, kern2_mid, params32, cfg).diagnostics
+            d = evolve(0.8 * gs32_mid.Q, V, kern2_mid, params32.p, cfg).diagnostics
             t, z, zp, zpp = (d[k] for k in ("t", "z", "zp", "zpp"))
             dz = (z[2:] - z[:-2]) / (t[2:] - t[:-2])
             dzp = (zp[2:] - zp[:-2]) / (t[2:] - t[:-2])
@@ -245,21 +245,36 @@ def test_identity_chain_orders(gs32_mid, kern2_mid, params32):
             assert 1.7 < order < 2.3
 
 
-def test_coercivity_check_paths(gs32_mid, kern2_mid):
-    rep = coercivity_check(0.5 * gs32_mid.Q, gs32_mid, 10.0, kern=kern2_mid)
+def test_coercivity_check_paths(gs32_mid):
+    rep = coercivity_check(0.5 * gs32_mid.Q, gs32_mid, 10.0)
     assert rep["hypothesis_satisfied"] and rep["pass"]
     assert rep["delta"] == pytest.approx(1 - 0.5**8, rel=1e-10)
     # u = Q: ratio = 1, hypothesis fails
-    rep2 = coercivity_check(gs32_mid.Q, gs32_mid, 10.0, kern=kern2_mid)
+    rep2 = coercivity_check(gs32_mid.Q, gs32_mid, 10.0)
     assert not rep2["hypothesis_satisfied"]
     # tiny field: trivially satisfied with huge margin
-    rep3 = coercivity_check(1e-3 * gs32_mid.Q, gs32_mid, 10.0, kern=kern2_mid)
+    rep3 = coercivity_check(1e-3 * gs32_mid.Q, gs32_mid, 10.0)
     assert rep3["pass"] and rep3["margin"] > 0
     # a non-finite field has a NaN ratio, which satisfies nothing
     nan_field = RadialField(gs32_mid.Q.grid, np.full(gs32_mid.Q.grid.n, np.nan))
-    rep4 = coercivity_check(nan_field, gs32_mid, 10.0, kern=kern2_mid)
+    rep4 = coercivity_check(nan_field, gs32_mid, 10.0)
     assert rep4["hypothesis_satisfied"] is False and np.isnan(rep4["ratio"])
     assert "pass" not in rep4
+
+
+def test_coercivity_check_reads_the_kernel_of_q(gs32_mid):
+    # P(u) and P(chi_R u) come from gs.kern, the kernel Q was solved with
+    gs, u, R = gs32_mid, 0.5 * gs32_mid.Q, 10.0
+    p = gs.params.p
+    _, B, sigma = ab_exponents(gs.params)
+    st = FieldState(u, gs.kern, p)
+    ratio = st.P * st.mass**sigma / gs.thresholds["PQ_MQ_sigma"]
+    delta_p = (B / (2 * p)) * (ratio ** (-(B - 2) / B) - 1.0)
+    chi = FieldState(cutoff_field(u, R), gs.kern, p)
+    lhs = chi.grad_sq - (B / (2 * p)) * chi.P
+    rep = coercivity_check(u, gs, R)
+    assert (rep["ratio"], rep["delta_prime"], rep["lhs"], rep["rhs"]) == (
+        ratio, delta_p, lhs, delta_p * chi.P)
 
 
 def test_morawetz_average_zero_field(grid_small, params32):
@@ -272,7 +287,7 @@ def test_morawetz_average_zero_field(grid_small, params32):
 def test_scattering_monitor_decay_and_control(gs32_mid, kern2_mid, params32):
     grid = gs32_mid.Q.grid
     cfg = EvolveConfig(dt=1e-3, t_end=6.0, sample_every=300, sponge=True, ball_radii=(10.0,))
-    traj = evolve(0.3 * gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32, cfg)
+    traj = evolve(0.3 * gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32.p, cfg)
     mon = scattering_monitor(traj.diagnostics, 10.0, 0.5)
     assert mon["final_mass_in_ball"] < 0.5 * mon["initial_mass_in_ball"]
     assert mon["rate_bound_pass"]
@@ -286,7 +301,7 @@ def test_scattering_monitor_rate_on_two_samples(grid_small, params32):
     u0 = RadialField(grid_small, 0.5 * np.exp(-grid_small.nodes**2 / 2))
     cfg = EvolveConfig(dt=1e-3, t_end=0.2, sample_every=200, ball_radii=(10.0,),
                        store_fields=True)
-    traj = evolve(u0, PotentialSpec("zero"), kern, params32, cfg)
+    traj = evolve(u0, PotentialSpec("zero"), kern, params32.p, cfg)
     d = traj.diagnostics
     assert len(d["t"]) == 2
     etap = radial_cutoff_derivative(grid_small, 10.0)
@@ -330,7 +345,7 @@ def test_morawetz_average_trend(gs32_mid, kern2_mid, params32):
     cfg = EvolveConfig(dt=2e-3, t_end=42.876, sample_every=100,
                        sponge=True, chi_radii=Rs,
                        ball_radii=())
-    traj = evolve(0.5 * gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32, cfg)
+    traj = evolve(0.5 * gs32_mid.Q, PotentialSpec("zero"), kern2_mid, params32.p, cfg)
     avgs = [morawetz_average(traj.diagnostics, params32, R, R**3)["average"]
             for R in Rs]
     assert avgs[1] < avgs[0]
@@ -360,7 +375,7 @@ def test_localized_mass_derivative_identity(gs32_desk, kern2_desk, params32):
 
     def defect(dt):
         cfg = EvolveConfig(dt=dt, t_end=0.5, sample_every=1, ball_radii=(R,), store_fields=True)
-        traj = evolve(0.8 * gs32_desk.Q, PotentialSpec("zero"), kern2_desk, params32, cfg)
+        traj = evolve(0.8 * gs32_desk.Q, PotentialSpec("zero"), kern2_desk, params32.p, cfg)
         t = traj.diagnostics["t"]
         flux = traj.diagnostics[f"eta_flux_{R:g}"]
         em = np.array([np.sum(grid.weights * eta * np.abs(f.values) ** 2) for f in traj.fields])

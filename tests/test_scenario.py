@@ -66,16 +66,20 @@ FROM_FILE = MINIMAL.replace("kind = gaussian", "kind = file\npath = {path}")
 
 
 def field_files(tmp_path):
-    """A good field file on the MINIMAL grid, two bad copies of it, an
-    all-zero file and a finite file whose mass overflows."""
+    """A good field file on the MINIMAL grid, four bad copies of it (a nan
+    value, a row short, a row over, its rows reversed), an all-zero file
+    and a finite file whose mass overflows."""
     grid = RadialGrid(24.0, 383)
     gauss = np.exp(-grid.nodes**2)
     for name, values in (("good", gauss), ("zero", 0 * gauss), ("huge", 1e200 * gauss)):
         save_field_csv(RadialField(grid, values), tmp_path / f"{name}.csv")
     rows = (tmp_path / "good.csv").read_text().splitlines(keepends=True)
-    for name, text in (("nan", rows[:11] + ["1.0,nan,0.0\n"] + rows[12:]), ("short", rows[:-1])):
+    nan_row = rows[11].split(",")[0] + ",nan,0.0\n"  # on its own node
+    for name, text in (("nan", rows[:11] + [nan_row] + rows[12:]), ("short", rows[:-1]),
+                       ("long", rows + rows[-1:]), ("reversed", rows[:2] + rows[:1:-1])):
         (tmp_path / f"{name}.csv").write_text("".join(text))
-    return {name: tmp_path / f"{name}.csv" for name in ("good", "nan", "short", "zero", "huge")}
+    return {name: tmp_path / f"{name}.csv"
+            for name in ("good", "nan", "short", "long", "reversed", "zero", "huge")}
 
 
 def test_parse_minimal_defaults():
@@ -173,6 +177,9 @@ def test_parse_rejects_bad_choice(key, line, bad):
                  id="monitor_eps-zero"),
     pytest.param(FROM_FILE.format(path="{nan}"), None, id="file-nan"),
     pytest.param(FROM_FILE.format(path="{short}"), None, id="file-truncated"),
+    pytest.param(FROM_FILE.format(path="{long}"), None, id="file-extra-rows"),
+    # every row on the grid, but each at another node's radius
+    pytest.param(FROM_FILE.format(path="{reversed}"), None, id="file-rows-reversed"),
     pytest.param(FROM_FILE.format(path="{good}.missing"), None, id="file-missing"),
     # zero initial data: every relative drift divides by M(0) = 0
     pytest.param(MINIMAL.replace("amplitude = 0.5", "amplitude = 0"), None,
@@ -242,6 +249,12 @@ def test_file_initial_data(tmp_path, monkeypatch):
     files = field_files(tmp_path)
     with pytest.raises(ConfigError, match="non-finite field value on line 12"):
         parse_scenario(FROM_FILE.format(path=files["nan"]))
+    # each row sits on its own node, and the file holds the n rows it declares
+    with pytest.raises(ConfigError, match=r"^initial data file .*: r = 23\.9375 on line 3 "
+                                          r"is not the grid node 0\.0625$"):
+        parse_scenario(FROM_FILE.format(path=files["reversed"]))
+    with pytest.raises(ConfigError, match="field file has 384 rows, its header says 383$"):
+        parse_scenario(FROM_FILE.format(path=files["long"]))
     # the run starts from the field checked at parse: the file is read once,
     # and rewriting it after the parse does not change the run
     reads, load = [], scn.load_field_csv
